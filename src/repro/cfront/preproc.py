@@ -40,6 +40,9 @@ class Preprocessor:
         self.macros = {}
         self.file_reader = file_reader or _read_file
         self.included = set()
+        #: path -> text (None when absent) for every include candidate
+        #: probed, in probe order.
+        self.dependencies = {}
         for name, value in (defines or {}).items():
             body = Lexer(str(value), "<cmdline>").tokens()[:-1]
             self.macros[name] = Macro(name, body)
@@ -188,33 +191,40 @@ class Preprocessor:
             system = True
         else:
             raise PreprocessorError("malformed #include", first.location)
-        path = self._find_include(target)
-        if path is None:
+        found = self._find_include(target)
+        if found is None:
             if system:
                 return []  # unresolved system headers are silently skipped
             raise PreprocessorError("cannot find include file %r" % target, first.location)
+        path, text = found
         if path in self.included:
             return []  # simple include-once; sufficient for our workloads
         self.included.add(path)
-        text = self.file_reader(path)
         lines = self._directive_lines(text, path)
         return self._process_lines(lines, path)
 
     def _find_include(self, target):
-        for base in self.include_paths:
-            candidate = os.path.join(base, target)
-            if self._readable(candidate):
-                return candidate
-        if self._readable(target):
-            return target
+        """``(path, text)`` of the first readable candidate, or None."""
+        candidates = [os.path.join(base, target) for base in self.include_paths]
+        for candidate in candidates + [target]:
+            text = self._probe(candidate)
+            if text is not None:
+                return candidate, text
         return None
 
-    def _readable(self, path):
-        try:
-            self.file_reader(path)
-            return True
-        except (OSError, KeyError):
-            return False
+    def _probe(self, path):
+        """The text at ``path``, or None when it cannot be read.
+
+        Each path is read at most once per preprocessor; the outcome is
+        kept in :attr:`dependencies`, in probe order, which is what the
+        AST cache's dependency records are built from.
+        """
+        if path not in self.dependencies:
+            try:
+                self.dependencies[path] = self.file_reader(path)
+            except (OSError, KeyError):
+                self.dependencies[path] = None
+        return self.dependencies[path]
 
     # -- macro expansion -----------------------------------------------------------
 

@@ -4,16 +4,27 @@ Tier 1 -- emitted ASTs.  The paper's pass 1 "compiles each file in
 isolation, emitting ASTs" (§6); those emitted files are re-runnable
 artifacts.  We key each one by what actually determines its contents:
 
-    key = SHA-256( parser version
+    key = SHA-256( key version || parser version
                  || filename
                  || include-path configuration
                  || -D define configuration
-                 || preprocessed token stream )
+                 || preprocessed token stream, with positions )
 
 Hashing the *preprocessed* tokens means edits to any transitively included
-header invalidate every file that saw it, while whitespace/comment-only
-edits still hit.  A warm cache turns pass 1 into pure ``load_emitted``
-work: zero re-parses.
+header invalidate every file that saw it; hashing their file, line, and
+column means an edit that moves tokens (a comment that adds lines)
+misses too, so a hit never serves stale source coordinates.  A warm
+cache turns pass 1 into pure ``load_emitted`` work: zero re-parses.
+
+The token key needs a preprocess to compute, so a second, source-level
+key sits in front of it.  :func:`source_key` hashes the raw source text
+and the same configuration; it names a small *dependency record*: every
+path the preprocessor read or probed, in order, with the SHA-256 of the
+text it got (or None for an absent file), plus the token key.  When
+every recorded path still reads the same, the preprocess would see the
+same inputs and produce the same tokens, so the worker goes straight to
+the token key without preprocessing.  Records live in the AST tier
+under ``src``-prefixed keys.
 
 Tier 2 -- summary/report frames (:class:`SummaryCache`).  Pass 2's
 per-root outcomes (:class:`repro.engine.summaries.RootArtifact`) are
@@ -69,6 +80,13 @@ from repro.engine.summaries import SUMMARY_VERSION
 #: Bump when parser/astnodes change shape: old cache entries stop matching.
 PARSER_VERSION = "1"
 
+#: Version of the tier-1 key scheme.  2: token positions are hashed and
+#: source-level dependency records front the token key.
+AST_KEY_VERSION = "2"
+
+#: Key prefix of dependency records in the AST tier.
+RECORD_PREFIX = "src"
+
 #: Payload format marker for emitted .ast files.
 AST_FORMAT_VERSION = 2
 
@@ -87,6 +105,10 @@ _FRAME_HEADER = len(FRAME_MAGIC) + 32
 SUMMARY_MAGIC = b"XGCCSUM\x01"
 _SUMMARY_HEADER = len(SUMMARY_MAGIC) + 32
 
+#: Frame magic for dependency records (same layout again).
+RECORD_MAGIC = b"XGCCSRC\x01"
+_RECORD_HEADER = len(RECORD_MAGIC) + 32
+
 
 class CacheCorruption(Exception):
     """An emitted/cached payload that cannot be trusted: truncated,
@@ -94,9 +116,12 @@ class CacheCorruption(Exception):
     version.  Callers evict and re-parse instead of crashing."""
 
 
-def cache_key(filename, tokens, include_paths=(), defines=None):
-    """The content-addressed key for one preprocessed file."""
+def _config_digest(filename, include_paths, defines):
+    """A SHA-256 primed with the key version and the configuration both
+    tier-1 keys share."""
     digest = hashlib.sha256()
+    digest.update(AST_KEY_VERSION.encode())
+    digest.update(b"\x00")
     digest.update(PARSER_VERSION.encode())
     digest.update(b"\x00")
     digest.update(str(filename).encode())
@@ -109,12 +134,60 @@ def cache_key(filename, tokens, include_paths=(), defines=None):
         digest.update(("%s=%s" % (name, value)).encode())
         digest.update(b"\x1d")
     digest.update(b"\x00")
+    return digest
+
+
+def cache_key(filename, tokens, include_paths=(), defines=None):
+    """The content-addressed key for one preprocessed file: token kinds,
+    spellings, and positions (a new file is marked once per run of
+    tokens from it)."""
+    digest = _config_digest(filename, include_paths, defines)
+    parts = []
+    current = None
     for token in tokens:
-        digest.update(token.kind.name.encode())
-        digest.update(b"\x1f")
-        digest.update(token.value.encode())
-        digest.update(b"\x1e")
+        location = token.location
+        if location.filename != current:
+            current = location.filename
+            parts.append("\x1c%s\x1e" % current)
+        parts.append("%s\x1f%s\x1f%d\x1f%d\x1e" % (
+            token.kind.name, token.value, location.line, location.column))
+    digest.update("".join(parts).encode())
     return digest.hexdigest()
+
+
+def source_key(filename, text, include_paths=(), defines=None):
+    """The key of one source file's dependency record: its raw text
+    under the same configuration :func:`cache_key` hashes."""
+    digest = _config_digest(filename, include_paths, defines)
+    digest.update(text.encode("utf-8", "surrogatepass"))
+    return RECORD_PREFIX + digest.hexdigest()
+
+
+def content_digest(text):
+    """The SHA-256 a dependency record stores for one file's text."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def pack_record(token_key, dependencies):
+    """Frame a dependency record; ``dependencies`` is ``[(path, digest
+    or None)]`` in the order the preprocessor probed the paths."""
+    return pack_frame(
+        RECORD_MAGIC,
+        {
+            "key_version": AST_KEY_VERSION,
+            "token_key": token_key,
+            "dependencies": list(dependencies),
+        },
+    )
+
+
+def unpack_record(data):
+    """``(token_key, [(path, digest or None)])`` from a framed record;
+    raises :class:`CacheCorruption` on anything untrustworthy."""
+    obj = unpack_frame(RECORD_MAGIC, data)
+    if not isinstance(obj, dict) or obj.get("key_version") != AST_KEY_VERSION:
+        raise CacheCorruption("dependency record version skew")
+    return obj["token_key"], obj["dependencies"]
 
 
 def pack_frame(magic, payload_obj):
@@ -255,6 +328,20 @@ class AstCache:
             raise FileNotFoundError(key)
         unit, source_bytes = unpack(data)
         return unit, source_bytes, len(data)
+
+    def fetch_record(self, key):
+        """``(token_key, dependencies)`` of the dependency record at a
+        :func:`source_key`, or None on a miss.  Raises
+        :class:`CacheCorruption` for an untrustworthy record."""
+        data = self.backend.get_many("ast", [key]).get(key)
+        if data is None:
+            return None
+        return unpack_record(data)
+
+    def store_record(self, key, token_key, dependencies):
+        """Write (or overwrite) the dependency record at ``key``."""
+        self.backend.put_many(
+            "ast", {key: pack_record(token_key, dependencies)})
 
     def store(self, key, data):
         """Atomically write a payload; safe under concurrent writers."""
@@ -740,6 +827,8 @@ def corrupt_bytes(data, mode="truncate"):
     if mode == "version":
         if data[: len(SUMMARY_MAGIC)] == SUMMARY_MAGIC:
             magic, payload = SUMMARY_MAGIC, data[_SUMMARY_HEADER:]
+        elif data[: len(RECORD_MAGIC)] == RECORD_MAGIC:
+            magic, payload = RECORD_MAGIC, data[_RECORD_HEADER:]
         elif data[: len(FRAME_MAGIC)] == FRAME_MAGIC:
             magic, payload = FRAME_MAGIC, data[_FRAME_HEADER:]
         else:
@@ -747,6 +836,8 @@ def corrupt_bytes(data, mode="truncate"):
         obj = pickle.loads(payload)
         if magic == SUMMARY_MAGIC:
             obj["summary_version"] = "0-skewed"
+        elif magic == RECORD_MAGIC:
+            obj["key_version"] = "0-skewed"
         else:
             obj["parser_version"] = "0-skewed"
         return pack_frame(magic, obj)

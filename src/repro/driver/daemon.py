@@ -1,7 +1,8 @@
 """``xgccd``: the long-lived analysis daemon behind ``xgcc --watch``.
 
 Every ``xgcc --incremental`` invocation pays process startup, manifest
-load, and a pass-1 probe (preprocess + cache lookup) for *every* file,
+load, and a pass-1 probe (dependency-record check + cache lookup) for
+*every* file,
 even when the dirty cone is one function.  The daemon converts that
 per-run tax into per-process state: one process keeps the
 :class:`repro.driver.session.IncrementalSession` (manifest and summary
@@ -70,24 +71,6 @@ class _PinnedUnit:
         self.digest = digest
         self.compiled = compiled
         self.deps = frozenset(deps)
-
-
-class _RecordingReader:
-    """A ``Project.file_reader`` wrapper recording every successful read
-    (the compile's include-dependency set)."""
-
-    def __init__(self, inner=None):
-        self.inner = inner
-        self.seen = set()
-
-    def __call__(self, path):
-        if self.inner is not None:
-            text = self.inner(path)
-        else:
-            with open(path, "r") as handle:
-                text = handle.read()
-        self.seen.add(os.path.abspath(path))
-        return text
 
 
 class XgccDaemon:
@@ -237,7 +220,7 @@ class XgccDaemon:
         project = Project(
             include_paths=self.include_paths, defines=self.defines,
             cache_dir=self.cache_dir, stats=self.stats, keep_going=True,
-            store_url=self.store_url,
+            store_url=self.store_url, file_reader=self.file_reader,
             store_backend=getattr(self.session, "backend", None),
         )
         for path in c_files:
@@ -245,12 +228,9 @@ class XgccDaemon:
             if pin is not None and path not in dirty:
                 project.adopt_unit(pin.compiled)
                 continue
-            reader = _RecordingReader(self.file_reader)
-            project.file_reader = reader
             compiled = project.compile_files(
                 [path], worker_timeout=self.worker_timeout
             )
-            project.file_reader = self.file_reader
             if not compiled:
                 # Pass 1 failed outright (keep_going recorded a unit
                 # degradation): drop any stale pin so the next burst
@@ -258,7 +238,7 @@ class XgccDaemon:
                 self._units.pop(path, None)
                 continue
             self._units[path] = _PinnedUnit(
-                self.watcher.state.get(path), compiled[0], reader.seen
+                self.watcher.state.get(path), compiled[0], compiled[0].deps
             )
             self.stats.add("daemon_files_reparsed")
         for path in list(self._units):

@@ -191,13 +191,21 @@ class Pass1Task:
 class Pass1Result:
     """What comes back: a cache hit (local payload path and/or the frame
     bytes fetched from a remote store) or a freshly parsed unit (shipped
-    back through the pool's own pickling)."""
+    back through the pool's own pickling).
+
+    ``deps`` are the absolute paths the file's preprocess read (itself
+    included); ``record_key`` names its dependency record when caching
+    is on, ``fast`` says the record let it skip preprocessing, and
+    ``record_error`` describes a corrupt record the worker evicted.
+    """
 
     __slots__ = ("index", "filename", "status", "key", "cache_path", "unit",
-                 "source_bytes", "emitted_bytes", "timings", "pid", "data")
+                 "source_bytes", "emitted_bytes", "timings", "pid", "data",
+                 "deps", "record_key", "fast", "record_error")
 
     def __init__(self, index, filename, status, key, cache_path, unit,
-                 source_bytes, emitted_bytes, timings, pid, data=None):
+                 source_bytes, emitted_bytes, timings, pid, data=None,
+                 deps=(), record_key=None, fast=False, record_error=None):
         self.index = index
         self.filename = filename
         self.status = status  # "hit" | "parsed"
@@ -209,6 +217,10 @@ class Pass1Result:
         self.timings = timings
         self.pid = pid
         self.data = data
+        self.deps = deps
+        self.record_key = record_key
+        self.fast = fast
+        self.record_error = record_error
 
 
 #: Per-process backend memo: a pooled worker keeps one live store
@@ -227,13 +239,62 @@ def _worker_store(cache_dir, store_url):
     return backend
 
 
-def pass1_worker(task):
-    """Preprocess -> cache probe -> parse -> emit for one file.
+def _dep_paths(path, probes):
+    """Absolute paths of the source file and of every probed path that
+    was actually read (``probes`` pairs each path with its text or
+    digest, None when absent)."""
+    return tuple([os.path.abspath(path)] + [
+        os.path.abspath(dep) for dep, found in probes if found is not None
+    ])
 
-    Runs in a worker process (or inline for ``jobs=1``).  The cache probe
-    happens *after* preprocessing because the cache key hashes the
-    preprocessed token stream (header edits must invalidate dependents);
-    a hit still skips the expensive part, the parse.
+
+def _unchanged(dependencies, read):
+    """True when every recorded path still reads to its recorded digest
+    (or is still absent).  Stops at the first difference: up to there a
+    preprocess would have probed exactly the same paths."""
+    for path, digest in dependencies:
+        try:
+            text = read(path)
+        except (OSError, KeyError):
+            text = None
+        if digest != (None if text is None else astcache.content_digest(text)):
+            return False
+    return True
+
+
+def _hit_result(task, store, key, timings, **extra):
+    """The pass-1 result of an AST-tier hit on ``key``, or None on a
+    miss."""
+    data, hit_path = store.fetch(key)
+    if data is None and hit_path is None:
+        return None
+    if hit_path is not None:
+        try:
+            emitted = os.path.getsize(hit_path)
+        except OSError:
+            emitted = len(data or b"")
+    else:
+        emitted = len(data)
+    return Pass1Result(
+        index=task.index, filename=task.path, status="hit", key=key,
+        cache_path=hit_path, unit=None, source_bytes=None,
+        emitted_bytes=emitted, timings=timings, pid=os.getpid(), data=data,
+        **extra
+    )
+
+
+def pass1_worker(task):
+    """Record probe -> preprocess -> cache probe -> parse -> emit for
+    one file.
+
+    Runs in a worker process (or inline for ``jobs=1``).  With a cache,
+    the worker first fetches the file's dependency record by its source
+    key.  When every path the record lists still reads the same, the
+    record's token key is probed directly, and a hit skips the
+    preprocess as well as the parse.  Anything else -- no record, a
+    changed or corrupt one, an AST frame gone -- takes the full path:
+    preprocess, probe the token key (header edits must invalidate
+    dependents), parse on a miss, and (re)write the record.
     """
     from repro.cfront.preproc import Preprocessor
 
@@ -242,35 +303,53 @@ def pass1_worker(task):
     read = task.file_reader or _read_source
     start = time.perf_counter()
     text = read(task.path)
+
+    store = record_key = record_error = None
+    if task.cache_dir or task.store_url:
+        backend = task.store or _worker_store(task.cache_dir, task.store_url)
+        store = astcache.AstCache(backend=backend)
+        record_key = astcache.source_key(
+            task.path, text, task.include_paths, task.defines
+        )
+        try:
+            record = store.fetch_record(record_key)
+        except astcache.CacheCorruption as err:
+            store.evict(record_key)
+            record, record_error = None, str(err)
+        fresh = record is not None and _unchanged(record[1], read)
+        timings["source_probe"] = time.perf_counter() - start
+        if fresh:
+            key, dependencies = record
+            result = _hit_result(
+                task, store, key, timings,
+                deps=_dep_paths(task.path, dependencies),
+                record_key=record_key, fast=True,
+            )
+            if result is not None:
+                return result
+        start = time.perf_counter()
+
     pp = Preprocessor(task.include_paths, task.defines, task.file_reader)
     tokens = pp.preprocess_text(text, task.path)
     timings["preprocess"] = time.perf_counter() - start
+    deps = _dep_paths(task.path, pp.dependencies.items())
 
     key = None
-    store = None
-    if task.cache_dir or getattr(task, "store_url", None):
-        backend = getattr(task, "store", None) or _worker_store(
-            task.cache_dir, getattr(task, "store_url", None)
-        )
-        store = astcache.AstCache(backend=backend)
+    if store is not None:
+        dependencies = [
+            (path, None if dep is None else astcache.content_digest(dep))
+            for path, dep in pp.dependencies.items()
+        ]
         key = astcache.cache_key(
             task.path, tokens, task.include_paths, task.defines
         )
-        data, hit_path = store.fetch(key)
-        if data is not None or hit_path is not None:
-            if hit_path is not None:
-                try:
-                    emitted = os.path.getsize(hit_path)
-                except OSError:
-                    emitted = len(data or b"")
-            else:
-                emitted = len(data)
-            return Pass1Result(
-                index=task.index, filename=task.path, status="hit", key=key,
-                cache_path=hit_path, unit=None, source_bytes=None,
-                emitted_bytes=emitted, timings=timings,
-                pid=os.getpid(), data=data,
-            )
+        result = _hit_result(
+            task, store, key, timings, deps=deps, record_key=record_key,
+            record_error=record_error,
+        )
+        if result is not None:
+            store.store_record(record_key, key, dependencies)
+            return result
 
     from repro.cfront.parser import Parser
 
@@ -286,6 +365,7 @@ def pass1_worker(task):
     payload = astcache.pack_unit(unit, source_bytes)
     if store is not None:
         store.store(key, payload)
+        store.store_record(record_key, key, dependencies)
     if task.emit_dir:
         os.makedirs(task.emit_dir, exist_ok=True)
         out = os.path.join(
@@ -299,6 +379,7 @@ def pass1_worker(task):
         index=task.index, filename=task.path, status="parsed", key=key,
         cache_path=None, unit=unit, source_bytes=source_bytes,
         emitted_bytes=len(payload), timings=timings, pid=os.getpid(),
+        deps=deps, record_key=record_key, record_error=record_error,
     )
 
 
@@ -360,8 +441,9 @@ def compile_files_into(project, paths, jobs=1, worker_timeout=None):
         # the hit keys into one batched remote touch so store GC sees
         # warm use without a round trip per file.
         hit_keys = sorted(
-            result.key for result in results.values()
-            if result is not None and result.status == "hit" and result.key
+            key for result in results.values()
+            if result is not None and result.status == "hit"
+            for key in (result.key, result.record_key) if key
         )
         if hit_keys:
             try:
@@ -391,6 +473,13 @@ def _absorb(project, task, result):
     stats = project.stats
     stats.count_worker_task(result.pid)
     stats.merge_timings(result.timings)
+    if result.record_error is not None:
+        stats.add("cache_evictions")
+        stats.record_degradation(
+            "cache",
+            "%s: corrupt dependency record (%s); evicted and preprocessed"
+            % (result.filename, result.record_error),
+        )
     if result.status == "hit":
         try:
             if result.cache_path is not None:
@@ -426,7 +515,8 @@ def _absorb(project, task, result):
         if result.cache_path is not None:
             astcache.touch_entry(result.cache_path)
         compiled = CompiledUnit(
-            result.filename, unit, source_bytes, len(data), from_cache=True
+            result.filename, unit, source_bytes, len(data), from_cache=True,
+            deps=result.deps,
         )
     else:
         stats.add("parses")
@@ -434,10 +524,13 @@ def _absorb(project, task, result):
             stats.add("cache_misses")
         compiled = CompiledUnit(
             result.filename, result.unit, result.source_bytes,
-            result.emitted_bytes,
+            result.emitted_bytes, deps=result.deps,
         )
     project.compiled.append(compiled)
     project._register(compiled.unit, compiled.filename)
+    if result.record_key:
+        stats.add("ast_fast_hits" if result.fast else "ast_fast_misses")
+        project.ast_keys_used.append(result.record_key)
     if result.key:
         project.ast_keys_used.append(result.key)
     return compiled

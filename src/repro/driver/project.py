@@ -37,15 +37,20 @@ from repro.cfront import astnodes as ast
 
 
 class CompiledUnit:
-    """Pass-1 output for one source file."""
+    """Pass-1 output for one source file.
+
+    ``deps`` are the absolute paths its preprocess read, the file itself
+    included (the analysis daemon's include-dependency set).
+    """
 
     def __init__(self, filename, unit, source_bytes, emitted_bytes,
-                 from_cache=False):
+                 from_cache=False, deps=()):
         self.filename = filename
         self.unit = unit
         self.source_bytes = source_bytes
         self.emitted_bytes = emitted_bytes
         self.from_cache = from_cache
+        self.deps = deps
 
     @property
     def expansion_ratio(self):
@@ -84,9 +89,10 @@ class Project:
         self.compiled = []
         self.static_vars = {}
         self._callgraph = None
-        #: Tier-1 cache keys this project probed (hits and stores) --
-        #: recorded into the incremental manifest so cache GC knows which
-        #: .ast frames a fresh manifest still depends on.
+        #: Tier-1 cache keys this project probed (hits and stores, AST
+        #: frames and dependency records) -- recorded into the
+        #: incremental manifest so cache GC knows which .ast frames a
+        #: fresh manifest still depends on.
         self.ast_keys_used = []
 
     @property

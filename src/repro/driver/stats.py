@@ -46,8 +46,13 @@ from contextlib import contextmanager
 #: ``refine_confirmed`` / ``refine_infeasible`` / ``refine_unknown``
 #: (per-verdict tallies), ``refine_budget_hits`` (verdicts degraded to
 #: unknown by a blown enumeration budget or injected fault), and
-#: ``report_run_prune_errors`` (failed ``--prune-runs`` sweeps).
-SCHEMA_VERSION = 8
+#: ``report_run_prune_errors`` (failed ``--prune-runs`` sweeps).  9: the
+#: two-level AST-cache counters (docs/DRIVER.md, "The persistent AST
+#: cache"): ``ast_fast_hits`` (files served through their dependency
+#: record without preprocessing) and ``ast_fast_misses`` (files that
+#: preprocessed because the record was missing, stale, or corrupt, or
+#: its AST frame was gone), plus the ``source_probe`` timer.
+SCHEMA_VERSION = 9
 
 
 class DriverStats:

@@ -168,16 +168,50 @@ class TestAstCache:
         assert second.stats.count("cache_misses") == 1
         assert second.stats.count("cache_hits") == 0
 
-    def test_comment_only_edit_still_hits(self, tmp_path):
+    def test_same_line_comment_edit_still_hits(self, tmp_path):
         cache = str(tmp_path / "cache")
         src = tmp_path / "c.c"
         src.write_text("int f(void) { return 3; }\n")
         Project(cache_dir=cache).compile_files([str(src)])
 
-        src.write_text("/* tweak */\nint f(void) { return 3; }\n")
+        # No token moves: the token-stream key still matches.
+        src.write_text("int f(void) { return 3; } /* tweak */\n")
         warm = Project(cache_dir=cache)
         warm.compile_files([str(src)])
         assert warm.stats.count("cache_hits") == 1
+        assert warm.stats.count("parses") == 0
+
+    def test_line_shifting_comment_edit_misses_and_matches_cold(
+        self, tmp_path, capsys
+    ):
+        # Token positions are part of the key: a warm hit here would
+        # print the pre-edit line:column.
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in os.listdir(TOY_KERNEL):
+            if name.endswith(".c"):
+                with open(os.path.join(TOY_KERNEL, name)) as handle:
+                    (work / name).write_text(handle.read())
+        sources = sorted(str(work / n) for n in os.listdir(str(work)))
+        argv = ["--checker", "free", "--checker", "lock",
+                "-I", TOY_INCLUDE] + sources
+        cache = str(tmp_path / "cache")
+        main(argv + ["--cache-dir", cache])
+        capsys.readouterr()
+
+        devices = work / "devices.c"
+        devices.write_text("/* c1\n c2\n c3 */\n\n\n" + devices.read_text())
+        stats = str(tmp_path / "stats.json")
+        warm_code = main(argv + ["--cache-dir", cache, "--stats-json", stats])
+        warm = capsys.readouterr().out
+        cold_code = main(argv)
+        cold = capsys.readouterr().out
+        assert (warm_code, warm) == (cold_code, cold)
+        assert "devices.c:41:14" in cold
+        with open(stats) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["parses"] == 1
+        assert counters["cache_hits"] == len(sources) - 1
 
 
 class TestCallGraphComponents:

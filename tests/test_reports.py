@@ -39,7 +39,7 @@ cli_checkers = functools.partial(_build_extensions, ("free", "lock"), ())
 CHECKER_ARGS = ["--checker", "free", "--checker", "lock"]
 
 #: Declaration lines prepended to a module to drift every line below
-#: them (blank lines do not shift: the preprocessor strips them).
+#: them.
 PAD = "int pad_drift_1;\nint pad_drift_2;\n"
 
 RUN_ID_RE = re.compile(r"recorded run (r[0-9a-f]+)")
