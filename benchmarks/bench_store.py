@@ -24,9 +24,9 @@ import time
 from repro.codegen.project_gen import generate_project
 from repro.driver.cli import _build_extensions
 from repro.driver.project import Project
+from repro.driver.report_server import ReportServer
 from repro.driver.session import IncrementalSession, session_signature
-from repro.driver.store import RemoteStore
-from repro.driver.store_server import StoreServer
+from repro.driver.store import LocalStore, RemoteStore
 from repro.ranking.severity import stratify
 
 SUMMARY_PATH = "BENCH_store.json"
@@ -88,7 +88,9 @@ def test_shared_warm_start_beats_unshared_cold(benchmark, tmp_path):
     root, paths = materialize(tmp_path, generated, "proj")
     baseline = cold_serial_text(root, paths)
 
-    server = StoreServer(str(tmp_path / "store-root"))
+    server = ReportServer(
+        backend=LocalStore(root=str(tmp_path / "store-root"))
+    )
     server.start()
     try:
         populate_s, populate_text, populate_stats = timed_client_run(
@@ -150,7 +152,7 @@ class WarmStoreRig:
     def __init__(self, tmp_path):
         root = tmp_path / "micro-store"
         root.mkdir(exist_ok=True)
-        self.server = StoreServer(str(root))
+        self.server = ReportServer(backend=LocalStore(root=str(root)))
         self.server.start()
         self.client = RemoteStore(self.server.url)
         self.keys = ["%064x" % n for n in range(8)]

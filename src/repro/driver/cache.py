@@ -230,35 +230,22 @@ def pack_unit(unit, source_bytes):
 
 
 def unpack(data):
-    """``(unit, source_bytes)`` from an emitted payload.
+    """``(unit, source_bytes)`` from a payload written by :func:`pack_unit`.
 
-    Verifies the frame checksum (framed payloads) and the recorded
-    parser version; raises :class:`CacheCorruption` on anything
-    untrustworthy.  ``source_bytes`` is 0 for legacy bare-unit pickles.
+    Verifies the frame marker and checksum and the recorded parser
+    version; raises :class:`CacheCorruption` on anything untrustworthy,
+    a bare unframed pickle included, so the caller evicts and re-parses.
     """
-    if data[: len(FRAME_MAGIC)] == FRAME_MAGIC:
-        obj = unpack_frame(FRAME_MAGIC, data)
-    else:
-        # legacy unframed pickle
-        try:
-            obj = pickle.loads(data)
-        except Exception as err:
-            raise CacheCorruption("unreadable payload: %r" % err)
-    if isinstance(obj, dict) and "unit" in obj:
-        version = obj.get("parser_version")
-        if version != PARSER_VERSION:
-            raise CacheCorruption(
-                "parser version skew: entry says %r, this build is %r"
-                % (version, PARSER_VERSION)
-            )
-        unit, source_bytes = obj["unit"], int(obj.get("source_bytes") or 0)
-    else:
-        unit, source_bytes = obj, 0
-    if not hasattr(unit, "decls"):
+    obj = unpack_frame(FRAME_MAGIC, data)
+    if not isinstance(obj, dict) or not hasattr(obj.get("unit"), "decls"):
+        raise CacheCorruption("frame does not hold a translation unit")
+    version = obj.get("parser_version")
+    if version != PARSER_VERSION:
         raise CacheCorruption(
-            "payload is not a translation unit: %r" % type(unit)
+            "parser version skew: entry says %r, this build is %r"
+            % (version, PARSER_VERSION)
         )
-    return unit, source_bytes
+    return obj["unit"], int(obj.get("source_bytes") or 0)
 
 
 class AstCache:

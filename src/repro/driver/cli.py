@@ -155,9 +155,11 @@ def build_parser():
     parser.add_argument(
         "--store-url", metavar="URL",
         default=os.environ.get("XGCC_STORE") or None,
-        help="shared artifact-store server (tcp://HOST:PORT; defaults to "
-        "$XGCC_STORE): cached ASTs, summaries, and manifests are shared "
-        "with every client of the store; with --cache-dir the local "
+        help="shared artifact store: a standalone report server "
+        "(http://HOST:PORT from python -m repro.driver.report_server; "
+        "defaults to $XGCC_STORE): cached ASTs, summaries, and "
+        "manifests are shared with every client of the store; with "
+        "--cache-dir the local "
         "cache acts as a write-through overlay, and an unreachable "
         "store degrades the run to local-only instead of failing it",
     )

@@ -22,29 +22,44 @@ ever running a cold analysis:
                       warm response cache is invalidated so the next
                       ``analyze`` re-renders under the new state
 ``GET /stats``        the daemon's cumulative stats
+``POST /store``       standalone servers only: one artifact-store message
+                      in, one out (docs/STORE.md) -- the wire protocol
+                      :class:`repro.driver.store.RemoteStore` speaks
 ====================  =====================================================
 
-Every response is JSON.  The server can also run *standalone* over a
-store backend with no daemon (``python -m repro.driver.report_server``):
-the history/diff/triage endpoints work identically -- ``/reports`` then
-serves the latest recorded run -- so a dashboard can sit on a shared
-RemoteStore with no analysis capability at all.
+Every response but ``/store``'s is JSON.  The server can also run
+*standalone* over a store backend with no daemon (``python -m
+repro.driver.report_server``): the history/diff/triage endpoints work
+identically -- ``/reports`` then serves the latest recorded run -- so a
+dashboard can sit on a shared RemoteStore with no analysis capability
+at all.  A standalone server is also the shared artifact store: ``POST
+/store`` serves its backend to ``--store-url`` clients.  A
+daemon-attached server answers that route 404, because a remote sweep
+would not see the daemon's pinned keys.
 
 Concurrency: handlers run on one thread per connection
 (``ThreadingHTTPServer``); everything touching the daemon goes through
 ``daemon.lock`` (shared with the UNIX-socket serve loop), and triage
-writes are serialized by a server-side lock.
+writes and ``/store`` requests are serialized by one server-side lock,
+so manifest compare-and-swap and ``gc`` are atomic across clients.
+
+Fault sites (docs/STORE.md): ``store.slow`` stalls one ``/store`` reply
+outside the lock; ``store.request`` drops the connection before (or,
+with ``mode="partial"``, half-way through) the reply.
 """
 
 import argparse
 import json
 import os
+import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro import faults
+from repro.driver.store import StoreError, decode_message, encode_message
 from repro.reports.history import RunHistory, RunHistoryError
 from repro.reports.triage import TriageEntry, TriageError, TriageStore
 
@@ -54,6 +69,76 @@ REPORT_PROTOCOL = 1
 
 class ReportServerError(Exception):
     """Server-side setup failure (no backend, bind error)."""
+
+
+def handle_message(store, header, blobs):
+    """Dispatch one decoded ``/store`` request against a backend.
+
+    Synchronous: returns ``(reply_fields, reply_blobs)``.  Unknown ops
+    come back as ``ok=False`` replies, never connection drops.
+    """
+    op = header.get("op")
+    items = [(item["tier"], item["key"]) for item in header.get("items") or ()]
+    if op == "ping":
+        return {"ok": True}, []
+    if op == "get":
+        frames = [store.get_many(tier, [key]).get(key) for tier, key in items]
+        return ({"ok": True, "found": [f is not None for f in frames]},
+                [f for f in frames if f is not None])
+    if op == "put":
+        if len(items) != len(blobs):
+            return {"ok": False, "error": "put: %d items, %d blobs"
+                    % (len(items), len(blobs))}, []
+        for (tier, key), data in zip(items, blobs):
+            store.put_many(tier, {key: data})
+        return {"ok": True, "stored": len(items)}, []
+    if op == "head":
+        mtimes = [store.entry_mtime(tier, key) for tier, key in items]
+        return {"ok": True, "found": [m is not None for m in mtimes],
+                "mtimes": mtimes}, []
+    if op == "touch":
+        for tier, key in items:
+            store.touch_many(tier, [key], ts=header.get("ts"))
+        return {"ok": True, "touched": len(items)}, []
+    if op == "delete":
+        deleted = sum(store.delete_many(tier, [key]) for tier, key in items)
+        return {"ok": True, "deleted": deleted}, []
+    if op == "list":
+        return {"ok": True, "entries": store.list_tier(header["tier"])}, []
+    # manifest_cas / manifest_put carry the document as their one blob.
+    text = blobs[0].decode("utf-8") if blobs else ""
+    if op == "manifest_get":
+        current, etag = store.manifest_get(header["signature"])
+        return {"ok": True, "etag": etag}, (
+            [] if current is None else [current.encode("utf-8")]
+        )
+    if op == "manifest_head":
+        return {"ok": True,
+                "etag": store.manifest_head(header["signature"])}, []
+    if op == "manifest_cas":
+        committed, etag, current = store.manifest_cas(
+            header["signature"], text, header.get("etag")
+        )
+        # A conflict ships the current document: no re-read round trip.
+        return {"ok": True, "committed": committed, "etag": etag}, (
+            [current.encode("utf-8")] if current and not committed else []
+        )
+    if op == "manifest_put":
+        return {"ok": True,
+                "etag": store.manifest_put(header["signature"], text)}, []
+    if op == "manifest_list":
+        return {"ok": True, "manifests": store.manifest_list()}, []
+    if op == "manifest_delete":
+        return {"ok": True,
+                "deleted": store.manifest_delete(header["token"])}, []
+    if op == "gc":
+        return {"ok": True, "gc": store.gc(
+            cutoff_days=float(header.get("cutoff_days", 30.0)),
+            now=header.get("now"),
+            extra_live_sum=header.get("extra_live_sum") or (),
+            extra_live_ast=header.get("extra_live_ast") or (),
+        )}, []
+    return {"ok": False, "error": "unknown op: %r" % (op,)}, []
 
 
 class _Routes:
@@ -72,7 +157,9 @@ class _Routes:
             daemon.stats if daemon is not None else None
         )
         self.history = RunHistory(self.backend, stats=self.stats)
-        self._triage_lock = threading.Lock()
+        # Serializes backend writes: triage read-merge-write and every
+        # /store request.
+        self._lock = threading.Lock()
 
     def _count(self, name, amount=1):
         if self.stats is not None:
@@ -167,7 +254,7 @@ class _Routes:
         entries = doc.get("entries") if isinstance(doc, dict) else None
         if entries is None:
             entries = [doc]
-        with self._triage_lock:
+        with self._lock:
             store = self._load_triage()
             try:
                 for entry in entries:
@@ -196,6 +283,15 @@ class _Routes:
             payload = {}
         return 200, {"ok": True, "protocol": REPORT_PROTOCOL,
                      "stats": payload}
+
+    def store(self, header, blobs):
+        """``POST /store``: one decoded store request against the
+        backend, atomic with respect to every other client."""
+        with self._lock:
+            try:
+                return handle_message(self.backend, header, blobs)
+            except (StoreError, KeyError, TypeError, ValueError) as err:
+                return {"ok": False, "error": repr(err)}, []
 
     # -- dispatch ----------------------------------------------------------
 
@@ -235,22 +331,70 @@ class _Routes:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; without TCP_NODELAY the
+    # body waits on the client's delayed ACK (~40 ms per round trip).
+    disable_nagle_algorithm = True
 
     def _respond(self, method):
         parsed = urlparse(self.path)
-        body = b""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            body = self.rfile.read(length)
-        status, payload = self.server.routes.dispatch(
+        routes = self.server.routes
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError("negative length %d" % length)
+        except ValueError as err:
+            # The body cannot be delimited, so neither can the next
+            # request on this connection.
+            routes._count("report_server_errors")
+            self.close_connection = True
+            self._send(400, json.dumps({
+                "ok": False, "protocol": REPORT_PROTOCOL,
+                "error": "bad Content-Length: %s" % err,
+            }).encode("utf-8"))
+            return
+        body = self.rfile.read(length) if length else b""
+        if (method == "POST" and parsed.path == "/store"
+                and routes.daemon is None):
+            self._store(body)
+            return
+        status, payload = routes.dispatch(
             method, parsed.path, parse_qs(parsed.query), body
         )
-        data = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload).encode("utf-8"))
+
+    def _store(self, body):
+        try:
+            header, blobs = decode_message(body)
+        except (ValueError, TypeError) as err:
+            self._send(200, encode_message(
+                {"ok": False, "error": "undecodable request: %s" % err}
+            ), "application/octet-stream")
+            return
+        op = header.get("op")
+        spec = faults.fires("store.slow", key=op)
+        if spec is not None:
+            # Outside the lock: only this connection stalls.
+            time.sleep(float(spec.get("seconds", 30.0)))
+        drop = faults.fires("store.request", key=op)
+        if drop is not None and drop.get("mode") != "partial":
+            self.close_connection = True
+            return
+        reply = encode_message(*self.server.routes.store(header, blobs))
+        sent = len(reply)
+        if drop is not None:
+            # Mid-batch crash: the full Content-Length, then half the
+            # body.  Clients must treat the whole batch as unserved.
+            self.close_connection = True
+            sent //= 2
+        self._send(200, reply, "application/octet-stream", sent)
+
+    def _send(self, status, data, content_type="application/json",
+              sent=None):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        self.wfile.write(data[:sent])
 
     def do_GET(self):
         self._respond("GET")
@@ -265,6 +409,40 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # server_close() must not join handler threads: a keep-alive store
+    # client holds its connection (and thread) between requests.  It
+    # shuts the open connections down instead, so none outlives stop().
+    block_on_close = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._open = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+    def handle_error(self, request, client_address):
+        # A client that went away mid-reply (a timed-out store client)
+        # is not a server error.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class ReportServer:

@@ -12,11 +12,12 @@ same way:
   (``root/<key[:2]>/<key>.ast``, ``root/summaries/...``), unchanged on
   disk, with manifest writes promoted to ETag compare-and-swap held
   under the existing per-signature file lock.
-- :class:`RemoteStore` -- a client for :mod:`repro.driver.store_server`:
-  batched ``get``/``put``/``head`` over a persistent TCP connection
-  (newline-JSON header + raw frame bytes), manifest CAS with the
-  current document returned on conflict (saving the re-read round
-  trip), and server-side GC that honours extra-live pins.
+- :class:`RemoteStore` -- a client for the ``POST /store`` route of a
+  standalone :mod:`repro.driver.report_server`: batched
+  ``get``/``put``/``head`` over a keep-alive HTTP connection (JSON
+  header line + raw frame bytes), manifest CAS with the current
+  document returned on conflict (saving the re-read round trip), and
+  server-side GC that honours extra-live pins.
 - :class:`TieredStore` -- local write-through overlay over a remote:
   warm reads never block on the network (overlay hits are counted),
   every remote read/write is mirrored locally, and a dead or flaky
@@ -27,10 +28,11 @@ Keys, frame formats, and checksums are untouched: a backend stores and
 returns opaque frame bytes; verification stays in
 :mod:`repro.driver.cache` where it always lived.
 
-The wire protocol (docs/STORE.md): each request is one JSON object on
-its own line with a ``blobs`` list of byte lengths, followed by exactly
-those raw bytes concatenated; each response mirrors the shape.  Batches
-are first-class -- one round trip moves any number of frames.
+The wire protocol (docs/STORE.md): each request is one ``POST /store``
+whose body is a JSON object on its own line with a ``blobs`` list of
+byte lengths, followed by exactly those raw bytes concatenated; each
+response body mirrors the shape.  Batches are first-class -- one round
+trip moves any number of frames.
 
 Manifest discipline: the fcntl read-merge-write from PR 3 serialized
 rival sessions through a shared filesystem lock, which cannot span
@@ -45,7 +47,6 @@ bytes, so local and remote backends agree on it.
 import hashlib
 import json
 import os
-import socket
 import threading
 import time
 
@@ -54,9 +55,10 @@ STORE_PROTOCOL = 1
 
 #: Upper bound on manifest compare-and-swap retries.  Each round the
 #: store commits exactly one writer (LocalStore serializes CAS under the
-#: per-signature lock; the server is single-threaded), so N contending
-#: sessions converge in at most N rounds -- the bound exists to turn a
-#: pathological livelock into a loud lost merge, never an infinite loop.
+#: per-signature lock; the server dispatches every request under one
+#: lock), so N contending sessions converge in at most N rounds -- the
+#: bound exists to turn a pathological livelock into a loud lost merge,
+#: never an infinite loop.
 MANIFEST_CAS_RETRIES = 64
 
 #: Frame tiers: cached ASTs, per-root summaries, and run-history
@@ -93,6 +95,32 @@ def parse_store_url(url):
     if not sep or not port.isdigit():
         raise StoreError("unusable store url: %r" % url)
     return host or "127.0.0.1", int(port)
+
+
+def encode_message(fields, blobs=()):
+    """One store message (docs/STORE.md): a JSON header line whose
+    ``blobs`` lists the byte lengths of the raw frames that follow it,
+    concatenated.  Requests and replies share the shape."""
+    header = dict(fields, protocol=STORE_PROTOCOL,
+                  blobs=[len(blob) for blob in blobs])
+    return json.dumps(header).encode("utf-8") + b"\n" + b"".join(blobs)
+
+
+def decode_message(data):
+    """``(header, blobs)`` from an :func:`encode_message` body; raises
+    ValueError when the header is unreadable or the frames are short."""
+    line, sep, rest = data.partition(b"\n")
+    header = json.loads(line.decode("utf-8"))
+    if not sep or not isinstance(header, dict):
+        raise ValueError("store message has no header object")
+    blobs, offset = [], 0
+    for size in header.get("blobs") or ():
+        size = int(size)
+        if size < 0 or offset + size > len(rest):
+            raise ValueError("store message truncated")
+        blobs.append(rest[offset:offset + size])
+        offset += size
+    return header, blobs
 
 
 def _manifest_files(summaries_dir):
@@ -490,9 +518,10 @@ class LocalStore:
 
 
 class RemoteStore:
-    """A client for the artifact-store server (docs/STORE.md).
+    """A client for a standalone report server's ``POST /store`` route
+    (docs/STORE.md).
 
-    One persistent TCP connection, reconnected once per request on
+    One keep-alive HTTP connection, reconnected once per request on
     failure; a request that fails twice raises :class:`StoreError` (the
     tiered wrapper turns that into local-only degradation).  All frame
     operations are batched: one round trip per call, however many keys.
@@ -505,8 +534,7 @@ class RemoteStore:
         self.host, self.port = parse_store_url(url)
         self.stats = stats
         self.timeout = timeout
-        self._sock = None
-        self._buf = b""
+        self._conn = None
         self._lock = threading.Lock()
 
     def bind_stats(self, stats):
@@ -515,84 +543,51 @@ class RemoteStore:
 
     def close(self):
         with self._lock:
-            self._drop()
+            if self._conn is not None:
+                self._conn.close()
 
     # -- wire --------------------------------------------------------------
 
-    def _connect(self):
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        sock.settimeout(self.timeout)
-        return sock
-
-    def _drop(self):
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._sock = None
-        self._buf = b""
-
-    def _recv_some(self):
-        chunk = self._sock.recv(65536)
-        if not chunk:
-            raise EOFError("store closed the connection")
-        self._buf += chunk
-
-    def _recv_line(self):
-        while b"\n" not in self._buf:
-            self._recv_some()
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line
-
-    def _recv_exact(self, size):
-        while len(self._buf) < size:
-            self._recv_some()
-        data, self._buf = self._buf[:size], self._buf[size:]
-        return data
-
     def _request(self, op, fields=None, blobs=()):
-        """One request/response round trip; reconnects and resends once
-        on a dead connection (all ops are idempotent), then raises
+        """One ``POST /store`` round trip; reconnects and resends once on
+        a failed exchange (all ops are idempotent), then raises
         :class:`StoreError`."""
-        header = dict(fields or {})
-        header["op"] = op
-        header["protocol"] = STORE_PROTOCOL
-        header["blobs"] = [len(blob) for blob in blobs]
-        payload = (
-            json.dumps(header).encode("utf-8") + b"\n" + b"".join(blobs)
-        )
+        # Imported here, not at module top: this module loads on every
+        # CLI start, and http.client costs ~20 ms to import.
+        import http.client
+
+        fields = dict(fields or {}, op=op)
+        body = encode_message(fields, blobs)
         with self._lock:
             last_err = None
-            reply = None
             for _attempt in (0, 1):
                 try:
-                    if self._sock is None:
-                        self._sock = self._connect()
-                    self._sock.sendall(payload)
-                    line = self._recv_line()
-                    reply = json.loads(line.decode("utf-8"))
-                    reply_blobs = [
-                        self._recv_exact(size)
-                        for size in reply.get("blobs") or ()
-                    ]
+                    if self._conn is None:
+                        self._conn = http.client.HTTPConnection(
+                            self.host, self.port, timeout=self.timeout
+                        )
+                    self._conn.request("POST", "/store", body)
+                    response = self._conn.getresponse()
+                    data = response.read()
+                    if response.status != 200:
+                        raise ValueError("HTTP %d" % response.status)
+                    reply, reply_blobs = decode_message(data)
                     break
-                except (OSError, ValueError, EOFError) as err:
-                    # A header may have parsed before the connection
-                    # died mid-blob: the whole reply is void either way.
+                except (OSError, ValueError, http.client.HTTPException) as err:
+                    # A reply cut short (IncompleteRead) is void in its
+                    # entirety: the resend fetches the whole batch.
+                    # close() leaves the connection to reopen on the
+                    # next request.
                     last_err = err
-                    reply = None
-                    self._drop()
-            if reply is None:
+                    self._conn.close()
+            else:
                 raise StoreError(
                     "store %s unreachable for %r: %r"
                     % (self.url, op, last_err)
                 )
         if self.stats is not None:
             self.stats.add("store_round_trips")
-            batch = len(header.get("items") or ())
+            batch = len(fields.get("items") or ())
             if batch:
                 self.stats.add("store_batch_keys", batch)
         if not reply.get("ok"):

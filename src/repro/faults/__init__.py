@@ -41,15 +41,15 @@ site                        fires where                    key
 ``engine.budget``           every budget check (raises)    root function
 ``daemon.watcher``          every watcher poll (raises)    watch root
 ``daemon.request``          daemon request decode (raises) request op
-``store.request``           store server: drop connection  request op
-``store.slow``              store server: stall the reply  request op
+``store.request``           ``POST /store``: drop reply    request op
+``store.slow``              ``POST /store``: stall reply   request op
 ``store.conflict``          client manifest-CAS window     session signature
 ==========================  =============================  ==================
 
 (The ``summary.manifest`` site simulates a rival session's manifest
 merge landing first; see :meth:`repro.driver.cache.SummaryCache.
 store_manifest`.  ``store.request`` with ``mode="partial"`` sends the
-response header plus half the frame bytes before dropping -- the
+full ``Content-Length`` but half the body before dropping -- the
 mid-batch-crash shape; ``store.conflict`` runs a genuine rival
 read-merge-CAS inside the client's compare-and-swap window, forcing the
 bounded-retry merge path; see docs/STORE.md.)

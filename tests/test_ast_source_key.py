@@ -23,8 +23,8 @@ from repro.driver import cache as astcache
 from repro.driver.cache import collect_cache_garbage
 from repro.driver.cli import main
 from repro.driver.project import Project
+from repro.driver.report_server import ReportServer
 from repro.driver.store import LocalStore
-from repro.driver.store_server import StoreServer
 
 MAIN_C = (
     '#include "conf.h"\n'
@@ -281,7 +281,7 @@ class TestRecordFaults:
 def server(tmp_path):
     root = tmp_path / "store-root"
     root.mkdir()
-    srv = StoreServer(str(root))
+    srv = ReportServer(backend=LocalStore(root=str(root)))
     srv.start()
     yield srv
     srv.stop()

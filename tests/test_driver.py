@@ -1,9 +1,12 @@
 """Two-pass driver and CLI tests (§6)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.driver.cli import main
 from repro.driver.project import Project
 
@@ -293,3 +296,20 @@ class TestCLI:
         )
         assert main(["--checker", "free", str(src)]) == 0
         assert main(["--checker", "free", "-D", "BUGGY", str(src)]) == 1
+
+    def test_startup_imports_no_network_stack(self):
+        # The store client imports http.client lazily, and nothing on
+        # the start-up path pulls in an event loop: a CLI run pays for
+        # neither import unless it talks to a store.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        ))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.driver.cli; "
+             "print(sorted(m for m in sys.modules"
+             " if m.startswith(('http', 'async'))))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"

@@ -259,7 +259,8 @@ class TestCacheRobustness:
         with pytest.raises(astcache.CacheCorruption):
             astcache.unpack(framed)
 
-    def test_unpack_accepts_legacy_unframed_payload(self):
+    def test_unpack_rejects_legacy_unframed_payload(self, workload,
+                                                    tmp_path):
         import pickle
 
         unit = parse("int f(void) { return 0; }\n", "legacy.c")
@@ -272,9 +273,20 @@ class TestCacheRobustness:
                 "unit": unit,
             }
         )
-        loaded, source_bytes = astcache.unpack(legacy)
-        assert source_bytes == 26
-        assert loaded.decls
+        with pytest.raises(astcache.CacheCorruption):
+            astcache.unpack(legacy)
+
+        # A pre-checksum entry on disk takes the evict-and-reparse path.
+        cache = str(tmp_path / "cache")
+        _fresh(workload, cache_dir=cache).compile_files(workload["paths"])
+        with open(_first_cache_entry(cache), "wb") as handle:
+            handle.write(legacy)
+        warm = _fresh(workload, cache_dir=cache)
+        warm.compile_files(workload["paths"])
+        assert warm.stats.count("cache_evictions") == 1
+        assert warm.stats.count("parses") == 1
+        result = warm.run(default_checkers())
+        assert _keys(result) == workload["baseline_keys"]
 
     def test_unpack_rejects_truncated_frame(self):
         unit = parse("int f(void) { return 0; }\n", "t.c")

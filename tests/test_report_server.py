@@ -12,6 +12,7 @@ with no daemon at all.
 
 import contextlib
 import functools
+import http.client
 import json
 import os
 import shutil
@@ -28,7 +29,7 @@ from repro.driver.daemon import DaemonClient, XgccDaemon, wait_for_socket
 from repro.driver.report_server import ReportServer, ReportServerError
 from repro.driver.session import IncrementalSession, session_signature
 from repro.driver.stats import DriverStats
-from repro.driver.store import LocalStore
+from repro.driver.store import LocalStore, decode_message, encode_message
 from repro.engine.analysis import AnalysisOptions
 from repro.reports.hashing import assign_report_hashes
 from repro.reports.history import RunHistory
@@ -86,6 +87,16 @@ def post(url, doc):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def post_raw(url, data):
+    """``(status, body bytes)`` for one POST of raw bytes."""
+    request = urllib.request.Request(url, data=data, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as err:
+        return err.code, err.read()
 
 
 def seeded_backend(tmp_path):
@@ -215,6 +226,39 @@ class TestStandaloneEndpoints:
             status, doc = post(server.url + "/triage",
                                {"kind": "nope", "key": 1})
             assert status == 400 and not doc["ok"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, tmp_path, length):
+        # Neither may kill the handler or block it reading the body.
+        backend, *_ = seeded_backend(tmp_path)
+        with standalone_server(backend) as server:
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=10)
+            try:
+                conn.putrequest("POST", "/triage")
+                conn.putheader("Content-Length", length)
+                conn.endheaders()
+                response = conn.getresponse()
+                status, doc = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+        assert status == 400 and not doc["ok"]
+        assert "Content-Length" in doc["error"]
+
+    def test_store_route_serves_the_backend(self, tmp_path):
+        backend, __, id1, __ = seeded_backend(tmp_path)
+        with standalone_server(backend) as server:
+            status, body = post_raw(server.url + "/store", encode_message(
+                {"op": "get", "items": [{"tier": "run", "key": id1}]}
+            ))
+            assert status == 200
+            reply, blobs = decode_message(body)
+            assert reply["ok"] and reply["found"] == [True]
+            assert blobs == [backend.get_many("run", [id1])[id1]]
+
+            status, body = post_raw(server.url + "/store", b"not json")
+            reply, __ = decode_message(body)
+            assert status == 200 and not reply["ok"]
 
     def test_stats_endpoint(self, tmp_path):
         backend, *_ = seeded_backend(tmp_path)
@@ -446,6 +490,20 @@ class TestLiveDaemon:
             for thread in threads:
                 thread.join(timeout=120)
         assert not errors
+
+
+class TestStoreRouteWithDaemon:
+    def test_store_route_is_404_with_a_daemon(self, tmp_path, sock_dir):
+        # A sweep arriving over HTTP would not see the daemon's pins.
+        src = tmp_path / "src"
+        src.mkdir()
+        write_tree(src, TREE)
+        sock = os.path.join(sock_dir, "d.sock")
+        with live_daemon(src, tmp_path / "cache", sock) as (__, server):
+            status, body = post_raw(server.url + "/store",
+                                    encode_message({"op": "gc"}))
+        assert status == 404
+        assert "/store" in json.loads(body)["error"]
 
 
 class TestStandaloneMain:

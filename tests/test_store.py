@@ -27,10 +27,15 @@ from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.driver.cli import _build_extensions, main
 from repro.driver.daemon import DaemonClient, XgccDaemon, wait_for_socket
+from repro.driver.report_server import ReportServer
 from repro.driver.session import IncrementalSession, session_signature
 from repro.driver.stats import DriverStats
-from repro.driver.store import RemoteStore, StoreError, TieredStore
-from repro.driver.store_server import StoreServer
+from repro.driver.store import (
+    LocalStore,
+    RemoteStore,
+    StoreError,
+    TieredStore,
+)
 from repro.engine.analysis import AnalysisOptions
 
 cli_checkers = functools.partial(_build_extensions, ("free", "lock"), ())
@@ -72,7 +77,7 @@ def count(payload, name):
 def server(tmp_path):
     root = tmp_path / "store-root"
     root.mkdir()
-    srv = StoreServer(str(root))
+    srv = ReportServer(backend=LocalStore(root=str(root)))
     srv.start()
     yield srv
     srv.stop()

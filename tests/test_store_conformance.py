@@ -2,7 +2,7 @@
 
 One parametrized class runs the same assertions against all three
 backends -- :class:`LocalStore`, :class:`RemoteStore` (against an
-in-process :class:`StoreServer`), and :class:`TieredStore` (overlay +
+in-process :class:`ReportServer`), and :class:`TieredStore` (overlay +
 remote) -- so the backend interface cannot quietly fork: frame
 round-trips, batching, checksum/corrupt-frame self-heal through the
 caches, manifest compare-and-swap, and GC pin semantics must behave
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.driver.project import Project
+from repro.driver.report_server import ReportServer
 from repro.driver.store import (
     LocalStore,
     RemoteStore,
@@ -29,7 +30,6 @@ from repro.driver.store import (
     etag_of,
     parse_store_url,
 )
-from repro.driver.store_server import StoreServer
 
 BACKENDS = ["local", "remote", "tiered"]
 
@@ -62,7 +62,7 @@ def backend(request, tmp_path):
         else:
             root = tmp_path / ("server-%s" % ns)
             root.mkdir()
-            server = StoreServer(str(root))
+            server = ReportServer(backend=LocalStore(root=str(root)))
             url = server.start()
             servers.append(server)
             remote = RemoteStore(url)

@@ -17,8 +17,8 @@ import os
 import pytest
 
 from repro.driver.cli import main
+from repro.driver.report_server import ReportServer
 from repro.driver.store import LocalStore, RemoteStore
-from repro.driver.store_server import StoreServer
 from repro.engine.history import HistoryDatabase
 from repro.reports.hashing import assign_report_hashes
 from repro.reports.model import Report
@@ -225,7 +225,7 @@ class TestBackendRoundTrip:
         # The sharing path: one writer, a different client, one server.
         root = tmp_path / "store-root"
         root.mkdir()
-        server = StoreServer(str(root))
+        server = ReportServer(backend=LocalStore(root=str(root)))
         server.start()
         try:
             writer = TriageStore()
@@ -338,7 +338,7 @@ class TestTriageCLI:
         write_tree(src, TREE)
         root = tmp_path / "store-root"
         root.mkdir()
-        server = StoreServer(str(root))
+        server = ReportServer(backend=LocalStore(root=str(root)))
         server.start()
         try:
             docs = report_json(src, capsys)
