@@ -7,13 +7,29 @@ arbitrarily so that every function is reachable from some root.
 from repro.cfront import astnodes as ast
 
 
+def direct_callees(decl):
+    """The sorted tuple of names one function definition calls directly
+    (sorted, so an AST frame that carries it pickles deterministically)."""
+    names = set()
+    for node in decl.body.walk():
+        if isinstance(node, ast.Call):
+            callee = node.callee_name()
+            if callee is not None:
+                names.add(callee)
+    return tuple(sorted(names))
+
+
 class CallGraph:
     """Direct-call graph over a set of function definitions."""
 
     def __init__(self):
         self.functions = {}  # name -> FunctionDecl (definitions only)
-        self.callees = {}  # name -> set of called names (defined or not)
+        self.callees = {}  # name -> frozenset of called names (defined or not)
         self.callers = {}  # name -> set of defined caller names
+        #: ``{salt: (local_hashes, fingerprints)}`` memo of
+        #: :func:`repro.cfg.fingerprint.fingerprint_tables`; any mutation
+        #: of the graph drops it.
+        self.fingerprint_memo = {}
 
     @classmethod
     def from_units(cls, units):
@@ -27,17 +43,19 @@ class CallGraph:
 
     def add_function(self, decl):
         self.functions[decl.name] = decl
+        self.fingerprint_memo = {}
 
     def link(self):
-        """(Re)compute callee/caller sets from the function bodies."""
-        self.callees = {name: set() for name in self.functions}
+        """(Re)compute callee/caller sets, from the callee sets pass 1
+        carried on each decl (walking the body only when absent)."""
+        self.fingerprint_memo = {}
+        self.callees = {}
         self.callers = {name: set() for name in self.functions}
         for name, decl in self.functions.items():
-            for node in decl.body.walk():
-                if isinstance(node, ast.Call):
-                    callee = node.callee_name()
-                    if callee is not None:
-                        self.callees[name].add(callee)
+            callees = decl.direct_callees
+            if callees is None:
+                callees = direct_callees(decl)
+            self.callees[name] = frozenset(callees)
         for name, callees in self.callees.items():
             for callee in callees:
                 if callee in self.callers:

@@ -26,15 +26,37 @@ member of an SCC folds in a group hash over all members' local hashes
 plus the fingerprints of the SCC's external callees, so the Merkle
 construction terminates and any edit inside a cycle invalidates the
 whole cycle (and its callers) deterministically.
+
+The local hash and the direct-callee set depend on one definition only,
+so pass 1 computes them once, when the unit is parsed
+(:func:`stamp_unit`), and the AST frame carries them.  A warm run then
+unparses nothing it did not reparse, and the Merkle pass over the graph
+runs once per run (memoized on the :class:`CallGraph`).
 """
 
 import hashlib
 
+from repro.cfg.callgraph import direct_callees
 from repro.cfront.unparse import unparse
 
 
+def stamp_unit(unit):
+    """Keep each function definition's local hash and direct-callee set
+    on its decl (pass 1, before the unit is packed)."""
+    for decl in unit.functions():
+        decl.token_hash = _local_hash(decl)
+        decl.direct_callees = direct_callees(decl)
+
+
 def function_token_hash(decl):
-    """The local content hash of one function definition."""
+    """The local content hash of one function definition: the value
+    pass 1 carried on the decl, or computed now when it is absent."""
+    if decl.token_hash is not None:
+        return decl.token_hash
+    return _local_hash(decl)
+
+
+def _local_hash(decl):
     digest = hashlib.sha256()
     location = getattr(decl, "location", None)
     if location is not None:
@@ -116,8 +138,18 @@ def fingerprint_tables(graph, salt=""):
 
     ``local_hashes`` covers each function's own content only (which
     functions were *edited*); ``fingerprints`` is the Merkle construction
-    over callees (which functions are in the *dirty cone*).
+    over callees (which functions are in the *dirty cone*).  Memoized on
+    the graph, so every consumer in one run shares one pass; callers must
+    not mutate the returned dicts.
     """
+    tables = graph.fingerprint_memo.get(salt)
+    if tables is None:
+        tables = graph.fingerprint_memo[salt] = _fingerprint_tables(
+            graph, salt)
+    return tables
+
+
+def _fingerprint_tables(graph, salt):
     fingerprints = {}
     local = {name: function_token_hash(decl)
              for name, decl in graph.functions.items()}

@@ -499,6 +499,14 @@ class FunctionDecl(Decl):
 
     _fields = ("params", "body")
 
+    #: Derived per-definition values pass 1 computes once at parse time
+    #: (:func:`repro.cfg.fingerprint.stamp_unit`) and the AST frame then
+    #: carries: the local content hash and the sorted tuple of direct
+    #: callee names.  None on a decl that never went through pass 1; readers
+    #: compute the value instead.
+    token_hash = None
+    direct_callees = None
+
     def __init__(self, name, return_type, params, body=None, varargs=False,
                  storage=None, location=None):
         super().__init__(location)

@@ -78,7 +78,12 @@ from repro.driver.store import StoreError  # noqa: F401  (re-exported)
 from repro.engine.summaries import SUMMARY_VERSION
 
 #: Bump when parser/astnodes change shape: old cache entries stop matching.
-PARSER_VERSION = "1"
+#: 2: function definitions carry the values pass 1 derives at parse time
+#: (:func:`repro.cfg.fingerprint.stamp_unit`).  Any change to
+#: ``function_token_hash`` or to callee extraction (``direct_callees``)
+#: must bump it again, so a frame never carries a hash or callee set made
+#: by a different definition.
+PARSER_VERSION = "2"
 
 #: Version of the tier-1 key scheme.  2: token positions are hashed and
 #: source-level dependency records front the token key.
@@ -474,10 +479,10 @@ class SummaryCache:
         except storemod.StoreError:
             pass
 
-    def touch(self, key):
-        """Refresh a frame's liveness without reading it (in-memory
+    def touch_many(self, keys):
+        """Refresh frames' liveness without reading them (in-memory
         warm hits still count as GC liveness)."""
-        self.backend.touch_many("sum", [key])
+        self.backend.touch_many("sum", keys)
 
     def entry_mtime(self, key):
         """The frame's mtime (local or remote), or None when absent."""

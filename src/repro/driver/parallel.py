@@ -351,6 +351,7 @@ def pass1_worker(task):
             store.store_record(record_key, key, dependencies)
             return result
 
+    from repro.cfg.fingerprint import stamp_unit
     from repro.cfront.parser import Parser
 
     faults.check("pass1.parse", key=task.path)
@@ -358,6 +359,7 @@ def pass1_worker(task):
     parser = Parser(None, task.path, tokens=tokens)
     unit = parser.parse_translation_unit()
     unit.filename = task.path
+    stamp_unit(unit)
     timings["parse"] = time.perf_counter() - start
 
     start = time.perf_counter()

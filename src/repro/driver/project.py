@@ -29,6 +29,7 @@ import os
 from repro.cfront.parser import Parser
 from repro.cfront.preproc import Preprocessor
 from repro.cfg.callgraph import CallGraph
+from repro.cfg.fingerprint import stamp_unit
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.driver.stats import DriverStats
@@ -118,6 +119,7 @@ class Project:
             parser = Parser(None, filename, tokens=tokens)
             unit = parser.parse_translation_unit()
             unit.filename = filename
+            stamp_unit(unit)
         self.stats.add("parses")
         source_bytes = len(text.encode())
         with self.stats.phase("emit"):

@@ -113,9 +113,25 @@ def session_signature(checker_names=(), metal_texts=(), options=None,
 
 def summary_key(signature, ext_index, ext_name, root, fingerprint):
     """The tier-2 store key for one (extension, root) artifact."""
+    return root_summary_key(
+        summary_key_prefix(signature, ext_index, ext_name), root, fingerprint
+    )
+
+
+def summary_key_prefix(signature, ext_index, ext_name):
+    """The SHA-256 state :func:`summary_key` reaches after its
+    per-extension parts (hash once per extension, finish per root)."""
     digest = hashlib.sha256()
-    for part in (signature, str(ext_index), str(ext_name), str(root),
-                 str(fingerprint)):
+    for part in (signature, str(ext_index), str(ext_name)):
+        digest.update(part.encode())
+        digest.update(b"\x00")
+    return digest
+
+
+def root_summary_key(prefix, root, fingerprint):
+    """:func:`summary_key` finished from a :func:`summary_key_prefix`."""
+    digest = prefix.copy()
+    for part in (str(root), str(fingerprint)):
         digest.update(part.encode())
         digest.update(b"\x00")
     return digest.hexdigest()
@@ -563,17 +579,20 @@ class IncrementalSession:
         ``used_keys`` (manifest liveness for cache GC)."""
         cached = {}
         clean_roots = list(clean_roots)
+        names = [getattr(ext, "name", repr(ext)) for ext in extensions]
+        prefixes = [
+            summary_key_prefix(self.signature, ext_index, name)
+            for ext_index, name in enumerate(names)
+        ]
         keymap = {
             (ext_index, root): (
-                getattr(ext, "name", repr(ext)),
-                summary_key(
-                    self.signature, ext_index,
-                    getattr(ext, "name", repr(ext)), root,
-                    fingerprints[root],
+                names[ext_index],
+                root_summary_key(
+                    prefixes[ext_index], root, fingerprints[root]
                 ),
             )
             for root in clean_roots
-            for ext_index, ext in enumerate(extensions)
+            for ext_index in range(len(extensions))
         }
         if getattr(self.backend, "prefers_batch", False):
             # Remote-backed session: one batched round trip fetches every
@@ -583,16 +602,18 @@ class IncrementalSession:
                 key for (_, key) in keymap.values()
                 if key not in self._pinned_frames
             )
+        touched = []
         for root in clean_roots:
             loaded = []
-            for ext_index, ext in enumerate(extensions):
+            for ext_index in range(len(extensions)):
                 name, key = keymap[(ext_index, root)]
                 pinned = self._pinned_frames.get(key)
                 if pinned is not None:
                     # In-memory warm hit: no disk read, but refresh the
-                    # stored frame's mtime so GC still sees it in use.
+                    # stored frame's mtime (below, in one batch) so GC
+                    # still sees it in use.
                     stats.add("summary_memory_hits")
-                    self.store.touch(key)
+                    touched.append(key)
                     loaded.append((ext_index, key, pinned))
                     continue
                 try:
@@ -625,6 +646,8 @@ class IncrementalSession:
                     cached[(ext_index, root)] = artifact
                     if used_keys is not None:
                         used_keys.add(key)
+        if touched:
+            self.store.touch_many(touched)
         return cached
 
     def _merge(self, extensions, all_roots, fresh, cached):

@@ -10,6 +10,7 @@ restrict_partial_hits fallback, degraded-root non-persistence, and the
 CLI ``--incremental`` flag.
 """
 
+import hashlib
 import json
 import os
 
@@ -29,8 +30,10 @@ from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.session import (
     IncrementalSession,
+    root_summary_key,
     session_signature,
     summary_key,
+    summary_key_prefix,
 )
 from repro.engine.analysis import AnalysisOptions
 from repro.engine.summaries import RootArtifact
@@ -139,6 +142,27 @@ int solo(int x) { return x; }
         assert local_after["leaf"] != local_before["leaf"]
         assert local_after["mid"] == local_before["mid"]
 
+    def test_mutated_graph_drops_memoized_tables(self):
+        graph = graph_of(CHAIN)
+        local, fingerprints = fingerprint_tables(graph)
+        assert fingerprint_tables(graph) == (local, fingerprints)
+        extra = graph_of("int extra(int x) { return top(x); }\n")
+        graph.add_function(extra.functions["extra"])
+        added_local, __ = fingerprint_tables(graph)
+        assert set(added_local) == set(local) | {"extra"}
+        graph.link()
+        __, linked = fingerprint_tables(graph)
+        assert "extra" in linked
+        assert linked["top"] == fingerprints["top"]
+        # link() re-reads the callee sets: a changed set must show up.
+        leaf = graph.functions["leaf"]
+        leaf.direct_callees = ("other",)
+        graph.link()
+        __, relinked = fingerprint_tables(graph)
+        assert relinked["leaf"] != linked["leaf"]
+        assert relinked["top"] != linked["top"]
+        assert relinked["other"] == linked["other"]
+
     def test_dirty_cone_is_edited_plus_transitive_callers(self):
         graph = graph_of(CHAIN)
         assert dirty_cone(graph, ["leaf"]) == {"leaf", "mid", "top"}
@@ -233,6 +257,29 @@ class TestSummaryFrames:
         assert summary_key("sig", 1, "lock", "f", "fp1") != base
         assert summary_key("sig", 0, "lock", "f", "fp2") != base
         assert summary_key("other", 0, "lock", "f", "fp1") != base
+
+        def one_shot_key(*parts):
+            # The key format stores hold: every part, NUL-terminated, in
+            # one SHA-256.
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(str(part).encode())
+                digest.update(b"\x00")
+            return digest.hexdigest()
+
+        for ext_index, ext_name in enumerate(["lock", "free", "pathkill"]):
+            prefix = summary_key_prefix("sig", ext_index, ext_name)
+            for root, fingerprint in [("f", "fp1"), ("g", "fp2"),
+                                      ("main", "ab" * 32)]:
+                expected = one_shot_key("sig", ext_index, ext_name, root,
+                                        fingerprint)
+                assert summary_key("sig", ext_index, ext_name, root,
+                                   fingerprint) == expected
+                assert root_summary_key(prefix, root, fingerprint) == expected
+        # The prefix is copied, never consumed: reuse stays exact.
+        prefix = summary_key_prefix("sig", 0, "lock")
+        assert root_summary_key(prefix, "f", "fp1") == base
+        assert root_summary_key(prefix, "f", "fp1") == base
 
 
 class TestIncrementalDifferential:
