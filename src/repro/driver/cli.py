@@ -12,7 +12,9 @@ Usage::
 """
 
 import argparse
+import contextlib
 import functools
+import gc
 import os
 import sys
 
@@ -269,29 +271,71 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return _run(parser, args)
-    except OSError as error:
-        print("xgcc: %s" % error, file=sys.stderr)
-        return 2
-    except Exception as error:  # SourceError and friends: diagnostics
-        from repro.cfront.source import SourceError
-        from repro.metal.language import MetalError
+    """Run one ``xgcc`` invocation and return its exit status.
 
-        if isinstance(error, (SourceError, MetalError)):
+    Every one-shot mode (all but ``--watch``) runs with CPython's cyclic
+    collector paused: a run's cyclic structures (ASTs, CFGs, summaries)
+    stay live until it ends, so collector passes scan them for nothing.
+    The pause starts before argument parsing, and the caller's
+    collector state is restored on the way out, however ``main``
+    leaves.  The daemon gets the collector back: each analysis leaves
+    cyclic garbage only it frees (docs/DRIVER.md, "The cyclic
+    collector").
+    """
+    resume = gc.isenabled()
+    gc.disable()
+    try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.watch and resume:
+            gc.enable()
+        return _main(parser, args)
+    finally:
+        if resume:
+            gc.enable()
+
+
+def entry_point():
+    """The process entry point (``xgcc``, ``python -m
+    repro.driver.cli``): :func:`main`, then exit.
+
+    Freezing the heap first makes the interpreter's shutdown collection
+    skip everything the run allocated; unlike ``os._exit``, atexit
+    hooks, stdio flushes, and refcount finalizers still run.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
+def _main(parser, args):
+    # ``resources`` closes what the run opened (store backends and
+    # their connections) however it ends.
+    with contextlib.ExitStack() as resources:
+        try:
+            return _run(parser, args, resources)
+        except OSError as error:
             print("xgcc: %s" % error, file=sys.stderr)
             return 2
-        raise
+        except Exception as error:  # SourceError and friends: diagnostics
+            from repro.cfront.source import SourceError
+            from repro.metal.language import MetalError
+
+            if isinstance(error, (SourceError, MetalError)):
+                print("xgcc: %s" % error, file=sys.stderr)
+                return 2
+            raise
 
 
-def _open_backend(args, stats=None):
-    """The (cache_dir, store_url) backend, or None when neither is set."""
+def _open_backend(args, resources):
+    """The (cache_dir, store_url) backend, or None when neither is set;
+    closed when the run ends."""
     from repro.driver.store import open_store
 
-    return open_store(cache_dir=args.cache_dir, store_url=args.store_url,
-                      stats=stats)
+    backend = open_store(cache_dir=args.cache_dir, store_url=args.store_url)
+    if backend is not None:
+        resources.callback(backend.close)
+    return backend
 
 
 def _load_triage(args, backend):
@@ -318,7 +362,7 @@ def _parse_triage_key(token):
     return "hash", token
 
 
-def _triage_record_mode(parser, args):
+def _triage_record_mode(parser, args, resources):
     """``xgcc --triage-suppress KEY`` with no input files: record the
     suppression and exit."""
     from repro.reports.triage import TriageStore
@@ -330,7 +374,7 @@ def _triage_record_mode(parser, args):
         store.save(args.triage)
         where = args.triage
     else:
-        backend = _open_backend(args)
+        backend = _open_backend(args, resources)
         if backend is None:
             parser.error(
                 "--triage-suppress needs --triage FILE, --cache-dir, or "
@@ -345,12 +389,12 @@ def _triage_record_mode(parser, args):
     return 0
 
 
-def _prune_runs_mode(parser, args):
+def _prune_runs_mode(parser, args, resources):
     """``xgcc --prune-runs N`` with no input files: bound the stored run
     history and exit (``N=0`` empties it)."""
     from repro.reports.history import RunHistory, RunHistoryError
 
-    backend = _open_backend(args)
+    backend = _open_backend(args, resources)
     if backend is None:
         parser.error("--prune-runs requires --cache-dir or --store-url")
     try:
@@ -367,7 +411,7 @@ def _prune_runs_mode(parser, args):
 _DIFF_BUCKETS = ("new", "resolved", "unresolved")
 
 
-def _diff_mode(parser, args):
+def _diff_mode(parser, args, resources):
     """``xgcc --diff BASE HEAD``: hash set-difference between two
     recorded runs -- no analysis runs."""
     import json
@@ -375,7 +419,7 @@ def _diff_mode(parser, args):
     from repro.reports.history import RunHistory, RunHistoryError
     from repro.reports.model import Report
 
-    backend = _open_backend(args)
+    backend = _open_backend(args, resources)
     if backend is None:
         parser.error("--diff requires --cache-dir or --store-url")
     base, head = args.diff
@@ -404,7 +448,9 @@ def _diff_mode(parser, args):
     return 1 if diff["new"] else 0
 
 
-def _make_project(args):
+def _make_project(args, resources):
+    """Pass 1 over ``args.files``; the project's stats meter the cyclic
+    collector and its store backend closes when the run ends."""
     defines = {}
     for item in args.define:
         name, __, value = item.partition("=")
@@ -412,6 +458,8 @@ def _make_project(args):
     project = Project(include_paths=args.include, defines=defines,
                       cache_dir=args.cache_dir, keep_going=args.keep_going,
                       store_url=getattr(args, "store_url", None))
+    resources.callback(project.close)
+    resources.enter_context(project.stats.collector_passes())
     project.compile_files(args.files, jobs=args.jobs,
                           worker_timeout=args.worker_timeout)
     return project
@@ -426,11 +474,11 @@ def _build_extensions(checker_names, metal_sources):
     return extensions
 
 
-def _dump_mode(args):
+def _dump_mode(args, resources):
     from repro.cfg.builder import build_cfg
     from repro.driver.dump import dump_callgraph, dump_cfg, dump_cfg_dot
 
-    project = _make_project(args)
+    project = _make_project(args, resources)
     if args.dump_callgraph:
         print(dump_callgraph(project.callgraph))
     if args.dump_cfg or args.dump_dot:
@@ -570,8 +618,7 @@ def _make_options(args):
     )
 
 
-def _run(parser, args):
-
+def _run(parser, args, resources):
     if args.list_checkers:
         for name in sorted(ALL_CHECKERS):
             print(name)
@@ -584,13 +631,13 @@ def _run(parser, args):
         return _daemon_mode(parser, args)
 
     if args.diff:
-        return _diff_mode(parser, args)
+        return _diff_mode(parser, args, resources)
 
     if args.triage_suppress and not args.files:
-        return _triage_record_mode(parser, args)
+        return _triage_record_mode(parser, args, resources)
 
     if args.prune_runs is not None and not args.files:
-        return _prune_runs_mode(parser, args)
+        return _prune_runs_mode(parser, args, resources)
 
     if args.cache_gc and not args.cache_dir and not args.store_url:
         parser.error("--cache-gc requires --cache-dir or --store-url")
@@ -611,11 +658,7 @@ def _run(parser, args):
 
         gc_backend = None
         if args.store_url:
-            from repro.driver.store import open_store
-
-            gc_backend = open_store(
-                cache_dir=args.cache_dir, store_url=args.store_url
-            )
+            gc_backend = _open_backend(args, resources)
         gc_counters = collect_cache_garbage(
             args.cache_dir, cutoff_days=args.cache_gc_days,
             backend=gc_backend,
@@ -636,7 +679,7 @@ def _run(parser, args):
             return 0
 
     if args.dump_cfg or args.dump_dot or args.dump_callgraph:
-        return _dump_mode(args)
+        return _dump_mode(args, resources)
 
     metal_sources = _read_metal_sources(args)
     extensions = _build_extensions(args.checker, metal_sources)
@@ -651,7 +694,7 @@ def _run(parser, args):
             if finding.level == "error":
                 return 2
 
-    project = _make_project(args)
+    project = _make_project(args, resources)
     if gc_counters:
         for name, value in gc_counters.items():
             if value:
@@ -739,7 +782,7 @@ def _run(parser, args):
     if args.triage_suppress:
         # Record first, then let the fresh entry suppress in this very
         # run (--triage-suppress HASH + re-run in one invocation).
-        _triage_record_mode(parser, args)
+        _triage_record_mode(parser, args, resources)
 
     triage = _load_triage(args, project.store_backend)
     if len(triage):
@@ -836,4 +879,4 @@ def _run(parser, args):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -332,42 +332,47 @@ class XgccDaemon:
             response["served_from"] = "cache"
             return response
 
-        with self.stats.phase("daemon_analyze"):
-            c_files = self._c_files()
-            dirty = self._dirty_c_files(c_files)
-            project = self._build_project(c_files, dirty)
-            extensions = self.extension_factory()
-            result = project.run(
-                extensions, self.options, jobs=self.jobs,
-                extension_factory=self.extension_factory,
-                worker_timeout=self.worker_timeout,
-                incremental=self.session,
-            )
-        if result.degraded:
-            self.stats.record_engine_degradations(result.degraded)
-        text, reports = self._ranked_text(result, project)
-        self._dirty = set()
-        self._last_reports = reports
-        run_id = self._record_run(reports)
-        if run_id is not None and self.run_keep is not None:
-            self._prune_runs()
-        response = {
-            "ok": True,
-            "protocol": PROTOCOL_VERSION,
-            "reports": text,
-            "report_count": len(reports),
-            "run_id": run_id,
-            "files": len(c_files),
-            "files_reparsed": len(dirty),
-            "roots_analyzed": result.stats.get(
-                "incremental_analyzed_pairs", 0
-            ),
-            "roots_replayed": result.stats.get(
-                "incremental_replayed_pairs", 0
-            ),
-            "degradations": [entry.describe() for entry in result.degraded],
-            "served_from": "analysis",
-        }
+        # The daemon keeps the collector on (each analysis leaves cyclic
+        # garbage behind); metering it shows what that costs.
+        with self.stats.collector_passes():
+            with self.stats.phase("daemon_analyze"):
+                c_files = self._c_files()
+                dirty = self._dirty_c_files(c_files)
+                project = self._build_project(c_files, dirty)
+                extensions = self.extension_factory()
+                result = project.run(
+                    extensions, self.options, jobs=self.jobs,
+                    extension_factory=self.extension_factory,
+                    worker_timeout=self.worker_timeout,
+                    incremental=self.session,
+                )
+            if result.degraded:
+                self.stats.record_engine_degradations(result.degraded)
+            text, reports = self._ranked_text(result, project)
+            self._dirty = set()
+            self._last_reports = reports
+            run_id = self._record_run(reports)
+            if run_id is not None and self.run_keep is not None:
+                self._prune_runs()
+            response = {
+                "ok": True,
+                "protocol": PROTOCOL_VERSION,
+                "reports": text,
+                "report_count": len(reports),
+                "run_id": run_id,
+                "files": len(c_files),
+                "files_reparsed": len(dirty),
+                "roots_analyzed": result.stats.get(
+                    "incremental_analyzed_pairs", 0
+                ),
+                "roots_replayed": result.stats.get(
+                    "incremental_replayed_pairs", 0
+                ),
+                "degradations": [
+                    entry.describe() for entry in result.degraded
+                ],
+                "served_from": "analysis",
+            }
         self._last_response = dict(response)
         response["latency_s"] = round(time.perf_counter() - start, 6)
         self.stats.add_time(

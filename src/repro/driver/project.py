@@ -108,6 +108,12 @@ class Project:
             )
         return self._store_backend
 
+    def close(self):
+        """Release the store backend (a remote store's connection), if
+        one was opened."""
+        if self._store_backend is not None:
+            self._store_backend.close()
+
     # -- pass 1 -----------------------------------------------------------------
 
     def compile_text(self, text, filename="<string>"):

@@ -12,6 +12,7 @@ multi-core run they exceed the wall-clock entries (``pass1_wall``,
 measure elapsed time.
 """
 
+import gc
 import json
 import time
 from contextlib import contextmanager
@@ -51,8 +52,12 @@ from contextlib import contextmanager
 #: cache"): ``ast_fast_hits`` (files served through their dependency
 #: record without preprocessing) and ``ast_fast_misses`` (files that
 #: preprocessed because the record was missing, stale, or corrupt, or
-#: its AST frame was gone), plus the ``source_probe`` timer.
-SCHEMA_VERSION = 9
+#: its AST frame was gone), plus the ``source_probe`` timer.  10: the
+#: cyclic-collector accounting (docs/DRIVER.md, "The cyclic collector"):
+#: ``cyclic_gc_passes`` counts CPython's cyclic garbage-collector passes
+#: and the ``cyclic_gc`` timer their wall time, while a CLI run or a
+#: daemon analysis is metered (see :meth:`DriverStats.collector_passes`).
+SCHEMA_VERSION = 10
 
 
 class DriverStats:
@@ -89,6 +94,32 @@ class DriverStats:
 
     def add_time(self, name, seconds):
         self.timers[name] = self.timers.get(name, 0.0) + seconds
+
+    @contextmanager
+    def collector_passes(self):
+        """Meter CPython's cyclic collector while the block runs: every
+        pass adds one ``cyclic_gc_passes`` and its wall time to the
+        ``cyclic_gc`` timer, through a :data:`gc.callbacks` hook.
+
+        Both entries exist from the start, so a block that ran no pass
+        reads 0 and the hook never inserts a key mid-collection.
+        """
+        self.add("cyclic_gc_passes", 0)
+        self.add_time("cyclic_gc", 0.0)
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(time.perf_counter())
+            elif started:
+                self.add("cyclic_gc_passes")
+                self.add_time("cyclic_gc", time.perf_counter() - started.pop())
+
+        gc.callbacks.append(hook)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(hook)
 
     def merge_timings(self, timings):
         """Fold a worker's ``{phase: seconds}`` dict into this one."""

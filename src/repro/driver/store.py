@@ -221,9 +221,13 @@ class LocalStore:
         """Atomically write frames (tmp + rename, concurrent-writer
         safe)."""
         self._tier_dir(tier)
+        made = set()  # shard directories created by this call
         for key in sorted(items):
             path = self.local_path(tier, key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
+            shard = os.path.dirname(path)
+            if shard not in made:
+                os.makedirs(shard, exist_ok=True)
+                made.add(shard)
             tmp = "%s.tmp.%d" % (path, os.getpid())
             with open(tmp, "wb") as handle:
                 handle.write(items[key])

@@ -179,9 +179,13 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 9
+                assert stats["stats"]["schema_version"] == 10
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
+                # The daemon keeps CPython's cyclic collector on and
+                # meters it over each analysis (the warm start here).
+                assert stats["stats"]["counters"]["cyclic_gc_passes"] > 0
+                assert stats["stats"]["timers_s"]["cyclic_gc"] > 0
                 bad = client.request("frobnicate")
                 assert not bad["ok"] and "unknown request" in bad["error"]
         assert not os.path.exists(sock)  # socket cleaned up on shutdown
@@ -658,4 +662,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 9
+            assert payload["stats"]["schema_version"] == 10

@@ -11,6 +11,7 @@ interleaved put/get/delete/gc sequences against a model dict.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -144,6 +145,30 @@ class TestFrameConformance:
         assert abs(store.entry_mtime("sum", key) - stamp) < 5.0
         store.touch_many("sum", [key])  # refresh to now
         assert time.time() - store.entry_mtime("sum", key) < 3600.0
+
+
+def test_local_put_many_makes_each_shard_directory_once(tmp_path,
+                                                       monkeypatch):
+    """A batch into a fresh tier creates each shard directory once, not
+    once per key, and every frame lands."""
+    store = LocalStore(root=str(tmp_path / "fresh"))
+    made = []
+    makedirs = os.makedirs
+
+    def counting_makedirs(path, *args, **kwargs):
+        # os.makedirs recurses into this name for missing parents.
+        if os.path.dirname(path) == store.sum_dir:
+            made.append(os.path.basename(path))
+        return makedirs(path, *args, **kwargs)
+
+    monkeypatch.setattr(storemod.os, "makedirs", counting_makedirs)
+    payload = {
+        "%s%062x" % (shard, n): b"frame-%s-%d" % (shard.encode(), n)
+        for shard in ("0a", "5b", "ff") for n in range(4)
+    }
+    assert store.put_many("sum", payload) == len(payload)
+    assert sorted(made) == ["0a", "5b", "ff"]
+    assert store.get_many("sum", list(payload)) == payload
 
 
 class TestCacheSelfHealConformance:
