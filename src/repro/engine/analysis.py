@@ -1104,14 +1104,26 @@ class Analysis:
             )
         )
         current = {inst.uid: inst for inst in sm.active_vars}
-        entry_uids = set()
+        entry_uids = {uid for __, uid, __ in run.entry}
+        # An entry object that was stopped (or killed) and then re-created
+        # within the block continues as the new instance: the creation
+        # happened because the object was known on entry and then dropped,
+        # so it is that tuple's exit state, not an add edge (which would
+        # claim the creation for paths that know nothing about it).
+        created = {
+            (inst.var_name, inst.obj_key): inst
+            for inst in sm.active_vars
+            if inst.uid not in entry_uids and not inst.inactive
+        }
         for __, uid, entry_copy in run.entry:
-            entry_uids.add(uid)
             exit_inst = current.get(uid)
+            if exit_inst is None:
+                exit_inst = created.pop(
+                    (entry_copy.var_name, entry_copy.obj_key), None
+                )
             summary.edges.add(make_transition_edge(g0, entry_copy, g1, exit_inst))
-        for inst in sm.active_vars:
-            if inst.uid not in entry_uids and not inst.inactive:
-                summary.edges.add(make_add_edge(g0, g1, inst))
+        for inst in created.values():
+            summary.edges.add(make_add_edge(g0, g1, inst))
 
     # -- path ends -------------------------------------------------------------------------
 

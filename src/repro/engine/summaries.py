@@ -27,7 +27,7 @@ ADD = "add"
 #: engine's observable behaviour changes (report fields, traversal
 #: semantics, edge encoding): persisted frames from other versions stop
 #: matching and are re-derived.
-SUMMARY_VERSION = "2"
+SUMMARY_VERSION = "3"
 
 
 class Edge:
@@ -212,7 +212,9 @@ def relax(backtrace, table, local_filter=None):
     edge -- drops edges that mention function-local objects: "the analysis
     would never use these edges" (Fig. 5 caption).
 
-    Edges ending in a ``stop`` tuple are intentionally omitted (§6.2).
+    Edges ending in a ``stop`` tuple are intentionally omitted (§6.2).  A
+    stopped object that a later block creates again is not lost, though:
+    the creation's add edge continues the stopped tuple as a transition.
     """
     if not backtrace:
         return
@@ -241,6 +243,24 @@ def relax(backtrace, table, local_filter=None):
                         unknown_start(prev_edge.start[0], suffix_edge),
                         suffix_edge.end,
                         suffix_edge.end_snapshot,
+                    )
+                    grew |= _add_suffix(prev, new_edge, local_filter)
+                # An object stopped in prev is unknown again at cur's
+                # entry, so a creation in the suffix continues prev's
+                # stopped tuple.  The add edge alone would lose the object
+                # whenever it was known on entry to prev ("the edge only
+                # applies when we know nothing about t").
+                rest = suffix_edge.start[1]
+                stopped = (suffix_edge.start[0], (rest[0], rest[1], STOP, None))
+                for prev_edge in prev.edges.with_end(stopped):
+                    if prev_edge.kind != TRANSITION:
+                        continue
+                    new_edge = Edge(
+                        TRANSITION,
+                        prev_edge.start,
+                        suffix_edge.end,
+                        suffix_edge.end_snapshot,
+                        relax_only=prev_edge.relax_only,
                     )
                     grew |= _add_suffix(prev, new_edge, local_filter)
             else:

@@ -169,6 +169,63 @@ class TestFunctionSummaries:
         result = run_checker(code, free_checker())
         assert messages(result) == []
 
+    def test_stopped_then_recreated_in_callee_survives(self):
+        # The callee's first kfree stops the caller's freed p (a double
+        # free); its second kfree tracks p again, so p leaves the call
+        # freed and the caller's kfree after it is a second double free.
+        code = (
+            "int callee(int *p) {\n"
+            "    kfree(p);\n"
+            "    kfree(p);\n"
+            "    return 0;\n"
+            "}\n"
+            "int caller(int *p) {\n"
+            "    kfree(p);\n"
+            "    callee(p);\n"
+            "    kfree(p);\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        for caching in (True, False):
+            result = run_checker(
+                code, free_checker(), options=AnalysisOptions(caching=caching)
+            )
+            assert sorted(
+                (r.message, r.location.line) for r in result.reports
+            ) == [("double free of p!", 2), ("double free of p!", 9)]
+
+    def test_stopped_then_recreated_within_one_block(self):
+        # Same as above, but the stop and the re-creation happen in one
+        # basic block (no call splits it): the block summary must record
+        # the new instance as the stopped tuple's continuation.
+        ext = compile_metal(
+            "sm twice {\n"
+            " state decl any_pointer v;\n"
+            " start: { *v } ==> v.seen ;\n"
+            " v.seen: { *v } ==> v.stop,"
+            " { err(\"second deref of %s\", mc_identifier(v)); } ;\n"
+            "}\n"
+        )
+        code = (
+            "int sink;\n"
+            "int callee(int *p) {\n"
+            "    sink = *p;\n"
+            "    sink = *p;\n"
+            "    return 0;\n"
+            "}\n"
+            "int caller(int *p) {\n"
+            "    sink = *p;\n"
+            "    callee(p);\n"
+            "    sink = *p;\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        for caching in (True, False):
+            result = run_checker(
+                code, ext, options=AnalysisOptions(caching=caching)
+            )
+            assert sorted(r.location.line for r in result.reports) == [3, 10]
+
     def test_unknown_callee_skipped(self):
         # §6: "if the function's CFG is not available, the system silently
         # continues."
