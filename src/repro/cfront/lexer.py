@@ -351,12 +351,13 @@ def parse_string_literal(spelling):
     return _decode_escapes(spelling[1:-1])
 
 
-def parse_char_constant(spelling):
-    """Decode a character constant spelling into its integer value."""
+def parse_char_constant(spelling, location=None):
+    """Decode a character constant spelling into its integer value;
+    raises :class:`LexError` at ``location`` for an empty one."""
     assert spelling.startswith("'") and spelling.endswith("'")
     body = _decode_escapes(spelling[1:-1])
     if not body:
-        raise ValueError("empty character constant")
+        raise LexError("empty character constant", location)
     return ord(body[0])
 
 
@@ -388,11 +389,18 @@ def _decode_escapes(body):
     return "".join(out)
 
 
-def parse_int_constant(spelling):
-    """Decode an integer constant spelling (handles 0x, octal, suffixes)."""
+def parse_int_constant(spelling, location=None):
+    """Decode an integer constant spelling (handles 0x, octal, suffixes);
+    raises :class:`LexError` at ``location`` for a malformed one."""
     text = spelling.rstrip("uUlL")
+    base = 10
     if text.lower().startswith("0x"):
-        return int(text, 16)
-    if text.startswith("0") and len(text) > 1:
-        return int(text, 8)
-    return int(text)
+        base = 16
+    elif text.startswith("0") and len(text) > 1:
+        base = 8
+    try:
+        return int(text, base)
+    except ValueError:
+        raise LexError(
+            "invalid integer constant %r" % spelling, location
+        ) from None

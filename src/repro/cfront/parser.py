@@ -872,7 +872,10 @@ class Parser:
             return node
         if token.kind is TokenKind.CHAR_CONST:
             self.advance()
-            node = ast.CharLit(parse_char_constant(token.value), token.value, location)
+            node = ast.CharLit(
+                parse_char_constant(token.value, location), token.value,
+                location,
+            )
             node.ctype = ctypes.CHAR
             return node
         if token.kind is TokenKind.STRING:
@@ -906,7 +909,9 @@ class Parser:
         self.error("expected expression")
 
     def _typed_int(self, token, location):
-        node = ast.IntLit(parse_int_constant(token.value), token.value, location)
+        node = ast.IntLit(
+            parse_int_constant(token.value, location), token.value, location
+        )
         spelling = token.value.lower()
         if "u" in spelling and "ll" in spelling:
             node.ctype = ctypes.BasicType("unsigned long long")

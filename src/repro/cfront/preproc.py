@@ -85,7 +85,8 @@ class Preprocessor:
 
     def _process_lines(self, lines, filename):
         output = []
-        # Conditional stack entries: [taken_now, ever_taken, seen_else]
+        # Conditional stack entries:
+        # [taken_now, ever_taken, seen_else, opening location]
         stack = []
 
         def active():
@@ -98,10 +99,12 @@ class Preprocessor:
                 if name == "ifdef" or name == "ifndef":
                     defined = bool(rest) and rest[0].value in self.macros
                     taken = defined if name == "ifdef" else not defined
-                    stack.append([taken and active(), taken, False])
+                    stack.append([taken and active(), taken, False,
+                                  _loc(tokens)])
                 elif name == "if":
                     taken = bool(self._evaluate_condition(rest)) if active() else False
-                    stack.append([taken and active(), taken, False])
+                    stack.append([taken and active(), taken, False,
+                                  _loc(tokens)])
                 elif name == "elif":
                     if not stack:
                         raise PreprocessorError("#elif without #if", _loc(tokens))
@@ -114,13 +117,14 @@ class Preprocessor:
                         and parent_active
                         and bool(self._evaluate_condition(rest))
                     )
-                    stack.append([taken, entry[1] or taken, False])
+                    stack.append([taken, entry[1] or taken, False, entry[3]])
                 elif name == "else":
                     if not stack:
                         raise PreprocessorError("#else without #if", _loc(tokens))
                     entry = stack.pop()
                     parent_active = all(e[0] for e in stack)
-                    stack.append([not entry[1] and parent_active, True, True])
+                    stack.append([not entry[1] and parent_active, True, True,
+                                  entry[3]])
                 elif name == "endif":
                     if not stack:
                         raise PreprocessorError("#endif without #if", _loc(tokens))
@@ -143,7 +147,7 @@ class Preprocessor:
                 if active():
                     output.extend(self._expand(tokens))
         if stack:
-            raise PreprocessorError("unterminated conditional", None)
+            raise PreprocessorError("unterminated conditional", stack[-1][3])
         return output
 
     def _handle_define(self, tokens):
@@ -428,12 +432,12 @@ class _CondParser:
             return value
         if token.kind is TokenKind.INT_CONST:
             self.advance()
-            return parse_int_constant(token.value)
+            return parse_int_constant(token.value, token.location)
         if token.kind is TokenKind.CHAR_CONST:
             self.advance()
             from repro.cfront.lexer import parse_char_constant
 
-            return parse_char_constant(token.value)
+            return parse_char_constant(token.value, token.location)
         if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
             # Undefined identifiers evaluate to 0, per the standard.
             self.advance()

@@ -26,13 +26,14 @@ same inputs and produce the same tokens, so the worker goes straight to
 the token key without preprocessing.  Records live in the AST tier
 under ``src``-prefixed keys.
 
-Tier 2 -- summary/report frames (:class:`SummaryCache`).  Pass 2's
-per-root outcomes (:class:`repro.engine.summaries.RootArtifact`) are
-persisted under the same directory, keyed by session signature plus the
-root's Merkle *function fingerprint*
+Tier 2 -- summary packs (:class:`SummaryCache`).  Pass 2's per-root
+outcomes (:class:`repro.engine.summaries.RootArtifact`) are persisted
+under the same directory, one *pack* frame per (session signature,
+defining source file) holding every root of that file, each entry
+tagged with the root's Merkle *function fingerprint*
 (:mod:`repro.cfg.fingerprint`), so a warm incremental run replays clean
-roots instead of re-traversing them (docs/DRIVER.md, "Incremental
-re-analysis").
+roots instead of re-traversing them (docs/DRIVER.md, "Tier-2 summary
+packs").
 
 Both tiers share one frame format: a pickle preceded by a magic marker
 and a SHA-256 checksum of the pickle.  The checksum is verified on every
@@ -95,10 +96,12 @@ RECORD_PREFIX = "src"
 #: Payload format marker for emitted .ast files.
 AST_FORMAT_VERSION = 2
 
-#: Payload format marker for summary (.sum) frames.  2: RootArtifact
-#: carries an annotation/user-global delta; manifests record the frame
-#: and AST keys the run used (cache GC liveness).
-SUMMARY_FORMAT_VERSION = 2
+#: Payload format marker for summary (.sum) frames and manifests.  2:
+#: RootArtifact carries an annotation/user-global delta; manifests record
+#: the frame and AST keys the run used (cache GC liveness).  3: one pack
+#: frame per source file, no function-summary snapshot; manifests map
+#: each file to its current pack key and AST keys.
+SUMMARY_FORMAT_VERSION = 3
 
 #: Leading magic of a framed payload: marker + 32-byte SHA-256 of the
 #: pickle that follows.
@@ -370,26 +373,26 @@ class AstCache:
         return self.backend.delete_many("ast", [key]) > 0
 
 
-def pack_artifact(artifact):
-    """Serialize one per-root outcome into a framed .sum payload."""
+def pack_summary(pack):
+    """Serialize one source file's summary pack -- ``{(ext_index, root):
+    (fingerprint, RootArtifact)}`` -- into a framed .sum payload."""
     return pack_frame(
         SUMMARY_MAGIC,
         {
             "format": SUMMARY_FORMAT_VERSION,
             "summary_version": SUMMARY_VERSION,
-            "artifact": artifact,
+            "pack": pack,
         },
     )
 
 
-def unpack_artifact(data):
-    """The :class:`repro.engine.summaries.RootArtifact` of a framed .sum
-    payload; raises :class:`CacheCorruption` on anything untrustworthy,
-    including frames written by a different summary format or engine
-    summary version."""
+def unpack_summary(data):
+    """The summary pack of a framed .sum payload; raises
+    :class:`CacheCorruption` on anything untrustworthy, including frames
+    written by a different summary format or engine summary version."""
     obj = unpack_frame(SUMMARY_MAGIC, data)
-    if not isinstance(obj, dict) or "artifact" not in obj:
-        raise CacheCorruption("summary frame has no artifact")
+    if not isinstance(obj, dict) or "pack" not in obj:
+        raise CacheCorruption("summary frame has no pack")
     if obj.get("format") != SUMMARY_FORMAT_VERSION:
         raise CacheCorruption(
             "summary format skew: entry says %r, this build is %r"
@@ -400,17 +403,18 @@ def unpack_artifact(data):
             "engine summary version skew: entry says %r, this build is %r"
             % (obj.get("summary_version"), SUMMARY_VERSION)
         )
-    return obj["artifact"]
+    return obj["pack"]
 
 
 class SummaryCache:
-    """Tier 2: per-root summary/report frames plus the session manifest.
+    """Tier 2: per-file summary packs plus the session manifest.
 
-    Frames are keyed by the session signature and the root's Merkle
-    fingerprint (the key is computed by the incremental session, see
-    :mod:`repro.driver.session`), so an entry can only ever be replayed
-    into a run whose extensions, options, and transitive callee cone all
-    match the run that produced it.
+    Pack keys are computed by the incremental session
+    (:func:`repro.driver.session.pack_key`) from the session signature,
+    the file, and every entry's root fingerprint, and each entry carries
+    its fingerprint, so an entry can only ever be replayed into a run
+    whose extensions, options, and transitive callee cone all match the
+    run that produced it.
     """
 
     def __init__(self, root=None, backend=None):
@@ -439,33 +443,31 @@ class SummaryCache:
         return None
 
     def load(self, key):
-        """The cached :class:`RootArtifact` for ``key``.
+        """The cached pack for ``key``.
 
         Raises :class:`CacheCorruption` for untrustworthy entries and
         ``FileNotFoundError`` on a miss.  A successful read refreshes
-        the frame's liveness: a frame a warm session (or daemon)
-        replays daily must read as *in use* to the GC's ``mtime >=
-        cutoff`` keep rule, not as untouched since the run that stored
-        it.
+        the frame's liveness: a pack a warm session (or daemon) replays
+        daily must read as *in use* to the GC's ``mtime >= cutoff`` keep
+        rule, not as untouched since the run that stored it.
         """
         data = self.backend.get_many("sum", [key]).get(key)
         if data is None:
             raise FileNotFoundError(key)
-        return unpack_artifact(data)
+        return unpack_summary(data)
 
     def get(self, key):
-        """The cached :class:`RootArtifact`, or None on a miss (one
-        probe, no separate existence check).  Raises
-        :class:`CacheCorruption` for untrustworthy frames -- the caller
-        evicts and re-analyzes.  Consumes the :meth:`prefetch` stash
-        first, so batched backends pay one round trip for a whole clean
-        set."""
+        """The cached pack, or None on a miss (one probe, no separate
+        existence check).  Raises :class:`CacheCorruption` for
+        untrustworthy frames -- the caller evicts and re-analyzes.
+        Consumes the :meth:`prefetch` stash first, so a warm run pays
+        one backend batch for all the packs it replays."""
         data = self._prefetched.pop(key, None)
         if data is None:
             data = self.backend.get_many("sum", [key]).get(key)
         if data is None:
             return None
-        return unpack_artifact(data)
+        return unpack_summary(data)
 
     def prefetch(self, keys):
         """Fetch many frames in one backend batch, stashed for
@@ -492,21 +494,17 @@ class SummaryCache:
         """Backdate a frame (GC aging in tests) through the backend."""
         self.backend.touch_many("sum", [key], ts=ts)
 
-    def store(self, key, artifact):
-        """Atomically persist one per-root outcome."""
-        self.backend.put_many("sum", {key: pack_artifact(artifact)})
-        spec = faults.fires("summary.corrupt", key=key)
-        if spec is not None:
-            self.corrupt(key, spec.get("mode", "truncate"))
+    def store(self, key, pack):
+        """Atomically persist one pack."""
+        self.store_many({key: pack})
         path = self.backend.local_path("sum", key)
         return path if path else key
 
-    def store_many(self, artifacts):
-        """Persist a batch of per-root outcomes (one backend round trip
-        for remote stores)."""
+    def store_many(self, packs):
+        """Persist a batch of packs (one backend round trip for remote
+        stores)."""
         payload = {
-            key: pack_artifact(artifact)
-            for key, artifact in sorted(artifacts.items())
+            key: pack_summary(pack) for key, pack in sorted(packs.items())
         }
         self.backend.put_many("sum", payload)
         for key in payload:
@@ -530,8 +528,9 @@ class SummaryCache:
     # -- session manifest -------------------------------------------------
     #
     # One JSON document per session signature recording the fingerprint of
-    # every function the last completed run saw.  Diffing the manifest
-    # against freshly computed fingerprints yields the dirty function set.
+    # every function the last completed run saw, plus each source file's
+    # current pack key and tier-1 keys.  Diffing the manifest against
+    # freshly computed fingerprints yields the dirty function set.
 
     def manifest_path(self, signature):
         """The local manifest path (a stable token for pathless
@@ -553,97 +552,124 @@ class SummaryCache:
             or obj.get("format") != SUMMARY_FORMAT_VERSION
             or obj.get("signature") != signature
             or not isinstance(obj.get("fingerprints"), dict)
+            or not isinstance(obj.get("packs"), dict)
+            or not isinstance(obj.get("ast_keys"), dict)
         ):
             return None
         return obj
 
-    def load_manifest_document(self, signature):
-        """The full manifest document for a signature, or None when
-        absent/unreadable/skewed (an unreachable store counts as
-        absent: cold run, never a crash)."""
+    @staticmethod
+    def manifest_pins(document):
+        """``(summary keys, AST keys)`` a manifest document pins (what
+        GC keeps live): the current pack of every file in its ``packs``
+        map and every key in its per-file ``ast_keys`` map."""
+        if not isinstance(document, dict):
+            return set(), set()
+        packs = document.get("packs")
+        ast_keys = document.get("ast_keys")
+        pinned_sum = set(packs.values()) if isinstance(packs, dict) else set()
+        pinned_ast = set()
+        if isinstance(ast_keys, dict):
+            for keys in ast_keys.values():
+                pinned_ast.update(keys)
+        return pinned_sum, pinned_ast
+
+    def load_manifest(self, signature):
+        """The validated manifest document from the last run under this
+        signature -- ``fingerprints`` (``{function: fingerprint}``) plus
+        the ``packs`` and ``ast_keys`` per-file maps -- or None when
+        absent/unreadable/skewed (a garbled manifest or an unreachable
+        store degrades to a cold run, never a crash)."""
         try:
             text, __ = self.backend.manifest_get(signature)
         except storemod.StoreError:
             return None
         return self._decode_manifest(text, signature)
 
-    def load_manifest(self, signature):
-        """``{function: fingerprint}`` from the last run under this
-        signature, or None when absent/unreadable (a garbled manifest
-        degrades to a cold run, never a crash)."""
-        obj = self.load_manifest_document(signature)
-        if obj is None:
-            return None
-        return obj["fingerprints"]
-
-    def store_manifest(self, signature, fingerprints, frame_keys=(),
-                       ast_keys=(), stats=None):
+    def store_manifest(self, signature, fingerprints, packs=None,
+                       ast_keys=None, dropped=(), stats=None):
         """Record the fingerprints of a completed run.
 
         A read-merge-write through ETag compare-and-swap: entries from
         a concurrent session (functions we did not fingerprint this
-        run, frame/AST keys we did not touch) are preserved rather than
-        clobbered, so two incremental sessions sharing one store both
-        keep their warm state.  For functions both runs saw, this run's
-        fingerprint wins.  A CAS conflict (rival landed first) re-reads
-        and re-merges, bounded by :data:`repro.driver.store.
-        MANIFEST_CAS_RETRIES` and counted as ``store_cas_conflicts``;
-        an exhausted bound loses this merge loudly (degradation record)
-        rather than corrupting anything.  ``frame_keys``/``ast_keys``
-        are the tier-2/tier-1 entries this run stored or replayed; GC
-        treats them as live as long as the manifest is fresh.
+        run, files whose packs or AST keys we did not record) are
+        preserved rather than clobbered, so two incremental sessions
+        sharing one store both keep their warm state.  For functions
+        and files both runs saw, this run's entry wins -- which is also
+        what keeps the pin sets bounded: a file's previous pack and AST
+        keys drop out of the manifest as soon as a run records new ones.
+        A CAS conflict (rival landed first) re-reads and re-merges,
+        bounded by :data:`repro.driver.store.MANIFEST_CAS_RETRIES` and
+        counted as ``store_cas_conflicts``; an exhausted bound loses
+        this merge loudly (degradation record) rather than corrupting
+        anything.  ``packs`` maps each source file to its current
+        tier-2 pack key and ``ast_keys`` each file to the tier-1 keys
+        (AST frame, dependency record) its last compile used; GC treats
+        both as live as long as the manifest is fresh.  ``dropped``
+        names files that are gone (deleted or renamed): their stored
+        entries are not carried over, so the pins track the current
+        tree rather than every file ever seen.
         """
         spec = faults.fires("summary.manifest", key=signature)
         if spec is not None:
             # Fault injection: a rival session completes its manifest
             # store in the window before ours.  The merge below must
             # preserve its entries.
-            self._merge_manifest(
-                signature,
-                dict(spec.get("fingerprints") or {"__rival__": ["r", "r"]}),
-                spec.get("frame_keys") or (),
-                spec.get("ast_keys") or (),
-                None,
-            )
+            self._merge_manifest(signature, self._rival_entries(spec), (),
+                                 None)
         return self._merge_manifest(
-            signature, fingerprints, frame_keys, ast_keys, stats)
+            signature, (fingerprints, packs or {}, ast_keys or {}),
+            frozenset(dropped), stats)
 
-    def _manifest_document(self, signature, fingerprints, frame_keys,
-                           ast_keys):
+    @staticmethod
+    def _rival_entries(spec):
+        """The ``(fingerprints, packs, ast_keys)`` a fault spec's rival
+        session records."""
+        return (
+            dict(spec.get("fingerprints") or {"__rival__": ["r", "r"]}),
+            dict(spec.get("packs") or {}),
+            dict(spec.get("ast_keys") or {}),
+        )
+
+    def _merged_document(self, signature, entries, existing, dropped=()):
+        """The manifest document ``entries`` (ours) merged over an
+        ``existing`` one: ours win per function and per file, and the
+        existing file entries named in ``dropped`` are left out."""
+        maps = [dict(part) for part in entries]
+        if existing is not None:
+            for ours, name in zip(maps, ("fingerprints", "packs",
+                                         "ast_keys")):
+                for item, value in existing[name].items():
+                    if name == "fingerprints" or item not in dropped:
+                        ours.setdefault(item, value)
+        fingerprints, packs, ast_keys = maps
         return json.dumps(
             {
                 "format": SUMMARY_FORMAT_VERSION,
                 "signature": signature,
                 "fingerprints": fingerprints,
-                "frame_keys": sorted(frame_keys),
-                "ast_keys": sorted(ast_keys),
+                "packs": packs,
+                "ast_keys": {
+                    name: sorted(keys) for name, keys in ast_keys.items()
+                },
             },
             sort_keys=True,
         )
 
-    def _merge_manifest(self, signature, fingerprints, frame_keys,
-                        ast_keys, stats):
+    def _merge_manifest(self, signature, entries, dropped, stats):
         counted_merge = False
         for _attempt in range(storemod.MANIFEST_CAS_RETRIES):
             text, etag = self.backend.manifest_get(signature)
             existing = self._decode_manifest(text, signature)
-            merged = dict(fingerprints)
-            frames = set(frame_keys)
-            asts = set(ast_keys)
-            if existing is not None:
-                theirs = existing["fingerprints"]
-                for name, entry in theirs.items():
-                    merged.setdefault(name, entry)
-                frames.update(existing.get("frame_keys") or ())
-                asts.update(existing.get("ast_keys") or ())
-                if (
-                    stats is not None and not counted_merge
-                    and set(theirs) - set(fingerprints)
-                ):
-                    stats.add("manifest_merges")
-                    counted_merge = True
-            document = self._manifest_document(
-                signature, merged, frames, asts)
+            if (
+                existing is not None and stats is not None
+                and not counted_merge
+                and set(existing["fingerprints"]) - set(entries[0])
+            ):
+                stats.add("manifest_merges")
+                counted_merge = True
+            document = self._merged_document(signature, entries, existing,
+                                             dropped)
             spec = faults.fires("store.conflict", key=signature)
             if spec is not None:
                 # Fault injection: a rival's CAS lands in our
@@ -667,21 +693,12 @@ class SummaryCache:
     def _rival_cas(self, signature, spec):
         """Land a genuine rival merge between our read and our CAS (the
         ``store.conflict`` fault): read-merge-write of the rival's
-        fingerprints, retried a few times so it always commits."""
-        rival = dict(spec.get("fingerprints") or {"__rival__": ["r", "r"]})
+        entries, retried a few times so it always commits."""
+        entries = self._rival_entries(spec)
         for _attempt in range(8):
             text, etag = self.backend.manifest_get(signature)
             existing = self._decode_manifest(text, signature)
-            merged = dict(rival)
-            frames = set(spec.get("frame_keys") or ())
-            asts = set(spec.get("ast_keys") or ())
-            if existing is not None:
-                for name, entry in existing["fingerprints"].items():
-                    merged.setdefault(name, entry)
-                frames.update(existing.get("frame_keys") or ())
-                asts.update(existing.get("ast_keys") or ())
-            document = self._manifest_document(
-                signature, merged, frames, asts)
+            document = self._merged_document(signature, entries, existing)
             committed, __, __ = self.backend.manifest_cas(
                 signature, document, etag)
             if committed:

@@ -6,7 +6,7 @@ load, and a pass-1 probe (dependency-record check + cache lookup) for
 even when the dirty cone is one function.  The daemon converts that
 per-run tax into per-process state: one process keeps the
 :class:`repro.driver.session.IncrementalSession` (manifest and summary
-frames pinned in memory), every parsed translation unit, and each
+packs pinned in memory), every parsed translation unit, and each
 file's include dependencies warm across edit bursts, so a warm
 re-analysis costs the dirty cone's analysis time alone — the
 CodeChecker-style always-on deployment the ROADMAP names.
@@ -31,8 +31,8 @@ Architecture (single-threaded, crash-containing):
   stats record; the serve loop never wedges and never dies with a
   request.
 
-The daemon's ``gc`` op passes its pinned frame keys and every tier-1
-key it has seen as extra live sets, so on-disk cache GC stays coherent
+The daemon's ``gc`` op passes its pinned pack keys and each file's
+latest tier-1 keys as extra live sets, so on-disk cache GC stays coherent
 with in-memory warm state (nothing the daemon still replays is swept).
 """
 
@@ -126,8 +126,9 @@ class XgccDaemon:
         #: Cached response of the last completed analysis (served to
         #: ``analyze`` when nothing changed since).
         self._last_response = None
-        #: Every tier-1 key any run probed: extra live set for ``gc``.
-        self._ast_keys_seen = set()
+        #: ``{filename: [tier-1 keys]}`` of each file's latest compile:
+        #: the extra live AST set for ``gc``.
+        self._ast_keys_seen = {}
         self._running = False
         #: The last completed analysis' ranked structured reports (the
         #: HTTP report server renders these without re-analyzing).
@@ -244,6 +245,7 @@ class XgccDaemon:
         for path in list(self._units):
             if path not in self.watcher.state:
                 del self._units[path]  # deleted input: unpin
+                self._ast_keys_seen.pop(path, None)
         self._ast_keys_seen.update(project.ast_keys_used)
         return project
 
@@ -426,7 +428,10 @@ class XgccDaemon:
                     cutoff_days=float(obj.get("days", 30.0)),
                     stats=self.stats,
                     extra_live_sum=self.session.pinned_frame_keys(),
-                    extra_live_ast=sorted(self._ast_keys_seen),
+                    extra_live_ast=sorted(
+                        key for keys in self._ast_keys_seen.values()
+                        for key in keys
+                    ),
                     backend=getattr(self.session, "backend", None),
                 )
                 return {"ok": True, "protocol": PROTOCOL_VERSION,

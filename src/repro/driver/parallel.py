@@ -530,11 +530,11 @@ def _absorb(project, task, result):
         )
     project.compiled.append(compiled)
     project._register(compiled.unit, compiled.filename)
+    keys = [key for key in (result.record_key, result.key) if key]
     if result.record_key:
         stats.add("ast_fast_hits" if result.fast else "ast_fast_misses")
-        project.ast_keys_used.append(result.record_key)
-    if result.key:
-        project.ast_keys_used.append(result.key)
+    if keys:
+        project.ast_keys_used[result.filename] = keys
     return compiled
 
 

@@ -90,11 +90,11 @@ class Project:
         self.compiled = []
         self.static_vars = {}
         self._callgraph = None
-        #: Tier-1 cache keys this project probed (hits and stores, AST
-        #: frames and dependency records) -- recorded into the
-        #: incremental manifest so cache GC knows which .ast frames a
-        #: fresh manifest still depends on.
-        self.ast_keys_used = []
+        #: ``{filename: [tier-1 keys]}`` this project probed per file (hits
+        #: and stores, AST frames and dependency records) -- recorded
+        #: into the incremental manifest so cache GC knows which .ast
+        #: frames a fresh manifest still depends on.
+        self.ast_keys_used = {}
 
     @property
     def store_backend(self):

@@ -21,6 +21,12 @@ and schedules pass 2 around *function fingerprints*
    ones for the dirty roots, in serial (extension, root) order, through
    a fresh log -- reproducing a cold run's ranked report byte for byte.
 
+Artifacts persist as one *pack* per (signature, defining source file):
+``{(ext_index, root): (fingerprint, RootArtifact)}`` for every root of
+the file.  A warm run reads each file's pack once, all in one backend
+batch, replays an entry only when its fingerprint is the root's current
+one, and rewrites only the packs of files that gained fresh artifacts.
+
 Coupled (global) extensions -- the paper's §7.1 cross-root checkers,
 which communicate through AST annotations and user globals -- are
 scheduled through *annotation deltas* instead of falling back: each
@@ -55,12 +61,13 @@ Safety valves (all recorded in the driver stats, never silent):
 - Degraded roots (per-root budget blown, recovered error) and roots
   whose cross-root state does not pickle (``delta.opaque``) are never
   persisted, so they are re-analyzed on every run until they pass.
-- A corrupt summary frame is evicted and its root re-analyzed (same
-  self-heal contract as the tier-1 AST cache).
+- A corrupt summary pack is evicted and its file's roots re-analyzed
+  (same self-heal contract as the tier-1 AST cache).
 """
 
 import copy
 import hashlib
+import os
 
 from repro.cfg.fingerprint import fingerprint_tables
 from repro.driver import cache as astcache
@@ -111,30 +118,25 @@ def session_signature(checker_names=(), metal_texts=(), options=None,
     return digest.hexdigest()
 
 
-def summary_key(signature, ext_index, ext_name, root, fingerprint):
-    """The tier-2 store key for one (extension, root) artifact."""
-    return root_summary_key(
-        summary_key_prefix(signature, ext_index, ext_name), root, fingerprint
-    )
-
-
-def summary_key_prefix(signature, ext_index, ext_name):
-    """The SHA-256 state :func:`summary_key` reaches after its
-    per-extension parts (hash once per extension, finish per root)."""
+def pack_key(signature, filename, pack):
+    """The tier-2 store key of one source file's summary pack: SHA-256
+    over the session signature, the file, and every entry's (extension
+    index, root, fingerprint)."""
     digest = hashlib.sha256()
-    for part in (signature, str(ext_index), str(ext_name)):
+    for part in (signature, str(filename)):
         digest.update(part.encode())
         digest.update(b"\x00")
-    return digest
-
-
-def root_summary_key(prefix, root, fingerprint):
-    """:func:`summary_key` finished from a :func:`summary_key_prefix`."""
-    digest = prefix.copy()
-    for part in (str(root), str(fingerprint)):
-        digest.update(part.encode())
-        digest.update(b"\x00")
+    for (ext_index, root), (fingerprint, __) in sorted(pack.items()):
+        digest.update(
+            ("%d\x1f%s\x1f%s\x1e" % (ext_index, root, fingerprint)).encode()
+        )
     return digest.hexdigest()
+
+
+def defining_file(graph, name):
+    """The source file a function is defined in ("" when unknown)."""
+    location = getattr(graph.functions.get(name), "location", None)
+    return getattr(location, "filename", None) or ""
 
 
 class IncrementalSession:
@@ -143,11 +145,11 @@ class IncrementalSession:
     Construct with the project's cache directory and a
     :func:`session_signature`; pass as ``Project.run(...,
     incremental=session)``.  Reusable across runs (the manifest and
-    frames live on disk, not in the object).
+    packs live on disk, not in the object).
     """
 
-    #: In-memory frame-pin cap (pinned sessions only).  Content-addressed
-    #: keys accrete as fingerprints churn; beyond the cap the oldest pins
+    #: In-memory pack-pin cap (pinned sessions only).  A rewritten pack
+    #: unpins its file's previous one; beyond the cap the oldest pins
     #: fall out (the disk store still has them).
     PIN_CAP = 8192
 
@@ -165,15 +167,15 @@ class IncrementalSession:
         #: Optional DriverStats override; defaults to the project's.
         self.stats = stats
         #: Long-lived (daemon) mode: keep the manifest and replayed
-        #: artifact frames pinned in memory, so a warm run pays neither
-        #: a manifest JSON load nor per-frame disk reads.  Coherent with
+        #: summary packs pinned in memory, so a warm run pays neither a
+        #: manifest JSON load nor per-pack disk reads.  Coherent with
         #: rival sessions by stat-invalidation (any on-disk manifest
         #: change reloads it) and with cache GC by touching the on-disk
-        #: frame on every in-memory hit.
+        #: pack on every in-memory hit.
         self.pin_warm_state = pin_warm_state
         self._pinned_manifest = None
         self._pinned_manifest_stat = None
-        self._pinned_frames = {}
+        self._pinned_packs = {}
 
     # -- pinned warm state -------------------------------------------------
 
@@ -187,7 +189,7 @@ class IncrementalSession:
             return None
 
     def _load_manifest(self, stats):
-        """The manifest fingerprints, through the in-memory pin when
+        """The manifest document, through the in-memory pin when
         ``pin_warm_state`` is set and the on-disk file is unchanged (a
         rival session's merge shows up as a stat change and reloads)."""
         if not self.pin_warm_state:
@@ -212,22 +214,39 @@ class IncrementalSession:
             else None
         )
 
-    def _pin_frame(self, key, artifact):
+    def _pin_pack(self, key, pack):
         if not self.pin_warm_state:
             return
-        self._pinned_frames[key] = artifact
-        while len(self._pinned_frames) > self.PIN_CAP:
-            self._pinned_frames.pop(next(iter(self._pinned_frames)))
-
-    def _unpin_frame(self, key):
-        self._pinned_frames.pop(key, None)
+        self._pinned_packs[key] = pack
+        while len(self._pinned_packs) > self.PIN_CAP:
+            self._pinned_packs.pop(next(iter(self._pinned_packs)))
 
     def pinned_frame_keys(self):
-        """Keys the in-memory pin currently holds (a daemon's `gc`
+        """Pack keys the in-memory pin currently holds (a daemon's `gc`
         request passes them to :func:`repro.driver.cache.
         collect_cache_garbage` as extra live keys, so on-disk GC never
         collects what this process still replays)."""
-        return sorted(self._pinned_frames)
+        return sorted(self._pinned_packs)
+
+    def _fetch_pack(self, key, stats):
+        """A summary pack by key: the in-memory pin when held, else one
+        store read (pinned after).  None on a miss or an unreachable
+        store; corruption raises (the caller decides whether to evict).
+        """
+        pack = self._pinned_packs.get(key)
+        if pack is not None:
+            return pack
+        try:
+            pack = self.store.get(key)
+        except storemod.StoreError:
+            return None
+        if pack is None:
+            return None
+        if not isinstance(pack, dict):
+            raise astcache.CacheCorruption("summary frame holds no pack")
+        stats.add("summary_pack_reads")
+        self._pin_pack(key, pack)
+        return pack
 
     # -- scheduling --------------------------------------------------------
 
@@ -262,22 +281,23 @@ class IncrementalSession:
             edited = set(fingerprints)
             cone = set(fingerprints)
         else:
+            previous = manifest["fingerprints"]
             edited = {
                 name for name, token_hash in local.items()
-                if (manifest.get(name) or (None, None))[0] != token_hash
+                if (previous.get(name) or (None, None))[0] != token_hash
             }
             cone = {
                 name for name, fingerprint in fingerprints.items()
-                if (manifest.get(name) or (None, None))[1] != fingerprint
+                if (previous.get(name) or (None, None))[1] != fingerprint
             }
         stats.add("incremental_dirty_functions", len(edited))
         stats.add("incremental_dirty_cone", len(cone))
 
-        used_keys = set()
+        packs = {}
         reanalyze = set(root for root in all_roots if root in cone)
         cached = self._load_clean_artifacts(
-            extensions, (root for root in all_roots if root not in cone),
-            fingerprints, reanalyze, stats, used_keys,
+            extensions, [root for root in all_roots if root not in cone],
+            graph, fingerprints, manifest, reanalyze, stats, packs,
         )
 
         run_options = copy.copy(options)
@@ -292,7 +312,7 @@ class IncrementalSession:
             return self._run_coupled(
                 project, extensions, options, run_options, jobs,
                 extension_factory, worker_timeout, stats, graph, all_roots,
-                fingerprints, local, manifest, cached, reanalyze, used_keys,
+                fingerprints, local, manifest, cached, reanalyze, packs,
             )
 
         analyze_roots = sorted(reanalyze)
@@ -323,7 +343,7 @@ class IncrementalSession:
                     project, extensions, options, run_options, jobs,
                     extension_factory, worker_timeout, stats, graph,
                     all_roots, fingerprints, local, manifest, cached,
-                    reanalyze, used_keys,
+                    reanalyze, packs,
                 )
         if fresh.truncated:
             return self._fallback(
@@ -339,7 +359,8 @@ class IncrementalSession:
             len(all_roots) - len(analyze_roots),
         )
         result = self._merge(extensions, all_roots, fresh, cached)
-        self._persist(fresh, fingerprints, local, stats, project, used_keys)
+        self._persist(fresh, cached, graph, fingerprints, local, manifest,
+                      stats, project, packs)
         return result
 
     # -- coupled (global-checker) scheduling -------------------------------
@@ -347,7 +368,7 @@ class IncrementalSession:
     def _run_coupled(self, project, extensions, options, run_options, jobs,
                      extension_factory, worker_timeout, stats, graph,
                      all_roots, fingerprints, local, manifest, cached,
-                     reanalyze, used_keys):
+                     reanalyze, packs):
         """Incremental scheduling for extensions with cross-root state.
 
         Serial by construction: replayed deltas and analyzed roots must
@@ -374,10 +395,21 @@ class IncrementalSession:
             stats.add("annotation_delta_serial_forced")
 
         old_deltas = {}
+        old_packs = {name: pack for name, (__, pack) in packs.items()}
+
+        def old_pack(name):
+            """The previous run's pack of one file (None when unknown)."""
+            if name not in old_packs:
+                key = manifest["packs"].get(name)
+                try:
+                    old_packs[name] = key and self._fetch_pack(key, stats)
+                except (OSError, astcache.CacheCorruption):
+                    old_packs[name] = None
+            return old_packs[name]
 
         def old_delta(ext_index, root):
             """The delta this (extension, root) produced last run, or
-            None when unknown (no manifest entry, missing/corrupt frame:
+            None when unknown (no manifest entry, missing/corrupt pack:
             treated as fully changed)."""
             pair = (ext_index, root)
             if pair in old_deltas:
@@ -386,24 +418,12 @@ class IncrementalSession:
             artifact = cached.get(pair)
             if artifact is not None:
                 delta = artifact.delta
-            elif manifest and root in manifest:
-                old_fp = (manifest.get(root) or (None, None))[1]
-                if old_fp:
-                    ext = extensions[ext_index]
-                    name = getattr(ext, "name", repr(ext))
-                    key = summary_key(
-                        self.signature, ext_index, name, root, old_fp)
-                    pinned = self._pinned_frames.get(key)
-                    try:
-                        if pinned is not None:
-                            delta = pinned.delta
-                        else:
-                            artifact = self.store.get(key)
-                            if artifact is not None:
-                                delta = artifact.delta
-                    except (OSError, astcache.CacheCorruption,
-                            storemod.StoreError):
-                        delta = None
+            elif manifest and root in manifest["fingerprints"]:
+                old_fp = (manifest["fingerprints"][root] or (None, None))[1]
+                pack = old_pack(defining_file(graph, root))
+                entry = pack.get(pair) if pack else None
+                if old_fp and entry is not None and entry[0] == old_fp:
+                    delta = entry[1].delta
             old_deltas[pair] = delta
             return delta
 
@@ -553,7 +573,8 @@ class IncrementalSession:
             len(all_roots) - len(analyze_roots),
         )
         result = self._merge(extensions, all_roots, fresh, cached)
-        self._persist(fresh, fingerprints, local, stats, project, used_keys)
+        self._persist(fresh, cached, graph, fingerprints, local, manifest,
+                      stats, project, packs)
         return result
 
     # -- pieces ------------------------------------------------------------
@@ -571,81 +592,66 @@ class IncrementalSession:
             worker_timeout=worker_timeout,
         )
 
-    def _load_clean_artifacts(self, extensions, clean_roots, fingerprints,
-                              reanalyze, stats, used_keys=None):
-        """``{(ext_index, root): RootArtifact}`` for every clean root all
-        of whose frames load; roots with any missing or corrupt frame are
-        moved into ``reanalyze`` instead.  Hit keys are recorded into
-        ``used_keys`` (manifest liveness for cache GC)."""
-        cached = {}
-        clean_roots = list(clean_roots)
-        names = [getattr(ext, "name", repr(ext)) for ext in extensions]
-        prefixes = [
-            summary_key_prefix(self.signature, ext_index, name)
-            for ext_index, name in enumerate(names)
-        ]
-        keymap = {
-            (ext_index, root): (
-                names[ext_index],
-                root_summary_key(
-                    prefixes[ext_index], root, fingerprints[root]
-                ),
-            )
-            for root in clean_roots
-            for ext_index in range(len(extensions))
-        }
-        if getattr(self.backend, "prefers_batch", False):
-            # Remote-backed session: one batched round trip fetches every
-            # frame this warm run could replay, instead of a network
-            # round trip per (extension, root) pair.
-            self.store.prefetch(
-                key for (_, key) in keymap.values()
-                if key not in self._pinned_frames
-            )
-        touched = []
+    def _load_clean_artifacts(self, extensions, clean_roots, graph,
+                              fingerprints, manifest, reanalyze, stats,
+                              packs):
+        """``{(ext_index, root): RootArtifact}`` for every clean root
+        whose file's pack holds an entry with the root's current
+        fingerprint for every extension; other clean roots move into
+        ``reanalyze``.  Each file's pack is read at most once, all in
+        one backend batch, and recorded into ``packs`` as ``{file:
+        (key, pack)}``; a corrupt pack is evicted and only its file's
+        roots re-analyze."""
+        by_file = {}
         for root in clean_roots:
-            loaded = []
-            for ext_index in range(len(extensions)):
-                name, key = keymap[(ext_index, root)]
-                pinned = self._pinned_frames.get(key)
-                if pinned is not None:
+            by_file.setdefault(defining_file(graph, root), []).append(root)
+        known = manifest["packs"] if manifest else {}
+        keys = {name: known.get(name) for name in by_file}
+        self.store.prefetch(
+            key for key in keys.values()
+            if key and key not in self._pinned_packs
+        )
+        count = len(extensions)
+        cached = {}
+        touched = []
+        for name in sorted(by_file):
+            key = keys[name]
+            pinned = key in self._pinned_packs
+            try:
+                pack = self._fetch_pack(key, stats) if key else None
+            except (OSError, astcache.CacheCorruption) as err:
+                stats.add("summary_evictions")
+                stats.record_degradation(
+                    "summary-cache",
+                    "%s: corrupt summary pack (%s); evicted and "
+                    "re-analyzed" % (name, err),
+                )
+                self.store.evict(key)
+                self._pinned_packs.pop(key, None)
+                reanalyze.update(by_file[name])
+                continue
+            if pack is not None:
+                packs[name] = (key, pack)
+                if pinned:
                     # In-memory warm hit: no disk read, but refresh the
-                    # stored frame's mtime (below, in one batch) so GC
+                    # stored pack's mtime (below, in one batch) so GC
                     # still sees it in use.
-                    stats.add("summary_memory_hits")
                     touched.append(key)
-                    loaded.append((ext_index, key, pinned))
+            for root in by_file[name]:
+                entries = [
+                    pack.get((ext_index, root)) if pack else None
+                    for ext_index in range(count)
+                ]
+                if any(entry is None or entry[0] != fingerprints[root]
+                       for entry in entries):
+                    stats.add("summary_misses")
+                    reanalyze.add(root)
                     continue
-                try:
-                    try:
-                        artifact = self.store.get(key)
-                    except storemod.StoreError:
-                        artifact = None
-                    if artifact is None:
-                        stats.add("summary_misses")
-                        loaded = None
-                        break
-                    self._pin_frame(key, artifact)
-                    loaded.append((ext_index, key, artifact))
-                except (OSError, astcache.CacheCorruption) as err:
-                    stats.add("summary_evictions")
-                    stats.record_degradation(
-                        "summary-cache",
-                        "%s/%s: corrupt summary frame (%s); evicted and "
-                        "re-analyzed" % (name, root, err),
-                    )
-                    self.store.evict(key)
-                    self._unpin_frame(key)
-                    loaded = None
-                    break
-            if loaded is None:
-                reanalyze.add(root)
-            else:
-                stats.add("summary_hits", len(loaded))
-                for ext_index, key, artifact in loaded:
-                    cached[(ext_index, root)] = artifact
-                    if used_keys is not None:
-                        used_keys.add(key)
+                stats.add("summary_hits", count)
+                if pinned:
+                    stats.add("summary_memory_hits", count)
+                for ext_index, entry in enumerate(entries):
+                    cached[(ext_index, root)] = entry[1]
         if touched:
             self.store.touch_many(touched)
         return cached
@@ -684,11 +690,13 @@ class IncrementalSession:
             degraded=degraded,
         )
 
-    def _persist(self, fresh, fingerprints, local, stats, project=None,
-                 used_keys=None):
-        """Store every clean fresh artifact plus the new manifest."""
-        used = set(used_keys or ())
-        to_store = {}
+    def _persist(self, fresh, cached, graph, fingerprints, local,
+                 manifest, stats, project, packs):
+        """Rewrite the pack of every file that gained clean fresh
+        artifacts -- its replayed entries plus the fresh ones -- and
+        merge the new manifest, dropping the entries of files that are
+        gone."""
+        rewrite = {}
         for artifact in fresh.root_artifacts:
             if not artifact.clean:
                 continue
@@ -701,31 +709,50 @@ class IncrementalSession:
             fingerprint = fingerprints.get(artifact.root)
             if fingerprint is None:
                 continue
-            if artifact.summary is not None:
-                artifact.summary.fingerprint = fingerprint
-            key = summary_key(
-                self.signature, artifact.ext_index, artifact.extension,
-                artifact.root, fingerprint,
-            )
-            to_store[key] = artifact
-            self._pin_frame(key, artifact)
-            used.add(key)
+            name = defining_file(graph, artifact.root)
+            rewrite.setdefault(name, {})[
+                (artifact.ext_index, artifact.root)
+            ] = (fingerprint, artifact)
             stats.add("summary_stores")
+        pack_keys = {name: key for name, (key, __) in packs.items()}
+        previous = manifest["packs"] if manifest else {}
+        to_store = {}
+        for name, pack in rewrite.items():
+            # Keep the old pack's entries this run replayed.
+            for pair, entry in packs.get(name, (None, {}))[1].items():
+                if pair not in pack and cached.get(pair) is entry[1]:
+                    pack[pair] = entry
+            key = pack_key(self.signature, name, pack)
+            if previous.get(name) not in (None, key):
+                self._pinned_packs.pop(previous[name], None)
+            pack_keys[name] = key
+            to_store[key] = pack
+            self._pin_pack(key, pack)
         if to_store:
-            # One batched put: a remote-backed session ships every fresh
-            # frame in a single round trip.
+            # One batched put: a remote-backed session ships every
+            # rewritten pack in a single round trip.
             self.store.store_many(to_store)
-        ast_keys = ()
-        if project is not None:
-            ast_keys = sorted(set(project.ast_keys_used))
+            stats.add("summary_pack_writes", len(to_store))
+        # A file the manifest still pins that this run neither recorded
+        # nor can find was deleted or renamed: unpin it, so the pin set
+        # tracks the current tree, not every file ever seen.
+        gone = sorted(
+            name for name in set(previous).union(
+                manifest["ast_keys"] if manifest else ())
+            if name not in pack_keys and name not in project.ast_keys_used
+            and not os.path.exists(name)
+        )
+        for name in gone:
+            self._pinned_packs.pop(previous.get(name), None)
         self.store.store_manifest(
             self.signature,
             {
                 name: [local[name], fingerprints[name]]
                 for name in fingerprints
             },
-            frame_keys=sorted(used),
-            ast_keys=ast_keys,
+            packs=pack_keys,
+            ast_keys=project.ast_keys_used,
+            dropped=gone,
             stats=stats,
         )
         self._repin_manifest()

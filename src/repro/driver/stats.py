@@ -57,7 +57,11 @@ from contextlib import contextmanager
 #: ``cyclic_gc_passes`` counts CPython's cyclic garbage-collector passes
 #: and the ``cyclic_gc`` timer their wall time, while a CLI run or a
 #: daemon analysis is metered (see :meth:`DriverStats.collector_passes`).
-SCHEMA_VERSION = 10
+#: 11: the summary-pack counters (docs/DRIVER.md, "Tier-2 summary
+#: packs"): ``summary_pack_reads`` (packs read from the store) and
+#: ``summary_pack_writes`` (packs written); the per-(extension, root)
+#: ``summary_*`` counters keep their meaning.
+SCHEMA_VERSION = 11
 
 
 class DriverStats:

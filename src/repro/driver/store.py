@@ -1,7 +1,7 @@
 """Artifact-store backends: where cache frames and manifests live.
 
 PR 1/PR 3 gave the driver a two-tier content-addressed cache (tier-1
-``XGCCAST`` AST frames, tier-2 ``XGCCSUM`` summary frames plus session
+``XGCCAST`` AST frames, tier-2 ``XGCCSUM`` summary packs plus session
 manifests).  This module abstracts *where those bytes live* behind one
 backend interface, so :class:`repro.driver.cache.AstCache`,
 :class:`repro.driver.cache.SummaryCache`, the incremental session, the
@@ -414,8 +414,9 @@ class LocalStore:
         behind the backend interface).
 
         Liveness comes from the manifests: every manifest newer than the
-        cutoff pins the tier-1 and tier-2 keys it recorded.  The sweep
-        drops (a) manifests older than the cutoff and (b) frames that
+        cutoff pins the tier-1 and tier-2 keys it recorded
+        (:meth:`repro.driver.cache.SummaryCache.manifest_pins`).  The
+        sweep drops (a) manifests older than the cutoff and (b) frames that
         are both unpinned and older than the cutoff -- a frame younger
         than the cutoff is kept even when unreferenced, so plain cache
         users and in-flight sessions are never raced.
@@ -437,7 +438,7 @@ class LocalStore:
         """
         import contextlib
 
-        from repro.driver.cache import _file_lock
+        from repro.driver.cache import SummaryCache, _file_lock
 
         now = time.time() if now is None else now
         cutoff = now - float(cutoff_days) * 86400.0
@@ -512,9 +513,9 @@ class LocalStore:
                             obj = json.load(handle)
                     except (OSError, ValueError):
                         continue
-                    if isinstance(obj, dict):
-                        live_sum.update(obj.get("frame_keys") or ())
-                        live_ast.update(obj.get("ast_keys") or ())
+                    pinned_sum, pinned_ast = SummaryCache.manifest_pins(obj)
+                    live_sum |= pinned_sum
+                    live_ast |= pinned_ast
             sweep(summaries_dir, ".sum", live_sum,
                   "gc_summary_frames_dropped")
             sweep(self.ast_dir, ".ast", live_ast, "gc_ast_frames_dropped")

@@ -39,7 +39,6 @@ from repro.engine.state import SMInstance, VarInstance, state_tuples
 from repro.engine.summaries import (
     TRANSITION,
     Edge,
-    FunctionSummary,
     RootArtifact,
     SummaryTable,
     make_add_edge,
@@ -480,11 +479,6 @@ class Analysis:
         delta = None
         if self._tracker is not None:
             delta = self._tracker.end_root(self.annotations, self._user_globals)
-        summary = None
-        if root in self._cfgs:
-            summary = FunctionSummary.snapshot(
-                root, ext.name, None, self._table.get(self._cfgs[root].entry)
-            )
         self.root_artifacts.append(RootArtifact(
             ext_index=self._ext_index,
             extension=ext.name,
@@ -494,7 +488,6 @@ class Analysis:
             counterexamples=counterexamples,
             degraded=degraded,
             clean=not degraded and not self._truncated,
-            summary=summary,
             delta=delta,
         ))
 

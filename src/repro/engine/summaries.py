@@ -294,72 +294,6 @@ def _add_suffix(summary, edge, local_filter):
     return summary.suffix.add(edge)
 
 
-# -- persistent, content-addressable summaries ---------------------------------
-
-
-class FunctionSummary:
-    """A function summary detached from live engine state (§6.2 as data).
-
-    :class:`SummaryTable` keys summaries by in-memory block identity,
-    which dies with the run.  A ``FunctionSummary`` snapshots the entry
-    block's suffix summary -- the paper's function summary -- into plain
-    edge records keyed by state tuples, so it pickles, round-trips
-    through the driver's summary store, and can be compared across runs.
-    """
-
-    __slots__ = ("function", "extension", "fingerprint", "edges")
-
-    def __init__(self, function, extension, fingerprint, edges):
-        self.function = function
-        self.extension = extension
-        self.fingerprint = fingerprint
-        self.edges = list(edges)  # (kind, start, end, snapshot, relax_only)
-
-    @classmethod
-    def snapshot(cls, function, extension, fingerprint, entry_summary):
-        """Freeze a live entry-block :class:`BlockSummary`'s suffix."""
-        edges = [
-            (
-                edge.kind,
-                edge.start,
-                edge.end,
-                edge.end_snapshot.copy() if edge.end_snapshot is not None
-                else None,
-                edge.relax_only,
-            )
-            for edge in entry_summary.suffix
-        ]
-        edges.sort(key=lambda item: (item[0], repr(item[1]), repr(item[2])))
-        return cls(function, extension, fingerprint, edges)
-
-    def edge_set(self):
-        """Rebuild a live :class:`EdgeSet` from the frozen records."""
-        edges = EdgeSet()
-        for kind, start, end, snapshot, relax_only in self.edges:
-            edges.add(Edge(kind, start, end, snapshot, relax_only=relax_only))
-        return edges
-
-    def __getstate__(self):
-        return {
-            "function": self.function,
-            "extension": self.extension,
-            "fingerprint": self.fingerprint,
-            "edges": self.edges,
-        }
-
-    def __setstate__(self, state):
-        for name in self.__slots__:
-            setattr(self, name, state[name])
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __repr__(self):
-        return "<FunctionSummary %s/%s %d edges>" % (
-            self.extension, self.function, len(self.edges),
-        )
-
-
 class RootArtifact:
     """One root's complete, self-contained analysis outcome under one
     extension: the persistence unit of incremental re-analysis.
@@ -377,10 +311,10 @@ class RootArtifact:
     """
 
     __slots__ = ("ext_index", "extension", "root", "reports", "examples",
-                 "counterexamples", "degraded", "clean", "summary", "delta")
+                 "counterexamples", "degraded", "clean", "delta")
 
     def __init__(self, ext_index, extension, root, reports, examples,
-                 counterexamples, degraded, clean, summary=None, delta=None):
+                 counterexamples, degraded, clean, delta=None):
         self.ext_index = ext_index
         self.extension = extension
         self.root = root
@@ -389,9 +323,6 @@ class RootArtifact:
         self.counterexamples = {k: set(v) for k, v in counterexamples.items()}
         self.degraded = list(degraded)
         self.clean = clean
-        #: Optional :class:`FunctionSummary` snapshot of the root's own
-        #: function summary at the end of its traversal.
-        self.summary = summary
         #: Optional :class:`repro.engine.deltas.RootDelta`: the net
         #: cross-root state (annotations, user globals) this root wrote,
         #: plus its coarse read set.  ``None`` means "not captured".

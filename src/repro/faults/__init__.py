@@ -37,7 +37,7 @@ site                        fires where                    key
 ``pass2.worker.hang``       pass-2 worker entry (sleeps)   component index
 ``pass2.analysis``          before the DFS (raises)        component index
 ``cache.corrupt``           after an AST-cache store       cache key
-``summary.corrupt``         after a summary-frame store    summary key
+``summary.corrupt``         after a summary-pack store     pack key
 ``engine.budget``           every budget check (raises)    root function
 ``daemon.watcher``          every watcher poll (raises)    watch root
 ``daemon.request``          daemon request decode (raises) request op

@@ -179,7 +179,7 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 10
+                assert stats["stats"]["schema_version"] == 11
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
                 # The daemon keeps CPython's cyclic collector on and
@@ -443,6 +443,66 @@ class TestDaemonGC:
                 resp = client.request("analyze", force=True)
                 assert resp["reports"] == cold_output(src, capsys)
 
+    def test_gc_op_drops_only_superseded_packs(self, tmp_path, sock_dir,
+                                               capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=9, n_modules=3,
+                               functions_per_module=4, bug_rate=0.4)
+        write_tree(src, gen.files)
+        cache = tmp_path / "cache"
+        sock = os.path.join(sock_dir, "d.sock")
+        with running_daemon(src, cache, sock) as daemon:
+            with DaemonClient(sock) as client:
+                assert client.request("analyze")["ok"]
+                first = set(daemon.session.pinned_frame_keys())
+                edited, __ = apply_function_edits(gen, k=1, seed=3)
+                write_tree(src, edited.files)
+                assert client.request("analyze")["ok"]
+                pinned = set(daemon.session.pinned_frame_keys())
+                # One pin per pack: the edit swapped exactly one.
+                assert len(pinned) == len(first) <= len(c_paths(src))
+                assert len(first - pinned) == 1
+                summaries = astcache.SummaryCache(str(cache / "summaries"))
+                doc = summaries.load_manifest(daemon.session.signature)
+                assert set(doc["packs"].values()) == pinned
+                stamp = time.time() - 2 * 86400.0
+                for key in first | pinned:
+                    summaries.set_entry_mtime(key, stamp)
+                reply = client.request("gc", days=1.0)
+                assert reply["gc"]["gc_summary_frames_dropped"] == 1
+                assert summaries.lookup((first - pinned).pop()) is None
+                assert all(summaries.lookup(key) for key in pinned)
+                resp = client.request("analyze", force=True)
+                assert resp["reports"] == cold_output(src, capsys)
+
+    def test_deleted_input_leaves_the_gc_pins(self, tmp_path, sock_dir,
+                                              capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=9, n_modules=3,
+                               functions_per_module=4, bug_rate=0.4)
+        write_tree(src, gen.files)
+        cache = tmp_path / "cache"
+        sock = os.path.join(sock_dir, "d.sock")
+        doomed = c_paths(src)[-1]
+        with running_daemon(src, cache, sock) as daemon:
+            with DaemonClient(sock) as client:
+                assert client.request("analyze")["ok"]
+                summaries = astcache.SummaryCache(str(cache / "summaries"))
+                doc = summaries.load_manifest(daemon.session.signature)
+                old_pack = doc["packs"][doomed]
+                assert old_pack in daemon.session.pinned_frame_keys()
+                assert doomed in daemon._ast_keys_seen
+                os.remove(doomed)
+                resp = client.request("analyze")
+                assert resp["reports"] == cold_output(src, capsys)
+                doc = summaries.load_manifest(daemon.session.signature)
+                assert doomed not in doc["packs"]
+                assert doomed not in doc["ast_keys"]
+                assert old_pack not in daemon.session.pinned_frame_keys()
+                assert doomed not in daemon._ast_keys_seen
+
     def test_warm_replay_touches_frames_past_gc(self, tmp_path, sock_dir):
         # Satellite: frames a daemon replays daily must not age out.
         src = tmp_path / "src"
@@ -490,9 +550,9 @@ class TestCacheGCRace:
             # Two interleaved rival stores land *after* the GC's scan
             # phase: fresh manifests pinning the old frames.
             store.store_manifest("rival-one", {"f": ["l"]},
-                                 frame_keys=[first])
+                                 packs={"f.c": first})
             store.store_manifest("rival-two", {"g": ["m"]},
-                                 frame_keys=[second])
+                                 packs={"g.c": second})
 
         counters = astcache.collect_cache_garbage(
             cache_dir, cutoff_days=1.0, _after_scan=rival_merges
@@ -585,13 +645,13 @@ class TestLockFallback:
         monkeypatch.setattr(astcache, "fcntl", None)
         stats = DriverStats()
         store = astcache.SummaryCache(str(tmp_path / "summaries"))
-        store.store_manifest("sig", {"f": ["a"]}, frame_keys=["k1"],
+        store.store_manifest("sig", {"f": ["a"]}, packs={"f.c": "k1"},
                              stats=stats)
-        store.store_manifest("sig", {"g": ["b"]}, frame_keys=["k2"],
+        store.store_manifest("sig", {"g": ["b"]}, packs={"g.c": "k2"},
                              stats=stats)
-        doc = store.load_manifest_document("sig")
+        doc = store.load_manifest("sig")
         assert set(doc["fingerprints"]) == {"f", "g"}
-        assert set(doc["frame_keys"]) == {"k1", "k2"}
+        assert doc["packs"] == {"f.c": "k1", "g.c": "k2"}
         assert stats.count("manifest_lock_fallbacks") >= 2
 
 
@@ -662,4 +722,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 10
+            assert payload["stats"]["schema_version"] == 11

@@ -306,17 +306,19 @@ class TestManifestRace:
         with faults.injected([{
             "site": "summary.manifest",
             "fingerprints": {"rival_fn": ["rl", "rm"]},
-            "frame_keys": ["rival_frame"],
+            "packs": {"rival.c": "rival_frame"},
         }]):
             store.store_manifest(
                 "sig", {"our_fn": ["ol", "om"]},
-                frame_keys=["our_frame"], stats=stats,
+                packs={"ours.c": "our_frame"}, stats=stats,
             )
-        doc = store.load_manifest_document("sig")
+        doc = store.load_manifest("sig")
         assert doc["fingerprints"] == {
             "our_fn": ["ol", "om"], "rival_fn": ["rl", "rm"],
         }
-        assert doc["frame_keys"] == ["our_frame", "rival_frame"]
+        assert doc["packs"] == {
+            "ours.c": "our_frame", "rival.c": "rival_frame",
+        }
         assert stats.count("manifest_merges") == 1
 
     def test_ours_beat_the_rival_for_shared_functions(self, tmp_path):
@@ -326,7 +328,8 @@ class TestManifestRace:
             "fingerprints": {"shared": ["stale", "stale"]},
         }]):
             store.store_manifest("sig", {"shared": ["fresh", "fresh"]})
-        assert store.load_manifest("sig") == {"shared": ["fresh", "fresh"]}
+        assert store.load_manifest("sig")["fingerprints"] == {
+            "shared": ["fresh", "fresh"]}
 
     def test_incremental_session_survives_interleaved_store(
         self, workload, tmp_path
@@ -353,7 +356,7 @@ class TestManifestRace:
         summaries = astcache.SummaryCache(
             os.path.join(cache, "summaries")
         )
-        manifest = summaries.load_manifest(signature)
+        manifest = summaries.load_manifest(signature)["fingerprints"]
         assert "__rival__" in manifest
 
         # ...and the warm run is not perturbed: every real root replays.

@@ -405,20 +405,33 @@ class TestManifestMerge:
     def test_concurrent_sessions_merge_instead_of_clobber(self, tmp_path):
         store = astcache.SummaryCache(str(tmp_path))
         store.store_manifest("sig", {"f": ["l1", "m1"]},
-                             frame_keys=["k1"], ast_keys=["a1"])
+                             packs={"f.c": "k1"}, ast_keys={"f.c": ["a1"]})
         store.store_manifest("sig", {"g": ["l2", "m2"]},
-                             frame_keys=["k2"], ast_keys=["a2"])
-        doc = store.load_manifest_document("sig")
+                             packs={"g.c": "k2"}, ast_keys={"g.c": ["a2"]})
+        doc = store.load_manifest("sig")
         assert doc["fingerprints"] == {"f": ["l1", "m1"],
                                        "g": ["l2", "m2"]}
-        assert doc["frame_keys"] == ["k1", "k2"]
-        assert doc["ast_keys"] == ["a1", "a2"]
+        assert doc["packs"] == {"f.c": "k1", "g.c": "k2"}
+        assert doc["ast_keys"] == {"f.c": ["a1"], "g.c": ["a2"]}
 
     def test_latest_store_wins_for_shared_functions(self, tmp_path):
         store = astcache.SummaryCache(str(tmp_path))
         store.store_manifest("sig", {"f": ["old", "old"]})
         store.store_manifest("sig", {"f": ["new", "new"]})
-        assert store.load_manifest("sig") == {"f": ["new", "new"]}
+        assert store.load_manifest("sig")["fingerprints"] == {
+            "f": ["new", "new"]}
+
+    def test_dropped_files_leave_the_merge(self, tmp_path):
+        store = astcache.SummaryCache(str(tmp_path))
+        store.store_manifest("sig", {"f": ["l1", "m1"]},
+                             packs={"f.c": "k1", "g.c": "k2"},
+                             ast_keys={"f.c": ["a1"], "g.c": ["a2"]})
+        store.store_manifest("sig", {"h": ["l3", "m3"]},
+                             packs={"h.c": "k3"}, dropped=["g.c"])
+        doc = store.load_manifest("sig")
+        assert doc["packs"] == {"f.c": "k1", "h.c": "k3"}
+        assert doc["ast_keys"] == {"f.c": ["a1"]}
+        assert set(doc["fingerprints"]) == {"f", "h"}
 
     def test_threaded_stores_all_survive(self, tmp_path):
         store = astcache.SummaryCache(str(tmp_path))
@@ -428,7 +441,7 @@ class TestManifestMerge:
             try:
                 store.store_manifest(
                     "sig", {"fn_%d" % i: ["l%d" % i, "m%d" % i]},
-                    frame_keys=["frame_%d" % i],
+                    packs={"file_%d.c" % i: "frame_%d" % i},
                 )
             except Exception as err:  # pragma: no cover - diagnostic
                 errors.append(err)
@@ -440,9 +453,11 @@ class TestManifestMerge:
         for t in threads:
             t.join()
         assert not errors
-        doc = store.load_manifest_document("sig")
+        doc = store.load_manifest("sig")
         assert set(doc["fingerprints"]) == {"fn_%d" % i for i in range(16)}
-        assert set(doc["frame_keys"]) == {"frame_%d" % i for i in range(16)}
+        assert doc["packs"] == {
+            "file_%d.c" % i: "frame_%d" % i for i in range(16)
+        }
 
 
 class TestCacheGC:
@@ -461,7 +476,7 @@ class TestCacheGC:
         for key in (artifact_key, pinned_key, fresh_key):
             store.store(key, _artifact())
         store.store_manifest("sig", {"f": ["l", "m"]},
-                             frame_keys=[pinned_key])
+                             packs={"f.c": pinned_key})
         ast_store = astcache.AstCache(cache_dir)
         old_ast = ast_store.store("dd" * 32, b"payload")
         self._age(store.path_for(artifact_key), 2)
@@ -481,7 +496,7 @@ class TestCacheGC:
         store = astcache.SummaryCache(os.path.join(cache_dir, "summaries"))
         key = "ee" * 32
         store.store(key, _artifact())
-        store.store_manifest("sig", {"f": ["l", "m"]}, frame_keys=[key])
+        store.store_manifest("sig", {"f": ["l", "m"]}, packs={"f.c": key})
         self._age(store.manifest_path("sig"), 2)
         self._age(store.path_for(key), 2)
         counters = collect_cache_garbage(cache_dir, cutoff_days=1.0)
@@ -504,7 +519,7 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 10
+        assert stats["schema_version"] == 11
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
         assert store.lookup(key) is None
 
@@ -540,5 +555,5 @@ def _artifact():
 
     return RootArtifact(
         ext_index=0, extension="free", root="f", reports=[], examples={},
-        counterexamples={}, degraded=[], clean=True, summary=None,
+        counterexamples={}, degraded=[], clean=True,
     )

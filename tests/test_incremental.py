@@ -10,9 +10,9 @@ restrict_partial_hits fallback, degraded-root non-persistence, and the
 CLI ``--incremental`` flag.
 """
 
-import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -30,11 +30,11 @@ from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.session import (
     IncrementalSession,
-    root_summary_key,
+    defining_file,
+    pack_key,
     session_signature,
-    summary_key,
-    summary_key_prefix,
 )
+from repro.driver.store import LocalStore
 from repro.engine.analysis import AnalysisOptions
 from repro.engine.summaries import RootArtifact
 from repro.metal import ANY_POINTER, Extension
@@ -213,7 +213,7 @@ class TestEditSimulation:
 def _dummy_artifact(root="f"):
     return RootArtifact(
         ext_index=0, extension="lock", root=root, reports=[], examples={},
-        counterexamples={}, degraded=[], clean=True, summary=None,
+        counterexamples={}, degraded=[], clean=True,
     )
 
 
@@ -221,8 +221,9 @@ class TestSummaryFrames:
     def test_roundtrip_and_evict(self, tmp_path):
         store = astcache.SummaryCache(str(tmp_path))
         key = "ab" * 32
-        store.store(key, _dummy_artifact())
-        assert store.load(key).root == "f"
+        store.store(key, {(0, "f"): ("fp", _dummy_artifact())})
+        fingerprint, artifact = store.load(key)[(0, "f")]
+        assert fingerprint == "fp" and artifact.root == "f"
         assert store.evict(key)
         assert store.lookup(key) is None
 
@@ -230,19 +231,20 @@ class TestSummaryFrames:
     def test_corruption_raises(self, tmp_path, mode):
         store = astcache.SummaryCache(str(tmp_path))
         key = "cd" * 32
-        path = store.store(key, _dummy_artifact())
+        path = store.store(key, {(0, "f"): ("fp", _dummy_artifact())})
         astcache.corrupt_entry(path, mode)
         with pytest.raises(astcache.CacheCorruption):
             store.load(key)
 
     def test_ast_frame_is_not_a_summary_frame(self, tmp_path):
         with pytest.raises(astcache.CacheCorruption):
-            astcache.unpack_artifact(b"XGCCAST\x02" + b"\x00" * 64)
+            astcache.unpack_summary(b"XGCCAST\x02" + b"\x00" * 64)
 
     def test_manifest_roundtrip_and_signature_check(self, tmp_path):
         store = astcache.SummaryCache(str(tmp_path))
         store.store_manifest("sig", {"f": ["l1", "m1"]})
-        assert store.load_manifest("sig") == {"f": ["l1", "m1"]}
+        assert store.load_manifest("sig")["fingerprints"] == {
+            "f": ["l1", "m1"]}
         assert store.load_manifest("other-sig") is None
 
     def test_garbled_manifest_degrades_to_none(self, tmp_path):
@@ -252,34 +254,22 @@ class TestSummaryFrames:
         store.backend.manifest_put("sig", "{not json")
         assert store.load_manifest("sig") is None
 
-    def test_summary_keys_separate_extensions_and_fingerprints(self):
-        base = summary_key("sig", 0, "lock", "f", "fp1")
-        assert summary_key("sig", 1, "lock", "f", "fp1") != base
-        assert summary_key("sig", 0, "lock", "f", "fp2") != base
-        assert summary_key("other", 0, "lock", "f", "fp1") != base
-
-        def one_shot_key(*parts):
-            # The key format stores hold: every part, NUL-terminated, in
-            # one SHA-256.
-            digest = hashlib.sha256()
-            for part in parts:
-                digest.update(str(part).encode())
-                digest.update(b"\x00")
-            return digest.hexdigest()
-
-        for ext_index, ext_name in enumerate(["lock", "free", "pathkill"]):
-            prefix = summary_key_prefix("sig", ext_index, ext_name)
-            for root, fingerprint in [("f", "fp1"), ("g", "fp2"),
-                                      ("main", "ab" * 32)]:
-                expected = one_shot_key("sig", ext_index, ext_name, root,
-                                        fingerprint)
-                assert summary_key("sig", ext_index, ext_name, root,
-                                   fingerprint) == expected
-                assert root_summary_key(prefix, root, fingerprint) == expected
-        # The prefix is copied, never consumed: reuse stays exact.
-        prefix = summary_key_prefix("sig", 0, "lock")
-        assert root_summary_key(prefix, "f", "fp1") == base
-        assert root_summary_key(prefix, "f", "fp1") == base
+    def test_pack_keys_separate_signatures_files_and_entries(self):
+        artifact = _dummy_artifact()
+        pack = {(0, "f"): ("fp1", artifact)}
+        base = pack_key("sig", "a.c", pack)
+        assert pack_key("other", "a.c", pack) != base
+        assert pack_key("sig", "b.c", pack) != base
+        assert pack_key("sig", "a.c", {(1, "f"): ("fp1", artifact)}) != base
+        assert pack_key("sig", "a.c", {(0, "f"): ("fp2", artifact)}) != base
+        assert pack_key("sig", "a.c", {(0, "g"): ("fp1", artifact)}) != base
+        # Keyed by entry identity, not insertion order or artifact bytes.
+        two = {(0, "f"): ("fp1", artifact), (1, "g"): ("fp3", artifact)}
+        flipped = dict(reversed(list(two.items())))
+        assert pack_key("sig", "a.c", two) == pack_key("sig", "a.c", flipped)
+        assert pack_key(
+            "sig", "a.c", {(0, "f"): ("fp1", _dummy_artifact("h"))}
+        ) == base
 
 
 class TestIncrementalDifferential:
@@ -516,6 +506,196 @@ class TestIncrementalDifferential:
         assert warm.stats.count("summary_hits") == 0
 
 
+def load_pack_manifest(cache_dir):
+    """The full manifest document :func:`make_session` runs leave."""
+    summaries = astcache.SummaryCache(os.path.join(str(cache_dir),
+                                                   "summaries"))
+    return summaries.load_manifest(make_session(cache_dir).signature)
+
+
+def root_files(graph):
+    """The files defining at least one call-graph root."""
+    return {defining_file(graph, root) for root in graph.roots()}
+
+
+class TestSummaryPacks:
+    """Tier 2 persists one pack per (signature, defining file)."""
+
+    def _cold(self, tmp_path, gen, cache):
+        paths = write_tree(tmp_path, gen)
+        project = compiled_project(tmp_path, paths, cache)
+        project.run(incr_checkers(), incremental=make_session(cache))
+        return project, paths
+
+    def test_warm_run_reads_at_most_one_pack_per_file(self, tmp_path,
+                                                      monkeypatch):
+        gen = generate_project(seed=7, n_modules=4, functions_per_module=8)
+        cache = tmp_path / "cache"
+        self._cold(tmp_path, gen, cache)
+        edited, __ = apply_function_edits(gen, k=1, seed=11)
+        paths = write_tree(tmp_path, edited)
+
+        batches = []
+        real_get_many = LocalStore.get_many
+
+        def counting_get_many(store, tier, keys):
+            keys = list(keys)
+            if tier == "sum":
+                batches.append(keys)
+            return real_get_many(store, tier, keys)
+
+        monkeypatch.setattr(LocalStore, "get_many", counting_get_many)
+        warm = compiled_project(tmp_path, paths, cache)
+        result = warm.run(incr_checkers(), incremental=make_session(cache))
+        monkeypatch.undo()
+        # One batch, at most one pack per source file.
+        assert len(batches) == 1
+        assert 0 < len(batches[0]) <= len(paths)
+        assert warm.stats.count("summary_pack_reads") == len(batches[0])
+        assert warm.stats.count("summary_pack_writes") == 1
+        reference = compiled_project(tmp_path, paths).run(incr_checkers())
+        assert report_keys(result) == report_keys(reference)
+
+    def test_corrupt_pack_heals_only_its_files_roots(self, tmp_path):
+        gen = generate_project(seed=5, n_modules=3, functions_per_module=6)
+        cache = tmp_path / "cache"
+        # Packs are stored in key order: the first store is corrupted.
+        with faults.injected([{"site": "summary.corrupt",
+                               "mode": "garbage", "times": 1}]):
+            cold, paths = self._cold(tmp_path, gen, cache)
+        packs = load_pack_manifest(cache)["packs"]
+        damaged = min(packs, key=packs.get)
+        roots = [
+            root for root in cold.callgraph.roots()
+            if defining_file(cold.callgraph, root) == damaged
+        ]
+        assert len(roots) > 1
+
+        warm = compiled_project(tmp_path, paths, cache)
+        healed = warm.run(incr_checkers(), incremental=make_session(cache))
+        assert warm.stats.count("summary_evictions") == 1
+        assert warm.stats.count("incremental_roots_analyzed") == len(roots)
+        assert warm.stats.count("summary_pack_writes") == 1
+        reference = compiled_project(tmp_path, paths).run(incr_checkers())
+        assert report_keys(healed) == report_keys(reference)
+        assert healed.log.examples == reference.log.examples
+
+    def test_rival_sessions_on_disjoint_files_keep_their_packs(self,
+                                                               tmp_path):
+        gen = generate_project(seed=9, n_modules=4, functions_per_module=5)
+        cache = tmp_path / "cache"
+        paths = write_tree(tmp_path, gen)
+        halves = [paths[:2], paths[2:]]
+        graphs = []
+        for half in halves:
+            project = compiled_project(tmp_path, half, cache)
+            project.run(incr_checkers(), incremental=make_session(cache))
+            graphs.append(project.callgraph)
+        packs = load_pack_manifest(cache)["packs"]
+        assert set(packs) == root_files(graphs[0]) | root_files(graphs[1])
+        for half in halves:
+            warm = compiled_project(tmp_path, half, cache)
+            result = warm.run(incr_checkers(),
+                              incremental=make_session(cache))
+            assert warm.stats.count("incremental_roots_analyzed") == 0
+            assert warm.stats.count("summary_pack_writes") == 0
+            reference = compiled_project(tmp_path, half).run(incr_checkers())
+            assert report_keys(result) == report_keys(reference)
+        assert load_pack_manifest(cache)["packs"] == packs
+
+    def test_persisted_artifacts_carry_no_summary_snapshot(self, tmp_path):
+        gen = generate_project(seed=5, n_modules=2, functions_per_module=5)
+        cache = tmp_path / "cache"
+        cold, __ = self._cold(tmp_path, gen, cache)
+        summaries = astcache.SummaryCache(str(cache / "summaries"))
+        entries = 0
+        for name, key in load_pack_manifest(cache)["packs"].items():
+            for (ext_index, root), (fingerprint, artifact) in (
+                summaries.load(key).items()
+            ):
+                entries += 1
+                assert defining_file(cold.callgraph, root) == name
+                assert (artifact.ext_index, artifact.root) == (
+                    ext_index, root)
+                assert not hasattr(artifact, "summary")
+                assert "summary" not in artifact.__getstate__()
+        assert entries == cold.stats.count("summary_stores")
+
+    def test_manifest_pins_stay_bounded_across_edits(self, tmp_path):
+        gen = generate_project(seed=7, n_modules=3, functions_per_module=6)
+        cache = tmp_path / "cache"
+        self._cold(tmp_path, gen, cache)
+        for step in range(3):
+            gen, __ = apply_function_edits(gen, k=1, seed=20 + step)
+            last, paths = self._cold(tmp_path, gen, cache)
+        doc = load_pack_manifest(cache)
+        # One pack per file and only the last compile's AST keys.
+        assert set(doc["packs"]) == root_files(last.callgraph)
+        assert doc["ast_keys"] == {
+            name: sorted(keys) for name, keys in last.ast_keys_used.items()
+        }
+        pinned_ast = {key for keys in doc["ast_keys"].values()
+                      for key in keys}
+        assert len(pinned_ast) == 2 * len(paths)  # AST frame + record
+
+        # Age every frame: GC keeps exactly the pinned ones.
+        summaries = astcache.SummaryCache(str(cache / "summaries"))
+        asts = astcache.AstCache(str(cache))
+        stamp = time.time() - 2 * 86400.0
+        for key in summaries.backend.list_tier("sum"):
+            summaries.set_entry_mtime(key, stamp)
+        for key in asts.backend.list_tier("ast"):
+            asts.set_entry_mtime(key, stamp)
+        counters = astcache.collect_cache_garbage(str(cache),
+                                                  cutoff_days=1.0)
+        assert counters["gc_summary_frames_dropped"] > 0
+        assert counters["gc_ast_frames_dropped"] > 0
+        assert set(summaries.backend.list_tier("sum")) == set(
+            doc["packs"].values())
+        assert set(asts.backend.list_tier("ast")) == pinned_ast
+
+        warm = compiled_project(tmp_path, paths, cache)
+        result = warm.run(incr_checkers(), incremental=make_session(cache))
+        assert warm.stats.count("incremental_roots_analyzed") == 0
+        assert warm.stats.count("incremental_roots_replayed") == len(
+            warm.callgraph.roots())
+        reference = compiled_project(tmp_path, paths).run(incr_checkers())
+        assert report_keys(result) == report_keys(reference)
+
+    def test_deleted_file_drops_its_pins(self, tmp_path):
+        gen = generate_project(seed=7, n_modules=3, functions_per_module=6)
+        cache = tmp_path / "cache"
+        cold, paths = self._cold(tmp_path, gen, cache)
+        doomed = paths[-1]
+        old = load_pack_manifest(cache)
+        assert doomed in old["packs"] and doomed in old["ast_keys"]
+
+        os.remove(doomed)
+        rest = paths[:-1]
+        after = compiled_project(tmp_path, rest, cache)
+        result = after.run(incr_checkers(), incremental=make_session(cache))
+        doc = load_pack_manifest(cache)
+        assert doomed not in doc["packs"]
+        assert doomed not in doc["ast_keys"]
+        assert set(doc["packs"]) == root_files(after.callgraph)
+
+        # Aged past the cutoff, the deleted file's pack and AST frames
+        # are collected; everything else survives.
+        summaries = astcache.SummaryCache(str(cache / "summaries"))
+        asts = astcache.AstCache(str(cache))
+        stamp = time.time() - 2 * 86400.0
+        for key in summaries.backend.list_tier("sum"):
+            summaries.set_entry_mtime(key, stamp)
+        for key in asts.backend.list_tier("ast"):
+            asts.set_entry_mtime(key, stamp)
+        astcache.collect_cache_garbage(str(cache), cutoff_days=1.0)
+        assert old["packs"][doomed] not in summaries.backend.list_tier("sum")
+        assert not set(old["ast_keys"][doomed]) & set(
+            asts.backend.list_tier("ast"))
+        reference = compiled_project(tmp_path, rest).run(incr_checkers())
+        assert report_keys(result) == report_keys(reference)
+
+
 class TestIncrementalCLI:
     def _write(self, tmp_path, gen):
         return write_tree(tmp_path, gen)
@@ -567,7 +747,7 @@ class TestIncrementalCLI:
         main(args + paths)
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
-        assert cold["schema_version"] == 10
+        assert cold["schema_version"] == 11
         assert cold["counters"]["incremental_cold_runs"] == 1
         assert cold["counters"]["summary_stores"] > 0
         main(args + paths)

@@ -346,3 +346,28 @@ class TestStructuralEquality:
         b = parse_expression("x")
         assert a != b or a is b  # nodes compare by identity
         assert ast.structurally_equal(a, b)
+
+
+class TestMalformedInputDiagnostics:
+    """Malformed constants and an unterminated ``#if`` exit 2 with a
+    ``file:line:col`` diagnostic, not a Python traceback."""
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("int f(void) { return 0x; }\n", "t.c:1:22:",
+         "invalid integer constant '0x'"),
+        ("int x = 09;\n", "t.c:1:9:", "invalid integer constant '09'"),
+        ("int x = '';\n", "t.c:1:9:", "empty character constant"),
+        ("int a;\n#if 1\nint x;\n", "t.c:2:2:", "unterminated conditional"),
+    ], ids=["hex-without-digits", "octal-with-nine", "empty-char",
+            "unterminated-if"])
+    def test_cli_reports_a_source_location(self, tmp_path, capsys,
+                                           monkeypatch, text, where,
+                                           message):
+        from repro.driver.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.c").write_text(text)
+        assert main(["--checker", "free", "t.c"]) == 2
+        err = capsys.readouterr().err
+        assert "%s %s" % (where, message) in err
+        assert "Traceback" not in err

@@ -160,6 +160,43 @@ class TestSharedStoreDifferential:
         assert count(second, "parses") == 0
         assert count(second, "incremental_roots_replayed") > 0
 
+    @pytest.mark.parametrize("overlay", [False, True],
+                             ids=["remote", "tiered"])
+    def test_warm_run_fetches_all_packs_in_one_batch(
+        self, tmp_path, server, capsys, monkeypatch, overlay
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=19, n_modules=3,
+                               functions_per_module=4, bug_rate=0.4)
+        write_tree(src, gen.files)
+        __, baseline = run_cli(src, capsys)
+        run_cli(src, capsys, "--incremental", "--store-url", server.url)
+
+        batches = []
+        real_get_many = storemod.RemoteStore.get_many
+
+        def counting_get_many(store, tier, keys):
+            keys = list(keys)
+            if tier == "sum":
+                batches.append(keys)
+            return real_get_many(store, tier, keys)
+
+        monkeypatch.setattr(storemod.RemoteStore, "get_many",
+                            counting_get_many)
+        extra = ["--cache-dir", str(tmp_path / "c")] if overlay else []
+        stats = tmp_path / "s.json"
+        __, out = run_cli(
+            src, capsys, "--incremental", "--store-url", server.url,
+            "--stats-json", str(stats), *extra
+        )
+        assert out == baseline
+        counters = read_stats(stats)
+        assert count(counters, "incremental_roots_analyzed") == 0
+        assert len(batches) == 1
+        assert len(batches[0]) == count(counters, "summary_pack_reads")
+        assert 0 < len(batches[0]) <= len(c_paths(src))
+
     def test_edits_propagate_through_the_store(
         self, tmp_path, server, capsys
     ):
@@ -429,7 +466,7 @@ class TestNetworkFaultMatrix:
             ]):
                 cache.store_manifest(
                     signature, {"ours": ["a", "b"]},
-                    frame_keys=["1" * 64], stats=stats,
+                    packs={"ours.c": "1" * 64}, stats=stats,
                 )
             assert stats.count("store_cas_conflicts") == 2
             text, __ = backend.manifest_get(signature)
@@ -437,7 +474,7 @@ class TestNetworkFaultMatrix:
             assert set(doc["fingerprints"]) == {
                 "ours", "rival1", "rival2",
             }
-            assert doc["frame_keys"] == ["1" * 64]
+            assert doc["packs"] == {"ours.c": "1" * 64}
         finally:
             backend.close()
 

@@ -39,14 +39,14 @@ def _key(n):
     return "%064x" % n
 
 
-def _manifest_doc(signature, fingerprints=None, frame_keys=(), ast_keys=()):
+def _manifest_doc(signature, fingerprints=None, packs=None, ast_keys=None):
     return json.dumps(
         {
-            "format": 1,
+            "format": 3,
             "signature": signature,
             "fingerprints": dict(fingerprints or {}),
-            "frame_keys": sorted(frame_keys),
-            "ast_keys": sorted(ast_keys),
+            "packs": dict(packs or {}),
+            "ast_keys": dict(ast_keys or {}),
         },
         sort_keys=True,
     )
@@ -319,7 +319,8 @@ class TestGCConformance:
         sig = "sig-gc"
         store.manifest_cas(
             sig,
-            _manifest_doc(sig, frame_keys=[pinned], ast_keys=[pinned_ast]),
+            _manifest_doc(sig, packs={"a.c": pinned},
+                          ast_keys={"a.c": [pinned_ast]}),
             None,
         )
         counters = store.gc(
@@ -342,7 +343,7 @@ class TestGCConformance:
         store.touch_many("sum", [key], ts=now - 10 * 86400.0)
         sig = "sig-stale"
         store.manifest_cas(
-            sig, _manifest_doc(sig, frame_keys=[key]), None
+            sig, _manifest_doc(sig, packs={"a.c": key}), None
         )
         # First sweep: the manifest is fresh, the frame survives.
         store.gc(cutoff_days=1.0, now=now)
