@@ -8,6 +8,8 @@ with hole variables).
 """
 
 import enum
+import re
+import sys
 from dataclasses import dataclass, field
 
 from repro.cfront.source import LexError, Location
@@ -28,6 +30,15 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
+# The kinds as module globals, for the hot paths: up to Python 3.11 every
+# ``TokenKind.X`` goes through the slow attribute hook that
+# ``EnumType.__getattr__`` installs, about ten times a global's cost.
+IDENT, KEYWORD, PUNCT = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+INT_CONST, FLOAT_CONST = TokenKind.INT_CONST, TokenKind.FLOAT_CONST
+CHAR_CONST, STRING = TokenKind.CHAR_CONST, TokenKind.STRING
+NEWLINE, HASH, EOF = TokenKind.NEWLINE, TokenKind.HASH, TokenKind.EOF
+
+
 KEYWORDS = frozenset(
     """
     auto break case char const continue default do double else enum extern
@@ -37,58 +48,14 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Punctuators ordered longest-first so maximal munch is a simple scan.
-PUNCTUATORS = (
-    "...",
-    "<<=",
-    ">>=",
-    "->",
-    "++",
-    "--",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "^=",
-    "|=",
-    "##",
-    "[",
-    "]",
-    "(",
-    ")",
-    "{",
-    "}",
-    ".",
-    "&",
-    "*",
-    "+",
-    "-",
-    "~",
-    "!",
-    "/",
-    "%",
-    "<",
-    ">",
-    "^",
-    "|",
-    "?",
-    ":",
-    ";",
-    "=",
-    ",",
-    "#",
-    "$",  # used by metal callout syntax ${...} and $end_of_path$
-    "@",
+# Punctuators ordered longest-first, so the first that matches is the
+# maximal munch.  ``$`` and ``@`` belong to metal: callouts ``${...}`` and
+# ``$end_of_path$``.
+PUNCTUATORS = tuple(
+    """
+    ... <<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |= ##
+    [ ] ( ) { } . & * + - ~ ! / % < > ^ | ? : ; = , # $ @
+    """.split()
 )
 
 _SIMPLE_ESCAPES = {
@@ -125,15 +92,73 @@ class Token:
         return "Token(%s, %r)" % (self.kind.name, self.value)
 
     def is_punct(self, *values):
-        return self.kind is TokenKind.PUNCT and self.value in values
+        return self.kind is PUNCT and self.value in values
 
     def is_keyword(self, *values):
-        return self.kind is TokenKind.KEYWORD and self.value in values
+        return self.kind is KEYWORD and self.value in values
 
     def is_ident(self, *values):
-        if self.kind is not TokenKind.IDENT:
+        if self.kind is not IDENT:
             return False
         return not values or self.value in values
+
+
+def _master(newline_is_token):
+    """The token regex of one lexer mode.
+
+    Group 1 is the whitespace and comments before the token; exactly one
+    named group then matches the token.  ``slow`` takes every token that
+    starts with (or is a ``.`` before) a non-ASCII character, because
+    identifier starts and digits are classified by ``str.isalpha`` and
+    ``str.isdigit``, which no regex class matches.  ``unterminated`` and
+    ``unexpected`` never form tokens: they become :class:`LexError`.
+    """
+    space = r"[ \t\r\f\v]" if newline_is_token else r"[ \t\r\f\v\n]"
+    groups = [
+        ("ident", r"[A-Za-z_]\w*"),
+        ("float", r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]*"
+                  r"|[0-9]+[eE][+-]?[0-9]+[fFlL]*"),
+        ("int", r"0[xX][0-9a-fA-F]*[uUlL]*|[0-9]+[uUlL]*"),
+        ("string", r'"(?:[^"\\\n]|\\[\s\S])*"'),
+        ("char", r"'(?:[^'\\\n]|\\[\s\S])*'"),
+        ("newline", r"\n" if newline_is_token else None),
+        ("slow", r"\.?[^\x00-\x7f]"),
+        ("unterminated", r"""/\*|["']"""),
+        ("punct", "|".join(re.escape(p) for p in PUNCTUATORS)),
+        ("eof", r"\Z"),
+        ("unexpected", r"[\s\S]"),
+    ]
+    return re.compile(
+        r"((?:%s|\\\n|//[^\n]*|/\*[\s\S]*?\*/)*)(?:%s)" % (space, "|".join(
+            "(?P<%s>%s)" % (name, pattern)
+            for name, pattern in groups if pattern is not None
+        ))
+    ).match
+
+
+_C_TOKEN = _master(newline_is_token=False)
+_PP_TOKEN = _master(newline_is_token=True)
+_WORD = re.compile(r"\w*").match
+_SUFFIX = {True: re.compile("[fFlL]*").match, False: re.compile("[uUlL]*").match}
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*").match
+_UNTERMINATED = {
+    '"': "unterminated string literal",
+    "'": "unterminated character constant",
+    "/": "unterminated block comment",
+}
+_KINDS = {
+    "float": FLOAT_CONST,
+    "int": INT_CONST,
+    "string": STRING,
+    "char": CHAR_CONST,
+}
+# One string object per spelling, as a scan over PUNCTUATORS produced:
+# pickled AST frames memoize an operator seen twice.
+_PUNCT_SPELLINGS = {p: p for p in PUNCTUATORS}
+# Locations are built the way the frozen dataclass's __init__ builds
+# them, object.__setattr__ per field, minus that Python-level call.
+_new = object.__new__
+_set = object.__setattr__
 
 
 class Lexer:
@@ -148,196 +173,112 @@ class Lexer:
         self.text = text
         self.filename = filename
         self.emit_newlines = emit_newlines
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._at_line_start = True
-
-    def location(self):
-        return Location(self.filename, self.line, self.column)
 
     def tokens(self):
         """Tokenize the whole input, ending with a single EOF token."""
+        text = self.text
+        filename = self.filename
+        emit_newlines = self.emit_newlines
+        match = _PP_TOKEN if emit_newlines else _C_TOKEN
         out = []
+        append = out.append
+        pos = line_start = 0
+        line = 1
+        # Lines are counted lazily: only a token that starts past the
+        # next newline pays for counting the newlines it skipped.
+        next_newline = text.find("\n")
+        if next_newline < 0:
+            next_newline = len(text)
+        at_line_start = True
         while True:
-            token = self.next_token()
-            out.append(token)
-            if token.kind is TokenKind.EOF:
+            found = match(text, pos)
+            start = found.end(1)
+            if start > next_newline:
+                line += text.count("\n", next_newline, start)
+                line_start = text.rfind("\n", 0, start) + 1
+                next_newline = text.find("\n", start)
+                if next_newline < 0:
+                    next_newline = len(text)
+            location = _new(Location)
+            _set(location, "filename", filename)
+            _set(location, "line", line)
+            _set(location, "column", start - line_start + 1)
+            space = start != pos
+            group = found.lastgroup
+            pos = found.end()
+            if group == "ident":
+                value = found.group(group)
+                kind = KEYWORD if value in KEYWORDS else IDENT
+            elif group == "punct":
+                value = _PUNCT_SPELLINGS[found.group(group)]
+                kind = PUNCT
+                if at_line_start and emit_newlines and value[0] == "#":
+                    kind, value, pos = HASH, "#", start + 1
+            elif group == "newline":
+                append(Token(NEWLINE, "\n", location, space))
+                at_line_start = True
+                continue
+            elif group == "eof":
+                append(Token(EOF, "", location, space))
                 return out
-
-    # -- character helpers -------------------------------------------------
-
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            char = self.text[self.pos]
-            self.pos += 1
-            if char == "\n":
-                self.line += 1
-                self.column = 1
+            elif group == "slow":
+                kind, pos = _slow_token(text, start, location)
+                value = text[start:pos]
+            elif group in _KINDS:
+                kind = _KINDS[group]
+                if group in ("int", "float") and not text[pos : pos + 3].isascii():
+                    # A non-ASCII digit may extend the number.
+                    kind, pos = _scan_number(text, start)
+                value = text[start:pos]
+            elif group == "unterminated":
+                raise LexError(_UNTERMINATED[text[start]], location)
             else:
-                self.column += 1
+                raise LexError("unexpected character %r" % text[start], location)
+            at_line_start = False
+            append(Token(kind, value, location, space))
 
-    def _skip_whitespace_and_comments(self):
-        """Skip spaces and comments; return (saw_space, saw_newline)."""
-        saw_space = False
-        saw_newline = False
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char == "\\" and self._peek(1) == "\n":
-                # Line continuation: splice.
-                self._advance(2)
-                saw_space = True
-            elif char == "\n":
-                if self.emit_newlines:
-                    return saw_space, True
-                saw_newline = True
-                saw_space = True
-                self._advance()
-            elif char in " \t\r\f\v":
-                saw_space = True
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                saw_space = True
-            elif char == "/" and self._peek(1) == "*":
-                start = self.location()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-                saw_space = True
-            else:
-                break
-        return saw_space, saw_newline
 
-    # -- token scanners ----------------------------------------------------
+def _slow_token(text, start, location):
+    """``(kind, end)`` of a token at a non-ASCII character, or of a ``.``
+    before one."""
+    char = text[start]
+    if char.isalpha():
+        return IDENT, _WORD(text, start + 1).end()
+    if char.isdigit() or (char == "." and text[start + 1].isdigit()):
+        return _scan_number(text, start)
+    if char == ".":
+        return PUNCT, start + 1
+    raise LexError("unexpected character %r" % char, location)
 
-    def next_token(self):
-        saw_space, _ = self._skip_whitespace_and_comments()
-        location = self.location()
 
-        if self.emit_newlines and self._peek() == "\n":
-            self._advance()
-            self._at_line_start = True
-            return Token(TokenKind.NEWLINE, "\n", location, saw_space)
+def _scan_number(text, pos):
+    """``(kind, end)`` of the number at ``pos``, with digits classified by
+    ``str.isdigit`` (which the master regex's ``[0-9]`` is only for ASCII)."""
+    def at(index):
+        return text[index : index + 1]
 
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", location, saw_space)
-
-        char = self._peek()
-        at_line_start = self._at_line_start
-        self._at_line_start = False
-
-        if char.isalpha() or char == "_":
-            return self._lex_identifier(location, saw_space)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(location, saw_space)
-        if char == '"':
-            return self._lex_string(location, saw_space)
-        if char == "'":
-            return self._lex_char(location, saw_space)
-        if char == "#" and at_line_start and self.emit_newlines:
-            self._advance()
-            return Token(TokenKind.HASH, "#", location, saw_space)
-        return self._lex_punct(location, saw_space)
-
-    def _lex_identifier(self, location, saw_space):
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        name = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if name in KEYWORDS else TokenKind.IDENT
-        return Token(kind, name, location, saw_space)
-
-    def _lex_number(self, location, saw_space):
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() and self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Suffixes: integer (u/l combinations) or float (f/l).
-        # (note: _peek() returns "" at EOF, and "" is "in" any string, so
-        # every suffix check must also require a nonempty peek)
-        if is_float:
-            while self._peek() and self._peek() in "fFlL":
-                self._advance()
-        else:
-            while self._peek() and self._peek() in "uUlL":
-                self._advance()
-        text = self.text[start : self.pos]
-        kind = TokenKind.FLOAT_CONST if is_float else TokenKind.INT_CONST
-        return Token(kind, text, location, saw_space)
-
-    def _lex_string(self, location, saw_space):
-        start = self.pos
-        self._advance()  # opening quote
-        while True:
-            if self.pos >= len(self.text) or self._peek() == "\n":
-                raise LexError("unterminated string literal", location)
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-            elif char == '"':
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.STRING, self.text[start : self.pos], location, saw_space)
-
-    def _lex_char(self, location, saw_space):
-        start = self.pos
-        self._advance()  # opening quote
-        while True:
-            if self.pos >= len(self.text) or self._peek() == "\n":
-                raise LexError("unterminated character constant", location)
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-            elif char == "'":
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.CHAR_CONST, self.text[start : self.pos], location, saw_space)
-
-    def _lex_punct(self, location, saw_space):
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, location, saw_space)
-        raise LexError("unexpected character %r" % self._peek(), location)
+    is_float = False
+    if at(pos) == "0" and at(pos + 1) in ("x", "X"):
+        end = _HEX_DIGITS(text, pos + 2).end()
+    else:
+        end = pos
+        while at(end).isdigit():
+            end += 1
+        if at(end) == ".":
+            is_float = True
+            end += 1
+            while at(end).isdigit():
+                end += 1
+        if at(end) in ("e", "E") and (
+            at(end + 1).isdigit()
+            or (at(end + 1) in ("+", "-") and at(end + 2).isdigit())
+        ):
+            is_float = True
+            end += 2  # the exponent mark and its sign or first digit
+            while at(end).isdigit():
+                end += 1
+    end = _SUFFIX[is_float](text, end).end()
+    return (FLOAT_CONST if is_float else INT_CONST), end
 
 
 def tokenize(text, filename="<string>"):
@@ -345,23 +286,24 @@ def tokenize(text, filename="<string>"):
     return Lexer(text, filename).tokens()
 
 
-def parse_string_literal(spelling):
-    """Decode the spelling of a C string literal into its value."""
+def parse_string_literal(spelling, location=None):
+    """Decode the spelling of a C string literal into its value; raises
+    :class:`LexError` at ``location`` for an out-of-range escape."""
     assert spelling.startswith('"') and spelling.endswith('"')
-    return _decode_escapes(spelling[1:-1])
+    return _decode_escapes(spelling[1:-1], location)
 
 
 def parse_char_constant(spelling, location=None):
     """Decode a character constant spelling into its integer value;
     raises :class:`LexError` at ``location`` for an empty one."""
     assert spelling.startswith("'") and spelling.endswith("'")
-    body = _decode_escapes(spelling[1:-1])
+    body = _decode_escapes(spelling[1:-1], location)
     if not body:
         raise LexError("empty character constant", location)
     return ord(body[0])
 
 
-def _decode_escapes(body):
+def _decode_escapes(body, location):
     out = []
     index = 0
     while index < len(body):
@@ -377,16 +319,32 @@ def _decode_escapes(body):
             start = index
             while index < len(body) and body[index] in "0123456789abcdefABCDEF":
                 index += 1
-            out.append(chr(int(body[start:index] or "0", 16)))
-        elif escape.isdigit():
+            code = int(body[start:index] or "0", 16)
+            if code > sys.maxunicode:
+                raise LexError(
+                    "hex escape \\x%s out of range" % body[start:index], location
+                )
+            out.append(chr(code))
+        elif escape and escape in "01234567":
             start = index
-            while index < len(body) and body[index].isdigit() and index - start < 3:
+            while index < len(body) and body[index] in "01234567" and index - start < 3:
                 index += 1
             out.append(chr(int(body[start:index], 8)))
         else:
             out.append(_SIMPLE_ESCAPES.get(escape, escape))
             index += 1
     return "".join(out)
+
+
+def parse_float_constant(spelling, location=None):
+    """Decode a floating constant spelling (suffixes dropped); raises
+    :class:`LexError` at ``location`` for a malformed one."""
+    try:
+        return float(spelling.rstrip("fFlL"))
+    except ValueError:
+        raise LexError(
+            "invalid floating constant %r" % spelling, location
+        ) from None
 
 
 def parse_int_constant(spelling, location=None):

@@ -17,9 +17,18 @@ can be computed from declarations in scope.  Pattern matching of typed holes
 from repro.cfront import astnodes as ast
 from repro.cfront import types as ctypes
 from repro.cfront.lexer import (
+    CHAR_CONST,
+    EOF,
+    FLOAT_CONST,
+    IDENT,
+    INT_CONST,
+    KEYWORD,
+    PUNCT,
+    STRING,
     Lexer,
-    TokenKind,
+    Token,
     parse_char_constant,
+    parse_float_constant,
     parse_int_constant,
     parse_string_literal,
 )
@@ -32,6 +41,17 @@ _STORAGE_KEYWORDS = frozenset("typedef extern static auto register".split())
 _QUALIFIER_KEYWORDS = frozenset("const volatile restrict inline".split())
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>=")
+
+#: Binary operator -> precedence level, loosest first (C's order).
+BINARY_LEVELS = {
+    op: level
+    for level, ops in enumerate(
+        ["||", "&&", "|", "^", "&", "== !=", "< > <= >=", "<< >>", "+ -",
+         "* / %"],
+        start=1,
+    )
+    for op in ops.split()
+}
 
 
 class Scope:
@@ -73,12 +93,10 @@ class Parser:
     def __init__(self, text, filename="<string>", typedefs=None, hole_types=None,
                  tokens=None):
         if tokens is not None:
-            from repro.cfront.lexer import Token, TokenKind as _TK
-
             self.tokens = list(tokens)
-            if not self.tokens or self.tokens[-1].kind is not _TK.EOF:
+            if not self.tokens or self.tokens[-1].kind is not EOF:
                 last = self.tokens[-1].location if self.tokens else None
-                self.tokens.append(Token(_TK.EOF, "", last or Location(filename)))
+                self.tokens.append(Token(EOF, "", last or Location(filename)))
         else:
             self.tokens = Lexer(text, filename).tokens()
         self.pos = 0
@@ -103,7 +121,7 @@ class Parser:
         return token
 
     def at_eof(self):
-        return self.peek().kind is TokenKind.EOF
+        return self.peek().kind is EOF
 
     def error(self, message):
         token = self.peek()
@@ -123,7 +141,7 @@ class Parser:
 
     def expect_ident(self):
         token = self.peek()
-        if token.kind is not TokenKind.IDENT:
+        if token.kind is not IDENT:
             self.error("expected identifier")
         return self.advance()
 
@@ -152,7 +170,7 @@ class Parser:
         """
         while True:
             token = self.peek()
-            if token.kind is TokenKind.IDENT and token.value in self._GCC_NOISE:
+            if token.kind is IDENT and token.value in self._GCC_NOISE:
                 name = self.advance().value
                 if self.peek().is_punct("(") and name in (
                     "__attribute__", "__asm__", "__asm",
@@ -166,7 +184,7 @@ class Parser:
                             depth -= 1
                             if depth == 0:
                                 break
-                        elif inner.kind is TokenKind.EOF:
+                        elif inner.kind is EOF:
                             self.error("unterminated %s" % name)
             else:
                 return
@@ -175,7 +193,7 @@ class Parser:
 
     def _is_typedef_name(self, token):
         return (
-            token.kind is TokenKind.IDENT
+            token.kind is IDENT
             and token.value in self.typedefs
             and token.value not in self.hole_types
         )
@@ -183,13 +201,13 @@ class Parser:
     def starts_type(self, offset=0):
         """Whether the token at ``offset`` begins a type (for decl/cast tests)."""
         token = self.peek(offset)
-        if token.kind is TokenKind.KEYWORD:
+        if token.kind is KEYWORD:
             return (
                 token.value in _TYPE_SPECIFIER_KEYWORDS
                 or token.value in _STORAGE_KEYWORDS
                 or token.value in _QUALIFIER_KEYWORDS
             )
-        if token.kind is TokenKind.IDENT and token.value in self._GCC_NOISE:
+        if token.kind is IDENT and token.value in self._GCC_NOISE:
             return True
         return self._is_typedef_name(token)
 
@@ -283,11 +301,11 @@ class Parser:
         while True:
             self._skip_gcc_extensions()
             token = self.peek()
-            if token.kind is TokenKind.KEYWORD and token.value in _STORAGE_KEYWORDS:
+            if token.kind is KEYWORD and token.value in _STORAGE_KEYWORDS:
                 if token.value in ("typedef", "static", "extern"):
                     storage = token.value
                 self.advance()
-            elif token.kind is TokenKind.KEYWORD and token.value in _QUALIFIER_KEYWORDS:
+            elif token.kind is KEYWORD and token.value in _QUALIFIER_KEYWORDS:
                 qualifiers.add(token.value)
                 self.advance()
             elif token.is_keyword("struct", "union"):
@@ -295,7 +313,7 @@ class Parser:
             elif token.is_keyword("enum"):
                 record = self.parse_enum_specifier()
             elif (
-                token.kind is TokenKind.KEYWORD
+                token.kind is KEYWORD
                 and token.value in _TYPE_SPECIFIER_KEYWORDS
             ):
                 specifier_words.append(token.value)
@@ -318,7 +336,7 @@ class Parser:
         kind_token = self.advance()  # struct | union
         kind = kind_token.value
         tag = None
-        if self.peek().kind is TokenKind.IDENT:
+        if self.peek().kind is IDENT:
             tag = self.advance().value
         record = None
         if tag is not None:
@@ -347,7 +365,7 @@ class Parser:
     def parse_enum_specifier(self):
         self.advance()  # enum
         tag = None
-        if self.peek().kind is TokenKind.IDENT:
+        if self.peek().kind is IDENT:
             tag = self.advance().value
         enum = None
         if tag is not None:
@@ -405,9 +423,9 @@ class Parser:
                     depth += 1
                 elif token.is_punct(")"):
                     depth -= 1
-                elif token.kind is TokenKind.EOF:
+                elif token.kind is EOF:
                     self.error("unterminated declarator")
-        elif self.peek().kind is TokenKind.IDENT:
+        elif self.peek().kind is IDENT:
             name = self.advance().value
         elif not abstract and not self.peek().is_punct("(", "["):
             self.error("expected declarator")
@@ -449,7 +467,7 @@ class Parser:
             return True
         # "(ident)" is a declarator unless ident is a typedef name (then it's
         # a parameter list "(size_t)").
-        if token.kind is TokenKind.IDENT and not self._is_typedef_name(token):
+        if token.kind is IDENT and not self._is_typedef_name(token):
             return self.peek(2).is_punct(")", "[", "(")
         return False
 
@@ -521,7 +539,7 @@ class Parser:
 
     def _label_ahead(self):
         return (
-            self.peek().kind is TokenKind.IDENT and self.peek(1).is_punct(":")
+            self.peek().kind is IDENT and self.peek(1).is_punct(":")
         )
 
     def parse_local_declaration(self):
@@ -642,7 +660,7 @@ class Parser:
             label = self.expect_ident().value
             self.expect_punct(";")
             return ast.Goto(label, location)
-        if token.kind is TokenKind.IDENT and self.peek(1).is_punct(":"):
+        if token.kind is IDENT and self.peek(1).is_punct(":"):
             name = self.advance().value
             self.advance()  # ':'
             return ast.Label(name, self.parse_statement(), location)
@@ -665,7 +683,7 @@ class Parser:
     def parse_assignment(self):
         left = self.parse_conditional()
         token = self.peek()
-        if token.kind is TokenKind.PUNCT and token.value in _ASSIGN_OPS:
+        if token.kind is PUNCT and token.value in _ASSIGN_OPS:
             op = self.advance().value
             right = self.parse_assignment()
             node = ast.Assign(op, left, right, token.location)
@@ -674,7 +692,7 @@ class Parser:
         return left
 
     def parse_conditional(self):
-        cond = self.parse_binary(0)
+        cond = self.parse_binary()
         if self.peek().is_punct("?"):
             location = self.advance().location
             then = self.parse_expression()
@@ -685,27 +703,18 @@ class Parser:
             return node
         return cond
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def parse_binary(self, level):
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_cast()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+    def parse_binary(self, min_level=1):
+        """Binary operators by precedence climbing: each operand binds
+        operators of higher :data:`BINARY_LEVELS` only, so equal levels
+        associate to the left."""
+        left = self.parse_cast()
         while True:
             token = self.peek()
-            if token.kind is not TokenKind.PUNCT or token.value not in ops:
+            level = (
+                BINARY_LEVELS.get(token.value)
+                if token.kind is PUNCT else None
+            )
+            if level is None or level < min_level:
                 return left
             op = self.advance().value
             right = self.parse_binary(level + 1)
@@ -862,15 +871,18 @@ class Parser:
             expr = self.parse_expression()
             self.expect_punct(")")
             return expr
-        if token.kind is TokenKind.INT_CONST:
+        if token.kind is INT_CONST:
             self.advance()
             return self._typed_int(token, location)
-        if token.kind is TokenKind.FLOAT_CONST:
+        if token.kind is FLOAT_CONST:
             self.advance()
-            node = ast.FloatLit(float(token.value.rstrip("fFlL")), token.value, location)
+            node = ast.FloatLit(
+                parse_float_constant(token.value, location), token.value,
+                location,
+            )
             node.ctype = ctypes.DOUBLE
             return node
-        if token.kind is TokenKind.CHAR_CONST:
+        if token.kind is CHAR_CONST:
             self.advance()
             node = ast.CharLit(
                 parse_char_constant(token.value, location), token.value,
@@ -878,19 +890,19 @@ class Parser:
             )
             node.ctype = ctypes.CHAR
             return node
-        if token.kind is TokenKind.STRING:
+        if token.kind is STRING:
             self.advance()
-            value = parse_string_literal(token.value)
+            value = parse_string_literal(token.value, location)
             spelling = token.value
             # Adjacent string literal concatenation.
-            while self.peek().kind is TokenKind.STRING:
+            while self.peek().kind is STRING:
                 extra = self.advance()
-                value += parse_string_literal(extra.value)
+                value += parse_string_literal(extra.value, extra.location)
                 spelling += " " + extra.value
             node = ast.StringLit(value, spelling, location)
             node.ctype = ctypes.CHAR_PTR
             return node
-        if token.kind is TokenKind.IDENT:
+        if token.kind is IDENT:
             self.advance()
             name = token.value
             if name in self.hole_types:
@@ -979,6 +991,8 @@ def _fold_constant(expr, parser):
         right = _fold_constant(expr.right, parser)
         if left is None or right is None:
             return None
+        if expr.op in ("<<", ">>") and not 0 <= right < 64:
+            return None  # undefined in C; a huge count would exhaust memory
         try:
             return {
                 "+": lambda: left + right,

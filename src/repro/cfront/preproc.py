@@ -13,8 +13,24 @@ plus the text form (for size accounting in the two-pass driver).
 """
 
 import os
+import time
 
-from repro.cfront.lexer import Lexer, Token, TokenKind, parse_int_constant
+from repro.cfront.lexer import (
+    CHAR_CONST,
+    EOF,
+    HASH,
+    IDENT,
+    INT_CONST,
+    KEYWORD,
+    NEWLINE,
+    PUNCT,
+    STRING,
+    Lexer,
+    Token,
+    parse_char_constant,
+    parse_int_constant,
+)
+from repro.cfront.parser import BINARY_LEVELS
 from repro.cfront.source import PreprocessorError
 
 
@@ -43,8 +59,12 @@ class Preprocessor:
         #: path -> text (None when absent) for every include candidate
         #: probed, in probe order.
         self.dependencies = {}
+        #: Seconds spent in the lexer, and the tokens it produced (NEWLINE
+        #: and EOF marks included), over this preprocessor's lifetime.
+        self.lex_s = 0.0
+        self.tokens_lexed = 0
         for name, value in (defines or {}).items():
-            body = Lexer(str(value), "<cmdline>").tokens()[:-1]
+            body = self._lex(str(value), "<cmdline>")[:-1]
             self.macros[name] = Macro(name, body)
 
     # -- public API ---------------------------------------------------------
@@ -60,22 +80,27 @@ class Preprocessor:
 
     # -- line splitting -------------------------------------------------------
 
+    def _lex(self, text, filename, emit_newlines=False):
+        start = time.perf_counter()
+        tokens = Lexer(text, filename, emit_newlines).tokens()
+        self.lex_s += time.perf_counter() - start
+        self.tokens_lexed += len(tokens)
+        return tokens
+
     def _directive_lines(self, text, filename):
         """Split the token stream into logical lines, tagging directives."""
-        lexer = Lexer(text, filename, emit_newlines=True)
-        tokens = lexer.tokens()
+        tokens = self._lex(text, filename, emit_newlines=True)
         lines = []
         current = []
         is_directive = False
         for token in tokens:
-            if token.kind in (TokenKind.NEWLINE, TokenKind.EOF):
+            kind = token.kind
+            if kind is NEWLINE or kind is EOF:
                 if current or is_directive:
                     lines.append((is_directive, current))
                 current = []
                 is_directive = False
-                if token.kind is TokenKind.EOF:
-                    break
-            elif token.kind is TokenKind.HASH and not current:
+            elif kind is HASH and not current:
                 is_directive = True
             else:
                 current.append(token)
@@ -102,7 +127,10 @@ class Preprocessor:
                     stack.append([taken and active(), taken, False,
                                   _loc(tokens)])
                 elif name == "if":
-                    taken = bool(self._evaluate_condition(rest)) if active() else False
+                    taken = (
+                        bool(self._evaluate_condition(rest, _loc(tokens)))
+                        if active() else False
+                    )
                     stack.append([taken and active(), taken, False,
                                   _loc(tokens)])
                 elif name == "elif":
@@ -115,7 +143,7 @@ class Preprocessor:
                     taken = (
                         not entry[1]
                         and parent_active
-                        and bool(self._evaluate_condition(rest))
+                        and bool(self._evaluate_condition(rest, _loc(tokens)))
                     )
                     stack.append([taken, entry[1] or taken, False, entry[3]])
                 elif name == "else":
@@ -132,12 +160,12 @@ class Preprocessor:
                 elif not active():
                     continue
                 elif name == "define":
-                    self._handle_define(rest)
+                    self._handle_define(rest, _loc(tokens))
                 elif name == "undef":
                     if rest:
                         self.macros.pop(rest[0].value, None)
                 elif name == "include":
-                    output.extend(self._handle_include(rest))
+                    output.extend(self._handle_include(rest, _loc(tokens)))
                 elif name == "error":
                     message = " ".join(t.value for t in rest)
                     raise PreprocessorError("#error %s" % message, _loc(tokens))
@@ -150,9 +178,9 @@ class Preprocessor:
             raise PreprocessorError("unterminated conditional", stack[-1][3])
         return output
 
-    def _handle_define(self, tokens):
+    def _handle_define(self, tokens, location):
         if not tokens:
-            raise PreprocessorError("empty #define", None)
+            raise PreprocessorError("empty #define", location)
         name_token = tokens[0]
         name = name_token.value
         rest = tokens[1:]
@@ -161,8 +189,8 @@ class Preprocessor:
             params = []
             varargs = False
             index = 1
-            if not rest[index].is_punct(")"):
-                while True:
+            if index < len(rest) and not rest[index].is_punct(")"):
+                while index < len(rest):
                     token = rest[index]
                     if token.is_punct("..."):
                         varargs = True
@@ -170,11 +198,11 @@ class Preprocessor:
                         break
                     params.append(token.value)
                     index += 1
-                    if rest[index].is_punct(","):
+                    if index < len(rest) and rest[index].is_punct(","):
                         index += 1
                     else:
                         break
-            if not rest[index].is_punct(")"):
+            if index >= len(rest) or not rest[index].is_punct(")"):
                 raise PreprocessorError(
                     "malformed macro parameter list for %r" % name, name_token.location
                 )
@@ -183,14 +211,14 @@ class Preprocessor:
         else:
             self.macros[name] = Macro(name, rest)
 
-    def _handle_include(self, tokens):
+    def _handle_include(self, tokens, location):
         if not tokens:
-            raise PreprocessorError("empty #include", None)
+            raise PreprocessorError("empty #include", location)
         first = tokens[0]
-        if first.kind is TokenKind.STRING:
+        if first.kind is STRING:
             target = first.value[1:-1]
             system = False
-        elif first.is_punct("<"):
+        elif first.is_punct("<") and len(tokens) > 2 and tokens[-1].is_punct(">"):
             target = "".join(t.value for t in tokens[1:-1])
             system = True
         else:
@@ -226,7 +254,7 @@ class Preprocessor:
         if path not in self.dependencies:
             try:
                 self.dependencies[path] = self.file_reader(path)
-            except (OSError, KeyError):
+            except (OSError, KeyError, ValueError):
                 self.dependencies[path] = None
         return self.dependencies[path]
 
@@ -238,7 +266,7 @@ class Preprocessor:
         index = 0
         while index < len(tokens):
             token = tokens[index]
-            if token.kind is not TokenKind.IDENT or token.value in hide:
+            if token.kind is not IDENT or token.value in hide:
                 output.append(token)
                 index += 1
                 continue
@@ -300,7 +328,7 @@ class Preprocessor:
             va_tokens = []
             for i, arg in enumerate(va):
                 if i:
-                    va_tokens.append(Token(TokenKind.PUNCT, ",", name_token.location))
+                    va_tokens.append(Token(PUNCT, ",", name_token.location))
                 va_tokens.extend(arg)
         if len(args) < len(macro.params):
             args = args + [[] for _ in range(len(macro.params) - len(args))]
@@ -312,7 +340,7 @@ class Preprocessor:
                     "stringize/paste (#/##) not supported in macro %r" % macro.name,
                     name_token.location,
                 )
-            if token.kind is TokenKind.IDENT and token.value in mapping:
+            if token.kind is IDENT and token.value in mapping:
                 output.extend(
                     _relocate(t, name_token.location) for t in self._expand(mapping[token.value])
                 )
@@ -324,28 +352,38 @@ class Preprocessor:
 
     # -- conditional expressions ------------------------------------------------------
 
-    def _evaluate_condition(self, tokens):
-        """Evaluate a #if expression after macro expansion and defined()."""
-        tokens = self._expand_defined(tokens)
+    def _evaluate_condition(self, tokens, location):
+        """Evaluate a #if expression after macro expansion and defined();
+        ``location`` is the directive's, for errors at its end."""
+        tokens = self._expand_defined(tokens, location)
         tokens = self._expand(tokens)
-        evaluator = _CondParser(tokens)
-        value = evaluator.parse()
-        return value
+        return _CondParser(tokens, location).parse()
 
-    def _expand_defined(self, tokens):
+    def _expand_defined(self, tokens, location):
         output = []
         index = 0
         while index < len(tokens):
             token = tokens[index]
             if token.is_ident("defined"):
-                if index + 1 < len(tokens) and tokens[index + 1].is_punct("("):
-                    name = tokens[index + 2].value
+                operand = tokens[index + 1 : index + 4]
+                if operand and operand[0].is_punct("("):
+                    if len(operand) < 3 or not operand[2].is_punct(")"):
+                        raise PreprocessorError(
+                            "expected 'defined(NAME)' in #if expression",
+                            location,
+                        )
+                    name = operand[1].value
                     index += 4
-                else:
-                    name = tokens[index + 1].value
+                elif operand:
+                    name = operand[0].value
                     index += 2
+                else:
+                    raise PreprocessorError(
+                        "'defined' without a macro name in #if expression",
+                        location,
+                    )
                 value = "1" if name in self.macros else "0"
-                output.append(Token(TokenKind.INT_CONST, value, token.location))
+                output.append(Token(INT_CONST, value, token.location))
             else:
                 output.append(token)
                 index += 1
@@ -353,29 +391,22 @@ class Preprocessor:
 
 
 class _CondParser:
-    """A tiny Pratt evaluator for integer #if expressions."""
+    """A tiny precedence-climbing evaluator for integer #if expressions;
+    errors past the last token point at ``location``, the directive's."""
 
-    _BINOPS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def __init__(self, tokens):
+    def __init__(self, tokens, location):
         self.tokens = tokens
         self.pos = 0
+        self.end = Token(EOF, "", location)
+        #: How many enclosing operands C leaves unevaluated (the right of
+        #: a decided ``&&``/``||``, the arm of ``?:`` not taken): a shift
+        #: out of range there is no error.
+        self.skipping = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        return Token(TokenKind.EOF, "")
+        return self.end
 
     def advance(self):
         token = self.peek()
@@ -384,30 +415,47 @@ class _CondParser:
 
     def parse(self):
         value = self._ternary()
+        token = self.peek()
+        if token is not self.end:
+            raise PreprocessorError(
+                "trailing %r in #if expression" % token.value, token.location
+            )
         return value
 
     def _ternary(self):
-        cond = self._binary(0)
+        cond = self._binary()
         if self.peek().is_punct("?"):
             self.advance()
+            self.skipping += not cond
             then = self._ternary()
+            self.skipping -= not cond
             if not self.peek().is_punct(":"):
                 raise PreprocessorError("expected ':' in #if expression", self.peek().location)
             self.advance()
+            self.skipping += bool(cond)
             otherwise = self._ternary()
+            self.skipping -= bool(cond)
             return then if cond else otherwise
         return cond
 
-    def _binary(self, level):
-        if level >= len(self._BINOPS):
-            return self._unary()
-        ops = self._BINOPS[level]
-        left = self._binary(level + 1)
-        while self.peek().kind is TokenKind.PUNCT and self.peek().value in ops:
-            op = self.advance().value
+    def _binary(self, min_level=1):
+        left = self._unary()
+        while True:
+            token = self.peek()
+            level = (
+                BINARY_LEVELS.get(token.value)
+                if token.kind is PUNCT else None
+            )
+            if level is None or level < min_level:
+                return left
+            self.advance()
+            skip = (token.value == "&&" and not left) or (
+                token.value == "||" and bool(left)
+            )
+            self.skipping += skip
             right = self._binary(level + 1)
-            left = _apply_binop(op, left, right)
-        return left
+            self.skipping -= skip
+            left = _apply_binop(token, left, right, self.skipping)
 
     def _unary(self):
         token = self.peek()
@@ -430,22 +478,28 @@ class _CondParser:
                 raise PreprocessorError("expected ')' in #if expression", token.location)
             self.advance()
             return value
-        if token.kind is TokenKind.INT_CONST:
+        if token.kind is INT_CONST:
             self.advance()
             return parse_int_constant(token.value, token.location)
-        if token.kind is TokenKind.CHAR_CONST:
+        if token.kind is CHAR_CONST:
             self.advance()
-            from repro.cfront.lexer import parse_char_constant
-
             return parse_char_constant(token.value, token.location)
-        if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
+        if token.kind in (IDENT, KEYWORD):
             # Undefined identifiers evaluate to 0, per the standard.
             self.advance()
             return 0
         raise PreprocessorError("bad token in #if expression: %r" % token.value, token.location)
 
 
-def _apply_binop(op, left, right):
+def _apply_binop(token, left, right, skipping):
+    op = token.value
+    if op in ("<<", ">>") and not 0 <= right < 64:
+        if skipping:
+            return 0
+        raise PreprocessorError(
+            "shift count %d out of range in #if expression" % right,
+            token.location,
+        )
     if op == "||":
         return int(bool(left) or bool(right))
     if op == "&&":

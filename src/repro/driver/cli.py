@@ -735,7 +735,8 @@ def _run(parser, args, resources):
                                  worker_timeout=args.worker_timeout)
         else:
             analysis = project.analysis(options)
-            result = analysis.run(extensions)
+            with project.stats.phase("pass2_wall"):
+                result = analysis.run(extensions)
             if args.dump_summaries:
                 from repro.driver.dump import dump_summaries
 

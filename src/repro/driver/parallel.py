@@ -201,11 +201,12 @@ class Pass1Result:
 
     __slots__ = ("index", "filename", "status", "key", "cache_path", "unit",
                  "source_bytes", "emitted_bytes", "timings", "pid", "data",
-                 "deps", "record_key", "fast", "record_error")
+                 "deps", "record_key", "fast", "record_error", "tokens_lexed")
 
     def __init__(self, index, filename, status, key, cache_path, unit,
                  source_bytes, emitted_bytes, timings, pid, data=None,
-                 deps=(), record_key=None, fast=False, record_error=None):
+                 deps=(), record_key=None, fast=False, record_error=None,
+                 tokens_lexed=0):
         self.index = index
         self.filename = filename
         self.status = status  # "hit" | "parsed"
@@ -221,6 +222,7 @@ class Pass1Result:
         self.record_key = record_key
         self.fast = fast
         self.record_error = record_error
+        self.tokens_lexed = tokens_lexed
 
 
 #: Per-process backend memo: a pooled worker keeps one live store
@@ -332,6 +334,7 @@ def pass1_worker(task):
     pp = Preprocessor(task.include_paths, task.defines, task.file_reader)
     tokens = pp.preprocess_text(text, task.path)
     timings["preprocess"] = time.perf_counter() - start
+    timings["lex"] = pp.lex_s
     deps = _dep_paths(task.path, pp.dependencies.items())
 
     key = None
@@ -345,7 +348,7 @@ def pass1_worker(task):
         )
         result = _hit_result(
             task, store, key, timings, deps=deps, record_key=record_key,
-            record_error=record_error,
+            record_error=record_error, tokens_lexed=pp.tokens_lexed,
         )
         if result is not None:
             store.store_record(record_key, key, dependencies)
@@ -382,6 +385,7 @@ def pass1_worker(task):
         cache_path=None, unit=unit, source_bytes=source_bytes,
         emitted_bytes=len(payload), timings=timings, pid=os.getpid(),
         deps=deps, record_key=record_key, record_error=record_error,
+        tokens_lexed=pp.tokens_lexed,
     )
 
 
@@ -475,6 +479,8 @@ def _absorb(project, task, result):
     stats = project.stats
     stats.count_worker_task(result.pid)
     stats.merge_timings(result.timings)
+    if result.tokens_lexed:
+        stats.add("tokens_lexed", result.tokens_lexed)
     if result.record_error is not None:
         stats.add("cache_evictions")
         stats.record_degradation(
@@ -696,7 +702,8 @@ def run_parallel(project, extensions, options=None, jobs=1,
     if spec is None:
         stats.add("pass2_serial_fallback")
     if spec is None or jobs <= 1 or len(components) <= 1 or not extensions:
-        return project.analysis(options).run(extensions, roots=roots)
+        with stats.phase("pass2_wall"):
+            return project.analysis(options).run(extensions, roots=roots)
 
     options = options or AnalysisOptions()
     static_vars = dict(project.static_vars)

@@ -121,6 +121,8 @@ class Project:
         with self.stats.phase("preprocess"):
             pp = Preprocessor(self.include_paths, self.defines, self.file_reader)
             tokens = pp.preprocess_text(text, filename)
+        self.stats.add_time("lex", pp.lex_s)
+        self.stats.add("tokens_lexed", pp.tokens_lexed)
         with self.stats.phase("parse"):
             parser = Parser(None, filename, tokens=tokens)
             unit = parser.parse_translation_unit()
@@ -250,7 +252,8 @@ class Project:
                 extension_factory=extension_factory,
                 worker_timeout=worker_timeout, roots=roots,
             )
-        return self.analysis(options).run(extensions, roots=roots)
+        with self.stats.phase("pass2_wall"):
+            return self.analysis(options).run(extensions, roots=roots)
 
     # -- reporting helpers ----------------------------------------------------------
 

@@ -529,8 +529,9 @@ class IncrementalSession:
                 continue
 
             analyze_roots = sorted(reanalyze)
-            fresh = analysis.run(
-                extensions, roots=all_roots, replay=replay_map)
+            with project.stats.phase("pass2_wall"):
+                fresh = analysis.run(
+                    extensions, roots=all_roots, replay=replay_map)
             if fresh.truncated:
                 return self._fallback(
                     project, extensions, options, jobs, extension_factory,

@@ -9,7 +9,8 @@ dumps it for the benchmarks.
 Timer convention: phase timers are summed across workers, so on a
 multi-core run they exceed the wall-clock entries (``pass1_wall``,
 ``pass2_wall``) -- they measure aggregate CPU effort, the wall entries
-measure elapsed time.
+measure elapsed time.  Nested timers are included in their parent:
+``lex`` is part of ``preprocess``.
 """
 
 import gc
@@ -60,8 +61,11 @@ from contextlib import contextmanager
 #: 11: the summary-pack counters (docs/DRIVER.md, "Tier-2 summary
 #: packs"): ``summary_pack_reads`` (packs read from the store) and
 #: ``summary_pack_writes`` (packs written); the per-(extension, root)
-#: ``summary_*`` counters keep their meaning.
-SCHEMA_VERSION = 11
+#: ``summary_*`` counters keep their meaning.  12: the ``lex`` timer
+#: (the part of ``preprocess`` spent tokenizing; included in it, not
+#: added to it), the ``tokens_lexed`` counter, and ``pass2_wall`` on
+#: serial runs too (the time spent in pass 2 proper, wherever it ran).
+SCHEMA_VERSION = 12
 
 
 class DriverStats:

@@ -5,6 +5,16 @@ import pytest
 from repro.cfront.parser import parse
 from repro.engine.analysis import Analysis, AnalysisOptions
 
+try:
+    from hypothesis import settings
+except ImportError:  # the lanes that install pytest alone
+    pass
+else:
+    #: The frontend fuzz lane's budget: ``pytest
+    #: --hypothesis-profile=frontend tests/test_frontend_fuzz.py`` runs
+    #: each property this many times instead of the default 100.
+    settings.register_profile("frontend", max_examples=2000, deadline=None)
+
 
 def run_checker(code, extension, filename="test.c", options=None, roots=None):
     """Parse C text and run one extension; returns the AnalysisResult."""

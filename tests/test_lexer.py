@@ -96,6 +96,10 @@ class TestStringsAndChars:
         assert parse_string_literal('"\\101"') == "A"
         assert parse_string_literal('"q\\"q"') == 'q"q'
 
+    def test_only_octal_digits_form_octal_escapes(self):
+        assert parse_string_literal('"\\8"') == "8"
+        assert parse_string_literal('"\\18"') == "\x018"
+
     def test_char(self):
         assert parse_char_constant(tokenize("'a'")[0].value) == ord("a")
         assert parse_char_constant(tokenize("'\\n'")[0].value) == ord("\n")
@@ -154,3 +158,43 @@ class TestPreprocessorMode:
     def test_hash_mid_line_is_punct(self):
         tokens = Lexer("a # b", emit_newlines=True).tokens()
         assert tokens[1].kind is TokenKind.PUNCT
+
+
+class TestNonAsciiClassification:
+    """Names and numbers follow ``str.isalpha``/``isalnum``/``isdigit``,
+    not the regex classes ``\\w`` and ``\\d`` (``²`` is a digit but not a
+    decimal; ``½`` and ``Ⅻ`` are numeric but neither letter nor digit)."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x² = 1", [("IDENT", "x²"), ("PUNCT", "="), ("INT_CONST", "1")]),
+        ("ñame", [("IDENT", "ñame")]),
+        ("a.ñ", [("IDENT", "a"), ("PUNCT", "."), ("IDENT", "ñ")]),
+        ("²", [("INT_CONST", "²")]),
+        ("1²", [("INT_CONST", "1²")]),
+        (".²", [("FLOAT_CONST", ".²")]),
+        ("1e²", [("FLOAT_CONST", "1e²")]),
+        ("1e+²", [("FLOAT_CONST", "1e+²")]),
+        ("0x1²", [("INT_CONST", "0x1"), ("INT_CONST", "²")]),
+        ("٣.٣", [("FLOAT_CONST", "٣.٣")]),
+    ])
+    def test_tokens(self, text, expected):
+        assert [(t.kind.name, t.value) for t in tokenize(text)[:-1]] == expected
+
+    @pytest.mark.parametrize("char", ["½", "Ⅻ", " "])
+    def test_numeric_non_digits_are_unexpected(self, char):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize("int %s;" % char)
+
+
+class TestDirectiveHashes:
+    def test_paste_at_line_start_is_hash_then_punct(self):
+        tokens = Lexer("##\n###", emit_newlines=True).tokens()
+        assert [(t.kind.name, t.value) for t in tokens] == [
+            ("HASH", "#"), ("PUNCT", "#"), ("NEWLINE", "\n"),
+            ("HASH", "#"), ("PUNCT", "##"), ("EOF", ""),
+        ]
+
+    def test_comment_before_hash_keeps_line_start(self):
+        tokens = Lexer("/* c\n */ # define X", emit_newlines=True).tokens()
+        assert tokens[0].kind is TokenKind.HASH
+        assert (tokens[0].location.line, tokens[0].location.column) == (2, 5)

@@ -447,6 +447,22 @@ class TestParallelCLI:
         assert second["counters"]["cache_hits"] == len(TOY_SOURCES)
         assert "parses" not in second["counters"]
 
+    @pytest.mark.parametrize("extra", [[], ["--incremental"]],
+                             ids=["plain", "incremental"])
+    def test_serial_stats_json_times_lexing_and_pass2(self, tmp_path,
+                                                       capsys, extra):
+        stats_json = str(tmp_path / "stats.json")
+        main(["--checker", "lock", "--checker", "free", "-I", TOY_INCLUDE,
+              "--cache-dir", str(tmp_path / "cache"),
+              "--stats-json", stats_json] + extra + TOY_SOURCES)
+        capsys.readouterr()
+        stats = json.load(open(stats_json))
+        timers, counters = stats["timers_s"], stats["counters"]
+        assert stats["schema_version"] == 12
+        assert timers["pass2_wall"] > 0
+        assert 0 < timers["lex"] <= timers["preprocess"]
+        assert counters["tokens_lexed"] > counters["parses"]
+
     def test_stats_flag_prints_driver_lines(self, capsys):
         main(["--checker", "lock", "-I", TOY_INCLUDE, "--stats",
               "--jobs", "2"] + TOY_SOURCES)

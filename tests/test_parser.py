@@ -4,7 +4,7 @@ import pytest
 
 from repro.cfront import astnodes as ast
 from repro.cfront import types as ctypes
-from repro.cfront.parser import parse, parse_expression, parse_statement
+from repro.cfront.parser import Parser, parse, parse_expression, parse_statement
 from repro.cfront.source import ParseError
 
 
@@ -358,8 +358,18 @@ class TestMalformedInputDiagnostics:
         ("int x = 09;\n", "t.c:1:9:", "invalid integer constant '09'"),
         ("int x = '';\n", "t.c:1:9:", "empty character constant"),
         ("int a;\n#if 1\nint x;\n", "t.c:2:2:", "unterminated conditional"),
+        ("double d = 1.\u00b2;\n", "t.c:1:12:",
+         "invalid floating constant '1.\u00b2'"),
+        ('char *s = "\\xFFFFFFFFF";\n', "t.c:1:11:",
+         "hex escape \\xFFFFFFFFF out of range"),
+        ("int a;\n#define F(a,\n", "t.c:2:9:",
+         "malformed macro parameter list for 'F'"),
+        ("int a;\n#if 1 << 64\n#endif\n", "t.c:2:7:",
+         "shift count 64 out of range in #if expression"),
     ], ids=["hex-without-digits", "octal-with-nine", "empty-char",
-            "unterminated-if"])
+            "unterminated-if", "non-ascii-digit-in-float",
+            "hex-escape-out-of-range", "unclosed-macro-parameters",
+            "if-shift-out-of-range"])
     def test_cli_reports_a_source_location(self, tmp_path, capsys,
                                            monkeypatch, text, where,
                                            message):
@@ -371,3 +381,8 @@ class TestMalformedInputDiagnostics:
         err = capsys.readouterr().err
         assert "%s %s" % (where, message) in err
         assert "Traceback" not in err
+
+    def test_out_of_range_shift_is_not_a_constant(self):
+        parser = Parser("enum { A = 1 << -1, B, C = 1 << 64, D = 1 << 3 };\n")
+        parser.parse_translation_unit()
+        assert parser.enum_constants == {"A": 0, "B": 1, "C": 2, "D": 8}

@@ -156,3 +156,48 @@ class TestCommandLineDefines:
         p = Preprocessor(defines={"DEBUG": "1"})
         tokens = p.preprocess_text("#ifdef DEBUG\nint x;\n#endif")
         assert [t.value for t in tokens] == ["int", "x", ";"]
+
+
+class TestMalformedDirectives:
+    """Each malformed directive raises PreprocessorError on its own line
+    (line 2 here), never an IndexError/ValueError or ``<unknown>:0:0``."""
+
+    @pytest.mark.parametrize("directive", [
+        "#define F(",
+        "#define F(a",
+        "#define F(a,",
+        "#if defined",
+        "#if defined(",
+        "#if defined(X",
+        "#if 1 << -1",
+        "#if 1 << 64",
+        "#if 1 >> 64",
+        "#define",
+        "#include",
+        "#include <a.h",
+        "#if 1 )",
+        "#if 0 1",
+        "#if",
+        "#if (1",
+    ])
+    def test_raises_at_the_directive(self, directive):
+        endif = "#endif\n" if directive.startswith("#if") else ""
+        with pytest.raises(PreprocessorError) as info:
+            pp("int x;\n%s\nint y;\n%s" % (directive, endif), filename="m.c")
+        assert info.value.location.filename == "m.c"
+        assert info.value.location.line == 2
+
+    @pytest.mark.parametrize("condition", [
+        "!(0 && (1 << 64))", "1 || (1 >> -1)", "0 ? 1 << 64 : 1",
+        "1 ? 1 : 1 << 64", "!(1 && 0 && (1 << 99))",
+    ])
+    def test_unevaluated_shifts_are_not_errors(self, condition):
+        assert pp("#if %s\nint x;\n#endif" % condition) == "int x ;"
+
+    def test_shift_counts_in_range_still_evaluate(self):
+        assert pp("#if (1 << 63) >> 63 == 1\nint x;\n#endif") == "int x ;"
+        assert pp("#if 1 << 0\nint x;\n#endif") == "int x ;"
+
+    def test_defined_forms_still_evaluate(self):
+        text = "#define A\n#if defined(A) && defined A && !defined(B)\nint x;\n#endif"
+        assert pp(text) == "int x ;"
