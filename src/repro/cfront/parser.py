@@ -42,6 +42,12 @@ _QUALIFIER_KEYWORDS = frozenset("const volatile restrict inline".split())
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>=")
 
+#: How deep brackets, blocks, prefix operators, casts, assignments and
+#: ``?:`` arms may nest (here and in ``#if`` expressions) before a located
+#: error: the recursive descent then stays far below Python's recursion
+#: limit.  Statement chains (``else if``, case labels) do not count.
+MAX_NESTING = 1000
+
 #: Binary operator -> precedence level, loosest first (C's order).
 BINARY_LEVELS = {
     op: level
@@ -107,6 +113,7 @@ class Parser:
         self.record_tags = {}  # tag -> RecordType (completed as defs are seen)
         self.enum_tags = {}
         self.enum_constants = {}
+        self.depth = 0
 
     # -- token stream helpers ------------------------------------------------
 
@@ -126,6 +133,16 @@ class Parser:
     def error(self, message):
         token = self.peek()
         raise ParseError("%s (at %r)" % (message, token.value or "<eof>"), token.location)
+
+    def _nested(self, parse, *args):
+        """``parse(*args)`` one nesting level deeper, or a located
+        ParseError past :data:`MAX_NESTING` levels."""
+        if self.depth >= MAX_NESTING:
+            self.error("nesting deeper than %d levels" % MAX_NESTING)
+        self.depth += 1
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
     def expect_punct(self, value):
         token = self.peek()
@@ -309,7 +326,7 @@ class Parser:
                 qualifiers.add(token.value)
                 self.advance()
             elif token.is_keyword("struct", "union"):
-                record = self.parse_record_specifier()
+                record = self._nested(self.parse_record_specifier)
             elif token.is_keyword("enum"):
                 record = self.parse_enum_specifier()
             elif (
@@ -421,6 +438,10 @@ class Parser:
                 token = self.advance()
                 if token.is_punct("("):
                     depth += 1
+                    # Each level rescans what it encloses: stop early.
+                    if self.depth + depth > MAX_NESTING:
+                        self.error("nesting deeper than %d levels"
+                                   % MAX_NESTING)
                 elif token.is_punct(")"):
                     depth -= 1
                 elif token.kind is EOF:
@@ -436,12 +457,12 @@ class Parser:
             if self.accept_punct("["):
                 size = None
                 if not self.peek().is_punct("]"):
-                    size = self.parse_expression()
+                    size = self._nested(self.parse_expression)
                 self.expect_punct("]")
                 suffix_type = _append_array(suffix_type, size)
             elif self.peek().is_punct("("):
                 self.advance()
-                params, varargs = self.parse_parameter_list()
+                params, varargs = self._nested(self.parse_parameter_list)
                 suffix_type = ctypes.FunctionType(
                     suffix_type, tuple(p.ctype for p in params), varargs
                 )
@@ -452,7 +473,9 @@ class Parser:
         if inner_marker is not None:
             saved = self.pos
             self.pos = inner_marker
-            name, suffix_type, inner_params = self.parse_declarator(suffix_type, abstract)
+            name, suffix_type, inner_params = self._nested(
+                self.parse_declarator, suffix_type, abstract
+            )
             if inner_params is not None:
                 params_out[0] = inner_params
             self.expect_punct(")")
@@ -510,7 +533,7 @@ class Parser:
                     self.parse_conditional()
                     self.expect_punct("]")
                     self.expect_punct("=")
-                items.append(self.parse_initializer())
+                items.append(self._nested(self.parse_initializer))
                 if not self.accept_punct(","):
                     break
             self.expect_punct("}")
@@ -573,7 +596,7 @@ class Parser:
         location = token.location
 
         if token.is_punct("{"):
-            return self.parse_compound()
+            return self._nested(self.parse_compound)
         if token.is_punct(";"):
             self.advance()
             return ast.EmptyStmt(location)
@@ -685,7 +708,7 @@ class Parser:
         token = self.peek()
         if token.kind is PUNCT and token.value in _ASSIGN_OPS:
             op = self.advance().value
-            right = self.parse_assignment()
+            right = self._nested(self.parse_assignment)
             node = ast.Assign(op, left, right, token.location)
             node.ctype = left.ctype
             return node
@@ -695,9 +718,9 @@ class Parser:
         cond = self.parse_binary()
         if self.peek().is_punct("?"):
             location = self.advance().location
-            then = self.parse_expression()
+            then = self._nested(self.parse_expression)
             self.expect_punct(":")
-            otherwise = self.parse_conditional()
+            otherwise = self._nested(self.parse_conditional)
             node = ast.Conditional(cond, then, otherwise, location)
             node.ctype = then.ctype or otherwise.ctype
             return node
@@ -741,7 +764,7 @@ class Parser:
             self.expect_punct(")")
             # "(int){...}" compound literals are not supported; a cast of a
             # brace would be one, so reject early for clarity.
-            operand = self.parse_cast()
+            operand = self._nested(self.parse_cast)
             node = ast.Cast(to_type, operand, location)
             node.ctype = to_type
             return node
@@ -757,19 +780,19 @@ class Parser:
         location = token.location
         if token.is_punct("++", "--"):
             op = self.advance().value
-            operand = self.parse_unary()
+            operand = self._nested(self.parse_unary)
             node = ast.Unary(op, operand, postfix=False, location=location)
             node.ctype = operand.ctype
             return node
         if token.is_punct("+", "-", "~", "!"):
             op = self.advance().value
-            operand = self.parse_cast()
+            operand = self._nested(self.parse_cast)
             node = ast.Unary(op, operand, location=location)
             node.ctype = ctypes.INT if op == "!" else operand.ctype
             return node
         if token.is_punct("*"):
             self.advance()
-            operand = self.parse_cast()
+            operand = self._nested(self.parse_cast)
             node = ast.Unary("*", operand, location=location)
             if operand.ctype is not None:
                 resolved = operand.ctype.resolve()
@@ -780,7 +803,7 @@ class Parser:
             return node
         if token.is_punct("&"):
             self.advance()
-            operand = self.parse_cast()
+            operand = self._nested(self.parse_cast)
             node = ast.Unary("&", operand, location=location)
             if operand.ctype is not None:
                 node.ctype = ctypes.PointerType(operand.ctype)
@@ -793,7 +816,7 @@ class Parser:
                 self.expect_punct(")")
                 node = ast.SizeofType(of_type, location)
             else:
-                node = ast.SizeofExpr(self.parse_unary(), location)
+                node = ast.SizeofExpr(self._nested(self.parse_unary), location)
             node.ctype = ctypes.UNSIGNED_LONG
             return node
         return self.parse_postfix()
@@ -807,7 +830,7 @@ class Parser:
                 args = []
                 if not self.peek().is_punct(")"):
                     while True:
-                        args.append(self.parse_assignment())
+                        args.append(self._nested(self.parse_assignment))
                         if not self.accept_punct(","):
                             break
                 self.expect_punct(")")
@@ -816,7 +839,7 @@ class Parser:
                 expr = node
             elif token.is_punct("["):
                 location = self.advance().location
-                index = self.parse_expression()
+                index = self._nested(self.parse_expression)
                 self.expect_punct("]")
                 node = ast.Index(expr, index, location)
                 if expr.ctype is not None:
@@ -868,7 +891,7 @@ class Parser:
         location = token.location
         if token.is_punct("("):
             self.advance()
-            expr = self.parse_expression()
+            expr = self._nested(self.parse_expression)
             self.expect_punct(")")
             return expr
         if token.kind is INT_CONST:

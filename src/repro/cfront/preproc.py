@@ -30,7 +30,7 @@ from repro.cfront.lexer import (
     parse_char_constant,
     parse_int_constant,
 )
-from repro.cfront.parser import BINARY_LEVELS
+from repro.cfront.parser import BINARY_LEVELS, MAX_NESTING
 from repro.cfront.source import PreprocessorError
 
 
@@ -402,6 +402,7 @@ class _CondParser:
         #: a decided ``&&``/``||``, the arm of ``?:`` not taken): a shift
         #: out of range there is no error.
         self.skipping = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -412,6 +413,19 @@ class _CondParser:
         token = self.peek()
         self.pos += 1
         return token
+
+    def _nested(self, parse):
+        """``parse()`` one nesting level deeper, or a located error past
+        :data:`repro.cfront.parser.MAX_NESTING` levels."""
+        if self.depth >= MAX_NESTING:
+            raise PreprocessorError(
+                "#if expression nests deeper than %d levels" % MAX_NESTING,
+                self.peek().location,
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self._ternary()
@@ -461,19 +475,19 @@ class _CondParser:
         token = self.peek()
         if token.is_punct("!"):
             self.advance()
-            return int(not self._unary())
+            return int(not self._nested(self._unary))
         if token.is_punct("-"):
             self.advance()
-            return -self._unary()
+            return -self._nested(self._unary)
         if token.is_punct("+"):
             self.advance()
-            return self._unary()
+            return self._nested(self._unary)
         if token.is_punct("~"):
             self.advance()
-            return ~self._unary()
+            return ~self._nested(self._unary)
         if token.is_punct("("):
             self.advance()
-            value = self._ternary()
+            value = self._nested(self._ternary)
             if not self.peek().is_punct(")"):
                 raise PreprocessorError("expected ')' in #if expression", token.location)
             self.advance()
@@ -516,10 +530,18 @@ def _apply_binop(token, left, right, skipping):
         return int(left <= right)
     if op == ">=":
         return int(left >= right)
-    if op == "/":
-        return left // right if right else 0
-    if op == "%":
-        return left % right if right else 0
+    if op in ("/", "%"):
+        if not right:
+            if skipping:
+                return 0
+            raise PreprocessorError(
+                "division by zero in #if expression", token.location
+            )
+        # C truncates toward zero (C99 6.5.5p6); Python floors.
+        quotient = abs(left) // abs(right)
+        if (left < 0) != (right < 0):
+            quotient = -quotient
+        return quotient if op == "/" else left - quotient * right
     return {
         "|": left | right,
         "^": left ^ right,

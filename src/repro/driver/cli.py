@@ -21,9 +21,10 @@ import sys
 from repro.checkers import ALL_CHECKERS
 from repro.driver.project import Project
 from repro.engine.analysis import AnalysisOptions
-from repro.engine.history import HistoryDatabase
 from repro.metal.language import compile_metal
-from repro.ranking import rank_reports
+# Unused here; benchmarks/e2e/traced_xgcc.py wraps this module global.
+from repro.ranking import rank_reports  # noqa: F401
+from repro.reports.pipeline import PipelineConfig, load_triage, run_pipeline
 
 
 def build_parser():
@@ -338,21 +339,14 @@ def _open_backend(args, resources):
     return backend
 
 
-def _load_triage(args, backend):
-    """The effective triage state: shared store state (when a backend
-    exists) with any ``--triage FILE`` entries merged over it."""
-    from repro.reports.triage import TriageError, TriageStore
+def _warn(message):
+    print("xgcc: %s" % message, file=sys.stderr)
 
-    store = TriageStore()
-    if backend is not None:
-        try:
-            store.merge(TriageStore.load_backend(backend))
-        except TriageError as err:
-            print("xgcc: ignoring shared triage state: %s" % err,
-                  file=sys.stderr)
-    if args.triage and os.path.exists(args.triage):
-        store.merge(TriageStore.load(args.triage))
-    return store
+
+def _pipeline_config(args):
+    return PipelineConfig(rank=args.rank, refine=args.refine,
+                          history=args.history, triage=args.triage,
+                          prune_keep=args.prune_runs)
 
 
 def _parse_triage_key(token):
@@ -423,7 +417,7 @@ def _diff_mode(parser, args, resources):
     if backend is None:
         parser.error("--diff requires --cache-dir or --store-url")
     base, head = args.diff
-    triage = _load_triage(args, backend)
+    triage = load_triage(backend, args.triage, say=_warn)
     try:
         diff = RunHistory(backend).diff(base, head, triage=triage)
     except RunHistoryError as error:
@@ -448,14 +442,26 @@ def _diff_mode(parser, args, resources):
     return 1 if diff["new"] else 0
 
 
+def _defines(args):
+    """``-D NAME[=VALUE]`` flags as a dict (a bare NAME defines 1)."""
+    pairs = (item.partition("=") for item in args.define)
+    return {name: value or "1" for name, __, value in pairs}
+
+
+def _session_signature(args, metal_sources, options):
+    from repro.driver.session import session_signature
+
+    return session_signature(
+        checker_names=args.checker,
+        metal_texts=[text for text, __ in metal_sources],
+        options=options,
+    )
+
+
 def _make_project(args, resources):
     """Pass 1 over ``args.files``; the project's stats meter the cyclic
     collector and its store backend closes when the run ends."""
-    defines = {}
-    for item in args.define:
-        name, __, value = item.partition("=")
-        defines[name] = value or "1"
-    project = Project(include_paths=args.include, defines=defines,
+    project = Project(include_paths=args.include, defines=_defines(args),
                       cache_dir=args.cache_dir, keep_going=args.keep_going,
                       store_url=getattr(args, "store_url", None))
     resources.callback(project.close)
@@ -532,7 +538,7 @@ def _daemon_mode(parser, args):
     """``xgcc --watch DIR --daemon-socket S``: run xgccd in the
     foreground until a shutdown request arrives."""
     from repro.driver.daemon import XgccDaemon
-    from repro.driver.session import IncrementalSession, session_signature
+    from repro.driver.session import IncrementalSession
 
     if not args.daemon_socket:
         parser.error("--watch requires --daemon-socket")
@@ -544,16 +550,8 @@ def _daemon_mode(parser, args):
     if not extensions:
         parser.error("no checkers selected (use --checker or --metal)")
 
-    defines = {}
-    for item in args.define:
-        name, __, value = item.partition("=")
-        defines[name] = value or "1"
     options = _make_options(args)
-    signature = session_signature(
-        checker_names=args.checker,
-        metal_texts=[text for text, __ in metal_sources],
-        options=options,
-    )
+    signature = _session_signature(args, metal_sources, options)
     session = IncrementalSession(args.cache_dir, signature,
                                  pin_warm_state=True,
                                  store_url=args.store_url)
@@ -567,13 +565,11 @@ def _daemon_mode(parser, args):
         socket_path=args.daemon_socket,
         files=args.files,
         include_paths=args.include,
-        defines=defines,
+        defines=_defines(args),
         cache_dir=args.cache_dir,
         store_url=args.store_url,
         options=options,
-        rank=args.rank,
-        refine=args.refine,
-        run_keep=args.prune_runs,
+        pipeline=_pipeline_config(args),
         jobs=args.jobs,
         worker_timeout=args.worker_timeout,
         poll_interval=args.poll_interval,
@@ -627,6 +623,12 @@ def _run(parser, args, resources):
     if args.daemon_request:
         return _daemon_client_mode(parser, args)
 
+    if (args.prune_runs is not None and args.prune_runs < 0
+            and (args.files or args.watch)):
+        # Before any analysis; the standalone prune answers for itself.
+        parser.error("--prune-runs keep must be >= 0 (got %d)"
+                     % args.prune_runs)
+
     if args.watch:
         return _daemon_mode(parser, args)
 
@@ -645,8 +647,11 @@ def _run(parser, args, resources):
     if not args.files and not args.cache_gc:
         parser.error("no input files")
 
-    if args.incremental and not args.cache_dir and not args.store_url:
-        parser.error("--incremental requires --cache-dir or --store-url")
+    for flag, wanted in (("--incremental", args.incremental),
+                         ("--record-run", args.record_run),
+                         ("--prune-runs", args.prune_runs is not None)):
+        if wanted and not args.cache_dir and not args.store_url:
+            parser.error("%s requires --cache-dir or --store-url" % flag)
     if args.incremental and args.dump_summaries:
         # Figure-5 summary dumps need the live per-block tables of a full
         # serial run; replayed roots have none.
@@ -709,20 +714,11 @@ def _run(parser, args, resources):
             _build_extensions, tuple(args.checker), tuple(metal_sources)
         )
         if args.incremental:
-            from repro.driver.session import (
-                IncrementalSession,
-                session_signature,
-            )
+            from repro.driver.session import IncrementalSession
 
-            signature = session_signature(
-                checker_names=args.checker,
-                metal_texts=[text for text, __ in metal_sources],
-                options=options,
-            )
-            session = IncrementalSession(
-                args.cache_dir, signature,
-                backend=project.store_backend,
-            )
+            signature = _session_signature(args, metal_sources, options)
+            session = IncrementalSession(args.cache_dir, signature,
+                                         backend=project.store_backend)
             result = project.run(extensions, options, jobs=args.jobs,
                                  extension_factory=factory,
                                  worker_timeout=args.worker_timeout,
@@ -776,65 +772,19 @@ def _run(parser, args, resources):
         reports.extend(
             report_null_argument_sites(project.callgraph, min_z=args.min_z)
         )
-    if args.history:
-        db = HistoryDatabase.load(args.history) if os.path.exists(args.history) else HistoryDatabase()
-        reports = db.filter(reports)
-
     if args.triage_suppress:
         # Record first, then let the fresh entry suppress in this very
         # run (--triage-suppress HASH + re-run in one invocation).
         _triage_record_mode(parser, args, resources)
 
-    triage = _load_triage(args, project.store_backend)
-    if len(triage):
-        reports, __ = triage.apply(reports, stats=project.stats)
-
-    if args.refine:
-        from repro.cfg.fingerprint import fingerprint_tables
-        from repro.refine import apply_refine_mode, refine_reports
-
-        __, fingerprints = fingerprint_tables(project.callgraph)
-        refine_reports(reports, project.callgraph,
-                       stats=project.stats,
-                       backend=project.store_backend,
-                       fingerprints=fingerprints)
-
-    reports = rank_reports(reports, args.rank,
-                           result.log if result is not None else None)
-
-    if args.refine:
-        reports = apply_refine_mode(reports, args.refine)
-
-    if args.record_run:
-        from repro.reports.history import RunHistory, RunHistoryError
-
-        backend = project.store_backend
-        if backend is None:
-            parser.error("--record-run requires --cache-dir or --store-url")
-        try:
-            run_id = RunHistory(backend, stats=project.stats).record_run(
-                reports,
-                meta={"checkers": sorted(args.checker), "rank": args.rank},
-            )
-            print("xgcc: recorded run %s" % run_id, file=sys.stderr)
-        except RunHistoryError as error:
-            print("xgcc: run not recorded: %s" % error, file=sys.stderr)
-
-    if args.prune_runs is not None:
-        from repro.reports.history import RunHistory, RunHistoryError
-
-        backend = project.store_backend
-        if backend is None:
-            parser.error("--prune-runs requires --cache-dir or --store-url")
-        try:
-            deleted = RunHistory(backend, stats=project.stats).prune(
-                keep=args.prune_runs
-            )
-            if deleted:
-                print("xgcc: pruned %d stored run(s)" % deleted,
-                      file=sys.stderr)
-        except RunHistoryError as error:
-            print("xgcc: runs not pruned: %s" % error, file=sys.stderr)
+    reports, __ = run_pipeline(
+        reports, _pipeline_config(args), project.stats,
+        backend=project.store_backend, callgraph=project.callgraph,
+        log=result.log if result is not None else None,
+        meta={"checkers": sorted(args.checker), "rank": args.rank}
+        if args.record_run else None,
+        say=_warn,
+    )
 
     if args.report_json:
         from repro.driver.dump import reports_to_json
@@ -856,11 +806,9 @@ def _run(parser, args, resources):
             print("xgcc: degraded: %s" % entry.describe(), file=sys.stderr)
 
     if args.format == "json":
-        import json
+        from repro.driver.dump import reports_to_json
 
-        from repro.driver.dump import report_legacy_json
-
-        print(json.dumps([report_legacy_json(r) for r in reports], indent=2))
+        print(reports_to_json(reports))
     else:
         from repro.driver.dump import render_reports
 

@@ -46,8 +46,10 @@ import time
 
 from repro import faults
 from repro.driver import cache as astcache
+from repro.driver import dump
 from repro.driver.stats import DriverStats
-from repro.driver.watch import TreeWatcher, WatcherError
+from repro.driver.watch import TreeWatcher, WatcherError, fingerprint_file
+from repro.reports.pipeline import PipelineConfig, run_pipeline
 
 #: Bump when the request/response shape changes; every response carries
 #: it so clients can detect skew.
@@ -86,10 +88,9 @@ class XgccDaemon:
 
     def __init__(self, watch_roots, extension_factory, session,
                  socket_path, files=(), include_paths=(), defines=None,
-                 cache_dir=None, options=None, rank="severity", jobs=1,
+                 cache_dir=None, options=None, pipeline=None, jobs=1,
                  worker_timeout=None, poll_interval=0.5, stats=None,
-                 file_reader=None, store_url=None, refine=None,
-                 run_keep=None):
+                 file_reader=None, store_url=None):
         self.watch_roots = [os.path.abspath(p) for p in watch_roots]
         self.extension_factory = extension_factory
         self.session = session
@@ -103,14 +104,9 @@ class XgccDaemon:
         #: all warm state rides one connection and one overlay.
         self.store_url = store_url
         self.options = options
-        self.rank = rank
-        #: ``--refine`` mode (None / "annotate" / "demote" / "drop");
-        #: verdicts reuse the store backend's cache tier, so warm
-        #: daemon re-analyses replay them instead of re-evaluating.
-        self.refine = refine
-        #: ``--prune-runs`` bound re-applied after every recorded run
-        #: (None = unbounded history).
-        self.run_keep = run_keep
+        #: The report stages after each analysis (the CLI's
+        #: :class:`PipelineConfig`); every analysis is recorded.
+        self.pipeline = pipeline or PipelineConfig()
         self.jobs = jobs
         self.worker_timeout = worker_timeout
         self.poll_interval = poll_interval
@@ -124,8 +120,10 @@ class XgccDaemon:
         #: Content-changed paths not yet folded into an analysis.
         self._dirty = set()
         #: Cached response of the last completed analysis (served to
-        #: ``analyze`` when nothing changed since).
+        #: ``analyze`` when nothing changed since), and the fingerprints
+        #: of the pipeline's files it was rendered under.
         self._last_response = None
+        self._last_pipeline_files = None
         #: ``{filename: [tier-1 keys]}`` of each file's latest compile:
         #: the extra live AST set for ``gc``.
         self._ast_keys_seen = {}
@@ -141,21 +139,6 @@ class XgccDaemon:
 
     def backend(self):
         return getattr(self.session, "backend", None)
-
-    def _load_triage(self):
-        """The shared triage state, or None when it cannot be read (a
-        bad document degrades to no suppression, loudly)."""
-        from repro.reports.triage import TriageError, TriageStore
-
-        backend = self.backend()
-        if backend is None:
-            return None
-        try:
-            return TriageStore.load_backend(backend)
-        except TriageError as err:
-            self.stats.add("triage_load_errors")
-            self.stats.record_degradation("daemon", str(err))
-            return None
 
     def invalidate(self):
         """Drop the warm response cache (triage changed: the same tree
@@ -249,69 +232,6 @@ class XgccDaemon:
         self._ast_keys_seen.update(project.ast_keys_used)
         return project
 
-    def _ranked_text(self, result, project=None):
-        """The exact text a cold ``xgcc`` run would print for these
-        reports under the daemon's ranking mode (byte-identity is the
-        differential suite's contract): shared triage applied, then the
-        same refine hook, then the one ranking entry point, then the
-        one text renderer."""
-        from repro.driver.dump import render_reports
-        from repro.ranking import rank_reports
-
-        reports = list(result.reports)
-        triage = self._load_triage()
-        if triage is not None and len(triage):
-            reports, __ = triage.apply(reports, stats=self.stats)
-        if self.refine and project is not None:
-            from repro.cfg.fingerprint import fingerprint_tables
-            from repro.refine import refine_reports
-
-            __, fingerprints = fingerprint_tables(project.callgraph)
-            refine_reports(reports, project.callgraph, stats=self.stats,
-                           backend=self.backend(),
-                           fingerprints=fingerprints)
-        reports = rank_reports(reports, self.rank, result.log)
-        if self.refine:
-            from repro.refine import apply_refine_mode
-
-            reports = apply_refine_mode(reports, self.refine)
-        return render_reports(reports), reports
-
-    def _record_run(self, reports):
-        """Persist the completed analysis in the run history; a failed
-        record degrades (the analysis response still serves)."""
-        from repro.reports.history import RunHistory, RunHistoryError
-
-        backend = self.backend()
-        if backend is None:
-            return None
-        try:
-            return RunHistory(backend, stats=self.stats).record_run(
-                reports, meta={"rank": self.rank, "source": "daemon"}
-            )
-        except Exception as err:
-            self.stats.add("report_run_record_errors")
-            self.stats.record_degradation(
-                "daemon", "run not recorded: %r" % err
-            )
-            return None
-
-    def _prune_runs(self):
-        """Re-apply the ``run_keep`` history bound; a failed prune
-        degrades (the analysis response still serves)."""
-        from repro.reports.history import RunHistory
-
-        backend = self.backend()
-        if backend is None:
-            return
-        try:
-            RunHistory(backend, stats=self.stats).prune(keep=self.run_keep)
-        except Exception as err:
-            self.stats.add("report_run_prune_errors")
-            self.stats.record_degradation(
-                "daemon", "runs not pruned: %r" % err
-            )
-
     def analyze(self, force=False):
         """One analysis round-trip: poll, rebuild, run, rank, cache.
 
@@ -322,10 +242,15 @@ class XgccDaemon:
         start = time.perf_counter()
         self.stats.add("daemon_analyze_requests")
         polled = self._poll()
+        # An edit to the --triage or --history file changes the text.
+        pipeline_files = [fingerprint_file(path) for path in
+                          (self.pipeline.triage, self.pipeline.history)
+                          if path]
         if (
             self._last_response is not None
             and not self._dirty
             and polled
+            and pipeline_files == self._last_pipeline_files
             and not force
         ):
             self.stats.add("daemon_analyze_warm_hits")
@@ -350,16 +275,18 @@ class XgccDaemon:
                 )
             if result.degraded:
                 self.stats.record_engine_degradations(result.degraded)
-            text, reports = self._ranked_text(result, project)
+            reports, run_id = run_pipeline(
+                list(result.reports), self.pipeline, self.stats,
+                backend=self.backend(), callgraph=project.callgraph,
+                log=result.log,
+                meta={"rank": self.pipeline.rank, "source": "daemon"},
+            )
             self._dirty = set()
             self._last_reports = reports
-            run_id = self._record_run(reports)
-            if run_id is not None and self.run_keep is not None:
-                self._prune_runs()
             response = {
                 "ok": True,
                 "protocol": PROTOCOL_VERSION,
-                "reports": text,
+                "reports": dump.render_reports(reports),
                 "report_count": len(reports),
                 "run_id": run_id,
                 "files": len(c_files),
@@ -376,6 +303,7 @@ class XgccDaemon:
                 "served_from": "analysis",
             }
         self._last_response = dict(response)
+        self._last_pipeline_files = pipeline_files
         response["latency_s"] = round(time.perf_counter() - start, 6)
         self.stats.add_time(
             "daemon_request_wall", time.perf_counter() - start

@@ -43,26 +43,6 @@ def load_report_json(text):
     return [Report.from_dict(doc) for doc in json.loads(text)]
 
 
-def report_legacy_json(report):
-    """The pre-refactor ``--format json`` entry shape, kept stable for
-    existing consumers (the structured model is ``--report-json``)."""
-    return {
-        "checker": report.checker,
-        "message": report.message,
-        "file": report.location.filename,
-        "line": report.location.line,
-        "column": report.location.column,
-        "function": report.function,
-        "severity": report.severity,
-        "rule": report.rule_id,
-        "call_chain": report.call_chain,
-        "trace": [
-            {"event": event, "location": str(location) if location else None}
-            for event, location in report.trace
-        ],
-    }
-
-
 def _item_text(item):
     if isinstance(item, ReturnMarker):
         if item.expr is None:

@@ -8,7 +8,8 @@ serial and parallel runs build byte-identical projects.
 Pass 2 parallelism rides on a structural fact: the DFS never follows a
 call edge out of a weakly-connected call-graph component, so components
 can be analyzed in separate worker processes with the full engine
-(summaries, false-path pruning, composition all intact).  The parent
+(summaries, false-path pruning, composition all intact).  Components
+are packed into at most one task per worker.  The parent
 merges worker logs back into the *serial* report order using the per-root
 spans the engine records (:attr:`repro.engine.analysis.Analysis.root_spans`),
 so parallel runs produce the same reports in the same order.
@@ -593,10 +594,10 @@ class ExtensionSpec:
 
 
 class Pass2Task:
-    """One call-graph component's analysis work order.
+    """The analysis work order for one batch of call-graph components.
 
-    ``roots`` is None for a full run, or the sorted subset of this
-    component's roots the incremental scheduler wants re-analyzed.
+    ``roots`` is None for a full run, or the sorted subset of the
+    batch's roots the incremental scheduler wants re-analyzed.
     """
 
     __slots__ = ("index", "decls", "static_vars", "options", "spec", "roots")
@@ -634,7 +635,7 @@ class Pass2Result:
 
 
 def pass2_worker(task):
-    """Run the full Analysis DFS over one call-graph component."""
+    """Run the full Analysis DFS over one batch of components."""
     from repro.cfg.callgraph import CallGraph
     from repro.driver.stats import DriverStats
     from repro.engine.analysis import Analysis
@@ -669,9 +670,27 @@ def pass2_worker(task):
     )
 
 
+def pack_components(components, bins):
+    """Deal ``components`` into at most ``bins`` batches of about equal
+    size (largest first, each to the lightest batch), each batch in the
+    given order.  One pool task per batch, not per component: a task
+    rebuilds the extensions, which costs more than most components.
+    """
+    loads = [0] * min(bins, len(components))
+    batches = [[] for __ in loads]
+    for index in sorted(range(len(components)),
+                        key=lambda index: -len(components[index])):
+        lightest = loads.index(min(loads))
+        loads[lightest] += len(components[index])
+        batches[lightest].append(index)
+    return [[components[index] for index in sorted(batch)]
+            for batch in batches]
+
+
 def run_parallel(project, extensions, options=None, jobs=1,
                  extension_factory=None, worker_timeout=None, roots=None):
-    """Pass-2 parallel scheduling over call-graph components.
+    """Pass-2 parallel scheduling over call-graph components, packed
+    into at most ``jobs`` tasks (:func:`pack_components`).
 
     Deterministic by construction: the parent walks extensions in order
     and the *global* sorted root list (exactly the serial iteration
@@ -679,7 +698,7 @@ def run_parallel(project, extensions, options=None, jobs=1,
     analyzed its component.  Falls back to a serial run when there is
     nothing to parallelize or the extensions cannot be shipped; a
     crashed, killed, or hung worker is retried once and then its
-    component is analyzed in-process (see run_tasks_with_recovery).
+    components are analyzed in-process (see run_tasks_with_recovery).
 
     ``roots`` restricts the run to a subset of roots (incremental
     dirty-cone scheduling): components containing none of them are not
@@ -707,19 +726,19 @@ def run_parallel(project, extensions, options=None, jobs=1,
 
     options = options or AnalysisOptions()
     static_vars = dict(project.static_vars)
-    tasks = [
-        Pass2Task(
+    tasks = []
+    for index, batch in enumerate(pack_components(components, jobs)):
+        names = [name for component in batch for name in component]
+        tasks.append(Pass2Task(
             index,
-            [graph.functions[name] for name in component],
+            [graph.functions[name] for name in names],
             static_vars,
             options,
             spec,
-            roots=None if roots is None
-            else sorted(wanted.intersection(component)),
-        )
-        for index, component in enumerate(components)
-    ]
-    stats.add("pass2_components", len(tasks))
+            roots=None if roots is None else sorted(wanted.intersection(names)),
+        ))
+    stats.add("pass2_components", len(components))
+    stats.add("pass2_tasks", len(tasks))
     start = time.perf_counter()
     results_map = run_tasks_with_recovery(
         tasks, pass2_worker, jobs, stats, "pass2", timeout=worker_timeout

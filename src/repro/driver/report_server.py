@@ -61,7 +61,8 @@ from urllib.parse import parse_qs, urlparse
 from repro import faults
 from repro.driver.store import StoreError, decode_message, encode_message
 from repro.reports.history import RunHistory, RunHistoryError
-from repro.reports.triage import TriageEntry, TriageError, TriageStore
+from repro.reports.pipeline import load_triage
+from repro.reports.triage import TriageEntry, TriageError
 
 #: Bump when the endpoint shapes change; every response carries it.
 REPORT_PROTOCOL = 1
@@ -213,7 +214,7 @@ class _Routes:
         base = (query.get("base") or ["latest"])[0]
         head = (query.get("head") or
                 ["current" if self.daemon is not None else "latest"])[0]
-        triage = self._load_triage()
+        triage = load_triage(self.backend, stats=self.stats)
         try:
             if head == "current" and self.daemon is not None:
                 with self.daemon.lock:
@@ -229,15 +230,8 @@ class _Routes:
         diff.update(ok=True, protocol=REPORT_PROTOCOL)
         return 200, diff
 
-    def _load_triage(self):
-        try:
-            return TriageStore.load_backend(self.backend)
-        except TriageError:
-            self._count("triage_load_errors")
-            return TriageStore()
-
     def triage_get(self):
-        doc = self._load_triage().to_doc()
+        doc = load_triage(self.backend, stats=self.stats).to_doc()
         doc.update(ok=True, protocol=REPORT_PROTOCOL)
         return 200, doc
 
@@ -255,7 +249,7 @@ class _Routes:
         if entries is None:
             entries = [doc]
         with self._lock:
-            store = self._load_triage()
+            store = load_triage(self.backend, stats=self.stats)
             try:
                 for entry in entries:
                     parsed = TriageEntry.from_dict(entry)

@@ -65,7 +65,11 @@ from contextlib import contextmanager
 #: (the part of ``preprocess`` spent tokenizing; included in it, not
 #: added to it), the ``tokens_lexed`` counter, and ``pass2_wall`` on
 #: serial runs too (the time spent in pass 2 proper, wherever it ran).
-SCHEMA_VERSION = 12
+#: 13: one timer per report-pipeline stage (``history``, ``triage``,
+#: ``refine``, ``rank``, ``record``, ``prune``; docs/DRIVER.md, "The
+#: report pipeline") on every CLI run and daemon analysis, and
+#: ``pass2_tasks`` (the pool tasks components were packed into).
+SCHEMA_VERSION = 13
 
 
 class DriverStats:

@@ -9,9 +9,8 @@ example, line numbers)."
 
 The matching itself now lives in :mod:`repro.reports.triage` (the one
 suppression predicate); this class remains the paper-shaped façade over
-a :class:`TriageStore` holding ``history``-kind entries.  ``load``
-accepts both the triage document format and the legacy bare-list files
-this module used to write.
+a :class:`TriageStore` holding ``history``-kind entries, saved and
+loaded in the triage document format.
 """
 
 from repro.reports.triage import TriageStore

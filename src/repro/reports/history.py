@@ -20,7 +20,6 @@ deployment wants a bound.
 
 import hashlib
 import json
-import os
 import time
 
 from repro.reports.hashing import assign_report_hashes
@@ -232,9 +231,6 @@ class RunHistory:
 
     # -- maintenance ---------------------------------------------------------
 
-    def delete_run(self, run_id):
-        return self.backend.delete_many(RUN_TIER, [run_id])
-
     def prune(self, keep=100):
         """Drop the oldest runs beyond ``keep``; returns how many were
         deleted.
@@ -251,22 +247,3 @@ class RunHistory:
             self.backend.delete_many(RUN_TIER, stale)
         return len(stale)
 
-
-def open_run_history(cache_dir=None, store_url=None, stats=None):
-    """A RunHistory over the usual (cache_dir, store_url) backend wiring
-    (:func:`repro.driver.store.open_store`)."""
-    from repro.driver.store import open_store
-
-    backend = open_store(cache_dir=cache_dir, store_url=store_url,
-                         stats=stats)
-    if backend is None:
-        raise RunHistoryError(
-            "run history needs --cache-dir or --store-url"
-        )
-    return RunHistory(backend, stats=stats)
-
-
-# Re-exported for callers that want path math without a backend.
-def run_dir_of(cache_dir):
-    """Where a LocalStore keeps run frames under ``cache_dir``."""
-    return os.path.join(cache_dir, "runs")

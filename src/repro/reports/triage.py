@@ -192,18 +192,6 @@ class TriageStore:
         variable, message)."""
         return self._make("history", tuple(key), **fields)
 
-    def suppress_report(self, report, **fields):
-        """Triage one report: by hash when it has one, else by its
-        history key."""
-        if report.report_hash:
-            return self.suppress_hash(report.report_hash, **fields)
-        return self.suppress_history(report.history_key(), **fields)
-
-    def remove(self, kind, key):
-        if kind == "history":
-            key = tuple(key)
-        return self._entries.pop((kind, key), None) is not None
-
     # -- the predicate -------------------------------------------------------
 
     def match(self, report):
@@ -283,12 +271,6 @@ class TriageStore:
 
     @classmethod
     def from_doc(cls, doc):
-        if isinstance(doc, list):
-            # Legacy HistoryDatabase files: a bare list of history keys.
-            return cls(
-                TriageEntry("history", tuple(row), verdict="false_positive")
-                for row in doc
-            )
         if not isinstance(doc, dict):
             raise TriageError("triage document is not an object")
         return cls(

@@ -38,6 +38,9 @@ from repro.driver.session import IncrementalSession, session_signature
 from repro.driver.stats import DriverStats
 from repro.driver.watch import TreeWatcher, WatcherError, fingerprint_file
 from repro.engine.analysis import AnalysisOptions
+from repro.engine.history import HistoryDatabase
+from repro.reports.model import Report
+from repro.reports.triage import TriageStore
 
 #: The CLI-default extension list for ``--checker free --checker lock``
 #: (top-level partial so it pickles into workers if ever needed).
@@ -179,7 +182,7 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 12
+                assert stats["stats"]["schema_version"] == 13
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
                 # The daemon keeps CPython's cyclic collector on and
@@ -314,6 +317,70 @@ class TestDaemonDifferential:
                 resp = client.request("analyze")
                 assert resp["report_count"] == 1
                 assert resp["reports"] == cold_output(src, capsys)
+
+
+class TestDaemonPipeline:
+    """``xgcc --watch`` runs the one report pipeline with the CLI's own
+    config: a triage file and a history file suppress in the daemon's
+    text exactly as in a one-shot run with the same flags."""
+
+    def test_watch_honours_triage_and_history_files(
+        self, tmp_path, sock_dir, capsys
+    ):
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=7, n_modules=3,
+                               functions_per_module=4, bug_rate=0.4)
+        write_tree(src, gen.files)
+        flags = ["--checker", "free", "--checker", "lock", "-I", str(src)]
+        everything = str(tmp_path / "all.json")
+        main(flags + ["--report-json", everything] + c_paths(src))
+        plain = capsys.readouterr().out
+        with open(everything) as handle:
+            docs = json.load(handle)
+        assert len(docs) >= 3
+
+        triage = str(tmp_path / "triage.json")
+        store = TriageStore()
+        store.suppress_hash(docs[0]["hash"], reason="known")
+        store.save(triage)
+        history = str(tmp_path / "history.json")
+        database = HistoryDatabase()
+        database.suppress(Report.from_dict(docs[1]))
+        database.save(history)
+        flags += ["--triage", triage, "--history", history]
+
+        main(flags + c_paths(src))
+        one_shot = capsys.readouterr().out
+        assert len(one_shot.splitlines()) == len(plain.splitlines()) - 2
+
+        sock = os.path.join(sock_dir, "d.sock")
+        daemon = threading.Thread(target=main, daemon=True, args=(flags + [
+            "--watch", str(src), "--cache-dir", str(tmp_path / "cache"),
+            "--daemon-socket", sock, "--poll-interval", "30",
+        ],))
+        daemon.start()
+        try:
+            assert wait_for_socket(sock, timeout=60.0)
+            with DaemonClient(sock) as client:
+                reply = client.request("analyze")
+                assert reply["ok"]
+                assert reply["reports"] == one_shot
+                # An edit to the triage file re-renders, with no edit
+                # to the tree.
+                TriageStore().save(triage)
+                main(flags + c_paths(src))
+                untriaged = capsys.readouterr().out
+                assert untriaged != one_shot
+                reply = client.request("analyze")
+                assert reply["served_from"] == "analysis"
+                assert reply["reports"] == untriaged
+        finally:
+            with contextlib.suppress(DaemonError, OSError):
+                with DaemonClient(sock) as client:
+                    client.request("shutdown")
+            daemon.join(timeout=30.0)
+        assert not daemon.is_alive(), "daemon thread wedged"
 
 
 class TestDaemonFaultMatrix:
@@ -722,4 +789,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 12
+            assert payload["stats"]["schema_version"] == 13

@@ -227,7 +227,7 @@ class TestCLI:
         assert len(data) == 1
         assert data[0]["checker"] == "free_checker"
         assert data[0]["function"] == "f"
-        assert data[0]["trace"][0]["event"].startswith("entered state")
+        assert data[0]["path"][0]["event"].startswith("entered state")
 
     def test_trace_format(self, tmp_path, capsys):
         src = tmp_path / "t.c"

@@ -8,7 +8,7 @@ Two hypothesis properties over the same inputs:
   marks, in both modes -- or both raise the same :class:`LexError`;
 - preprocessing and parsing either build an AST or raise a
   :class:`SourceError` that points at a real line, never any other
-  exception.
+  exception, also for constructs nested past the parsers' bound.
 
 The inputs are byte-level mutations of ``repro.codegen`` output, of
 ``tests/data`` and of every registered checker's metal text, a small
@@ -20,6 +20,7 @@ many more than the default.
 
 import glob
 import os
+import sys
 
 import lexer_oracle
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.checkers import FREE_CHECKER_SOURCE, LOCK_CHECKER_SOURCE
 from repro.cfront.lexer import Lexer
-from repro.cfront.parser import Parser
+from repro.cfront.parser import MAX_NESTING, Parser
 from repro.cfront.preproc import Preprocessor
 from repro.cfront.source import LexError, SourceError
 from repro.codegen.generator import generate_kernel_module
@@ -135,6 +136,36 @@ non_ascii = st.one_of(
     st.text(max_size=40),
 )
 
+#: Constructs the recursive-descent parsers nest on: a template with
+#: room for the openers and the closers.
+_NESTS = (
+    ("int x = %s1%s;", "(", ")"),
+    ("int x[] = %s1%s;", "{", "}"),
+    ("void f(void) %s%s", "{", "}"),
+    ("int f(int *a) { return %s0%s; }", "a[", "]"),
+    ("int f(int a) { return %sa%s; }", "f(", ")"),
+    ("int f(int a) { return %sa%s; }", "- ", ""),
+    ("int f(int a) { return %sa%s; }", "(int)", ""),
+    ("int f(int a) { return a%s%s; }", " ? a : a", ""),
+    ("int %sx%s;", "(", ")"),
+    ("struct s %sint x;%s;", "{ struct t ", "} y;"),
+    ("#if %s1%s\nint x;\n#endif\n", "(", ")"),
+    ("#if %s1%s\nint x;\n#endif\n", "!", ""),
+)
+
+
+@st.composite
+def deep_nesting(draw):
+    """One construct nested around the parsers' bound, with up to two
+    closers missing."""
+    template, opener, closer = draw(st.sampled_from(_NESTS))
+    depth = draw(st.sampled_from(
+        (1, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1)
+    ))
+    closers = max(0, depth - draw(st.integers(0, 2))) if closer else 0
+    return template % (opener * depth, closer * closers)
+
+
 frontend_inputs = st.one_of(
     mutated(CODEGEN), mutated(DATA), mutated(METAL), directive_file(),
     non_ascii,
@@ -216,3 +247,15 @@ class TestFrontendIsTotal:
     @given(directive_file())
     def test_directives_ast_or_located_source_error(self, text):
         assert_frontend_total(text)
+
+    @FUZZ
+    @given(deep_nesting())
+    def test_deep_nesting_ast_or_located_source_error(self, text):
+        # Hypothesis runs a property at about 2000 frames; xgcc runs at
+        # the limit repro.engine.analysis sets, which the bound is for.
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(100000)
+        try:
+            assert_frontend_total(text)
+        finally:
+            sys.setrecursionlimit(saved)

@@ -295,6 +295,48 @@ class TestParallelAnalysis:
         )
         assert [r.format() for r in p_stat] == [r.format() for r in s_stat]
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_pass2_ships_at_most_one_task_per_worker(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        from repro.driver import parallel
+
+        root, paths = write_generated(
+            tmp_path, seed=11, n_modules=3, functions_per_module=5,
+            cross_calls=False,
+        )
+        shipped = []
+        run_tasks = parallel.run_tasks_with_recovery
+
+        def counting(tasks, worker, *args, **kwargs):
+            if worker is parallel.pass2_worker:
+                shipped.append(len(tasks))
+            return run_tasks(tasks, worker, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_tasks_with_recovery", counting)
+        project = Project(include_paths=[root])
+        project.compile_files(paths)
+        result = project.run(
+            default_checkers(), jobs=jobs, extension_factory=default_checkers
+        )
+        assert project.stats.count("pass2_components") > jobs
+        assert shipped == [jobs] == [project.stats.count("pass2_tasks")]
+
+        serial = Project(include_paths=[root])
+        serial.compile_files(paths)
+        assert report_keys(result) == report_keys(
+            serial.run(default_checkers())
+        )
+
+    def test_pack_components_balances_and_keeps_order(self):
+        from repro.driver.parallel import pack_components
+
+        parts = [["a"] * 5, ["b"], ["c"] * 3, ["d"] * 2, ["e"]]
+        batches = pack_components(parts, 2)
+        # Largest first, each to the lighter batch: 5+1 and 3+2+1.
+        assert batches == [[["a"] * 5, ["b"]], [["c"] * 3, ["d"] * 2, ["e"]]]
+        assert pack_components(parts[:1], 4) == [[["a"] * 5]]
+
     def test_unshippable_extensions_fall_back_to_serial(self):
         project = toy_project()
         project.compile_files(TOY_SOURCES)
@@ -458,7 +500,7 @@ class TestParallelCLI:
         capsys.readouterr()
         stats = json.load(open(stats_json))
         timers, counters = stats["timers_s"], stats["counters"]
-        assert stats["schema_version"] == 12
+        assert stats["schema_version"] == 13
         assert timers["pass2_wall"] > 0
         assert 0 < timers["lex"] <= timers["preprocess"]
         assert counters["tokens_lexed"] > counters["parses"]

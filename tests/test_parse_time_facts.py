@@ -34,6 +34,7 @@ from repro.driver.daemon import XgccDaemon
 from repro.driver.project import Project
 from repro.driver.session import IncrementalSession, session_signature
 from repro.engine.analysis import AnalysisOptions
+from repro.reports.pipeline import PipelineConfig
 
 TOY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -69,7 +70,7 @@ def make_daemon(src, cache, extension_factory, names, refine=None):
         watch_roots=[str(src)], extension_factory=extension_factory,
         session=session, socket_path=str(src / "unused.sock"),
         include_paths=[str(src)], cache_dir=str(cache), options=options,
-        refine=refine,
+        pipeline=PipelineConfig(refine=refine),
     )
 
 

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cfront import astnodes as ast
 from repro.cfront import types as ctypes
-from repro.cfront.parser import Parser, parse, parse_expression, parse_statement
+from repro.cfront.parser import (
+    MAX_NESTING,
+    Parser,
+    parse,
+    parse_expression,
+    parse_statement,
+)
 from repro.cfront.source import ParseError
 
 
@@ -348,6 +354,10 @@ class TestStructuralEquality:
         assert ast.structurally_equal(a, b)
 
 
+#: Three times past the parser's nesting bound.
+DEEP = 3 * MAX_NESTING
+
+
 class TestMalformedInputDiagnostics:
     """Malformed constants and an unterminated ``#if`` exit 2 with a
     ``file:line:col`` diagnostic, not a Python traceback."""
@@ -366,10 +376,15 @@ class TestMalformedInputDiagnostics:
          "malformed macro parameter list for 'F'"),
         ("int a;\n#if 1 << 64\n#endif\n", "t.c:2:7:",
          "shift count 64 out of range in #if expression"),
+        ("int a;\n#if 1 / 0 == 0\n#endif\n", "t.c:2:7:",
+         "division by zero in #if expression"),
+        ("int x = " + "(" * 30000 + "1" + ")" * 30000 + ";\n", "t.c:1:1010:",
+         "nesting deeper than 1000 levels"),
     ], ids=["hex-without-digits", "octal-with-nine", "empty-char",
             "unterminated-if", "non-ascii-digit-in-float",
             "hex-escape-out-of-range", "unclosed-macro-parameters",
-            "if-shift-out-of-range"])
+            "if-shift-out-of-range", "if-division-by-zero",
+            "parentheses-past-the-nesting-bound"])
     def test_cli_reports_a_source_location(self, tmp_path, capsys,
                                            monkeypatch, text, where,
                                            message):
@@ -381,6 +396,33 @@ class TestMalformedInputDiagnostics:
         err = capsys.readouterr().err
         assert "%s %s" % (where, message) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "int x = %s1%s;" % ("(" * DEEP, ")" * DEEP),
+        "int f(int a) { return %sa; }" % ("- " * DEEP),
+        "int f(int a) { return %sa; }" % ("(int)" * DEEP),
+        "int f(int a) { a%s; }" % (" = a" * DEEP),
+        "int f(int a) { return a%s; }" % (" ? a : a" * DEEP),
+        "int f(int a) { return %sa%s; }" % ("f(" * DEEP, ")" * DEEP),
+        "int f(int *a) { return %s0%s; }" % ("a[" * DEEP, "]" * DEEP),
+        "int x[] = %s1%s;" % ("{" * DEEP, "}" * DEEP),
+        "void f(void) %s%s" % ("{" * DEEP, "}" * DEEP),
+        "struct s %s int x; %s;" % ("{ struct t" * DEEP, "} y;" * DEEP),
+        "int %sx%s;" % ("(" * DEEP, ")" * DEEP),
+    ], ids=["parentheses", "prefix-operators", "casts", "assignments",
+            "conditionals", "calls", "subscripts", "initializers", "blocks",
+            "structs", "declarators"])
+    def test_nesting_past_the_bound_is_a_located_parse_error(self, text):
+        with pytest.raises(ParseError) as info:
+            parse(text, "deep.c")
+        assert "nesting deeper than %d levels" % MAX_NESTING in str(info.value)
+        assert info.value.location.filename == "deep.c"
+        assert info.value.location.line == 1
+
+    def test_nesting_at_the_bound_parses(self):
+        depth = MAX_NESTING - 1
+        unit = parse("int x = %s1%s;" % ("(" * depth, ")" * depth))
+        assert len(unit.decls) == 1
 
     def test_out_of_range_shift_is_not_a_constant(self):
         parser = Parser("enum { A = 1 << -1, B, C = 1 << 64, D = 1 << 3 };\n")

@@ -172,6 +172,9 @@ class TestMalformedDirectives:
         "#if 1 << -1",
         "#if 1 << 64",
         "#if 1 >> 64",
+        "#if 1 / 0 == 0",
+        "#if 1 % 0",
+        "#if -(2 / (1 - 1))",
         "#define",
         "#include",
         "#include <a.h",
@@ -190,9 +193,31 @@ class TestMalformedDirectives:
     @pytest.mark.parametrize("condition", [
         "!(0 && (1 << 64))", "1 || (1 >> -1)", "0 ? 1 << 64 : 1",
         "1 ? 1 : 1 << 64", "!(1 && 0 && (1 << 99))",
+        "!(0 && 1 / 0)", "1 || 1 % 0", "0 ? 1 / 0 : 1",
     ])
     def test_unevaluated_shifts_are_not_errors(self, condition):
         assert pp("#if %s\nint x;\n#endif" % condition) == "int x ;"
+
+    @pytest.mark.parametrize("condition", [
+        "-7 / 2 == -3", "7 / -2 == -3", "-7 / -2 == 3", "-7 % 2 == -1",
+        "7 % -2 == 1", "-7 % -2 == -1", "7 / 2 == 3 && 7 % 2 == 1",
+    ])
+    def test_division_truncates_toward_zero(self, condition):
+        # C99 6.5.5p6, as gcc -E evaluates it; Python would floor.
+        assert pp("#if %s\nint x;\n#endif" % condition) == "int x ;"
+
+    @pytest.mark.parametrize("condition", [
+        "(" * 3000 + "1" + ")" * 3000, "!" * 3000 + "1", "- " * 3000 + "1",
+    ], ids=["parentheses", "negations", "minus-signs"])
+    def test_nesting_past_the_bound_is_located(self, condition):
+        with pytest.raises(PreprocessorError, match="nests deeper") as info:
+            pp("int x;\n#if %s\n#endif\n" % condition, filename="m.c")
+        assert info.value.location.filename == "m.c"
+        assert info.value.location.line == 2
+
+    def test_deep_nesting_below_the_bound_evaluates(self):
+        text = "#if " + "(" * 900 + "1" + ")" * 900 + "\nint x;\n#endif"
+        assert pp(text) == "int x ;"
 
     def test_shift_counts_in_range_still_evaluate(self):
         assert pp("#if (1 << 63) >> 63 == 1\nint x;\n#endif") == "int x ;"

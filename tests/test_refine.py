@@ -33,6 +33,7 @@ from repro.engine.analysis import AnalysisOptions
 from repro.ranking.statistical import verdict_confidence
 from repro.reports.hashing import assign_report_hashes
 from repro.reports.history import RunHistory, RunHistoryError
+from repro.reports.pipeline import PipelineConfig
 from repro.reports.model import Report
 
 free_checker_list = functools.partial(_build_extensions, ("free",), ())
@@ -334,8 +335,8 @@ def running_daemon(src_dir, cache_dir, sock_path, refine=None,
         watch_roots=[str(src_dir)], extension_factory=free_checker_list,
         session=session, socket_path=str(sock_path),
         include_paths=[str(src_dir)], cache_dir=str(cache_dir),
-        options=options, poll_interval=30.0, refine=refine,
-        run_keep=run_keep,
+        options=options, poll_interval=30.0,
+        pipeline=PipelineConfig(refine=refine, prune_keep=run_keep),
     )
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()

@@ -175,16 +175,15 @@ class TestFileFormat:
             sorted(e.identity() for e in store)
         assert loaded.match_dict({"hash": "a" * 40}).reason == "flaky"
 
-    def test_legacy_history_list_still_loads(self, tmp_path):
-        # Pre-refactor HistoryDatabase files: a bare list of §8 keys.
+    def test_bare_history_list_is_rejected(self, tmp_path):
+        # Pre-triage HistoryDatabase files were a bare list of §8 keys;
+        # the one document format is an object.
         path = str(tmp_path / "history.json")
         key = ["free_checker", "mod.c", "f", "a", "using a after free!"]
         with open(path, "w") as handle:
             json.dump([key], handle)
-        store = TriageStore.load(path)
-        assert len(store) == 1
-        assert store.entries[0].kind == "history"
-        assert store.entries[0].key == tuple(key)
+        with pytest.raises(TriageError, match="not an object"):
+            TriageStore.load(path)
 
     def test_history_database_facade_interoperates(self, tmp_path):
         reports = sample_reports()
