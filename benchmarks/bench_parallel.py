@@ -1,17 +1,24 @@
 """Parallel driver + persistent AST cache benchmarks (docs/DRIVER.md).
 
-Three series, dumped to ``BENCH_parallel.json``:
+Four series, dumped to ``BENCH_parallel.json`` with the host's
+``cpu_count``:
 
 - pass-1 wall-clock, serial vs ``jobs=2`` and ``jobs=4``, on generated
   50- and 200-file projects (speedup asserted only when the host has the
   cores to show it);
 - cold vs warm cache: the warm run must do *zero* re-parses -- every
   file is a cache hit -- and beat the cold run's wall-clock;
-- pass-2 wall-clock, serial vs component-parallel, same-report check.
+- pass-2 wall-clock, serial vs component-parallel, same-report check;
+- pass-2 wall-clock on the e2e corpus (``benchmarks/e2e/corpus.py``,
+  seed 1) at ``jobs=1`` and ``jobs=2``, alternating: whether pass-2
+  workers pay for themselves on this host.
 """
 
+import gc
 import json
 import os
+import statistics
+import sys
 import time
 
 from repro.codegen.project_gen import default_checkers, generate_project
@@ -22,6 +29,7 @@ _summary = {}
 
 
 def _dump_summary():
+    _summary["cpu_count"] = os.cpu_count()
     with open(SUMMARY_PATH, "w") as handle:
         json.dump(_summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -71,7 +79,6 @@ def test_pass1_scaling(benchmark, tmp_path):
             # The fan-out claim, only meaningful with real parallelism.
             assert speedup4 >= 1.5
     _summary["pass1_scaling"] = rows
-    _summary["cores"] = cores
     _dump_summary()
     root, paths = materialize(tmp_path, 10, seed=9)
     benchmark(timed_pass1, root, paths, 1)
@@ -133,3 +140,47 @@ def test_pass2_components(benchmark, tmp_path):
     }
     _dump_summary()
     benchmark(analyze, 1)
+
+
+def test_corpus_pass2_jobs(tmp_path):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "e2e"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    from repro.checkers import ALL_CHECKERS
+
+    generated, __ = corpus.generate_kcorpus(1)
+    root = str(tmp_path / "kcorpus")
+    paths = corpus.write_tree(generated, root)
+    names = ("free", "lock", "mallocfail", "range", "user-pointer")
+    factory = lambda: [ALL_CHECKERS[name]() for name in names]  # noqa: E731
+    project = Project(include_paths=[os.path.join(root, "include")])
+    project.compile_files(paths)
+    project.callgraph  # built once, outside the timed runs
+    walls = {1: [], 2: []}
+    outputs = {}
+    for __ in range(5):
+        for jobs in (1, 2):
+            # Collector paused, as in a one-shot CLI run (docs/DRIVER.md,
+            # "The cyclic collector").
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                result = project.run(factory(), jobs=jobs,
+                                     extension_factory=factory)
+                walls[jobs].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            outputs[jobs] = [report.to_dict() for report in result.reports]
+    assert outputs[1] == outputs[2]
+    row = {
+        "jobs%d_s" % jobs: round(statistics.median(series), 4)
+        for jobs, series in walls.items()
+    }
+    row["runs"] = len(walls[1])
+    print("\ncorpus pass 2 (median of %d alternating): jobs=1 %.3fs, "
+          "jobs=2 %.3fs" % (row["runs"], row["jobs1_s"], row["jobs2_s"]))
+    _summary["corpus_pass2_jobs"] = row
+    _dump_summary()

@@ -30,6 +30,9 @@ class CallGraph:
         #: :func:`repro.cfg.fingerprint.fingerprint_tables`; any mutation
         #: of the graph drops it.
         self.fingerprint_memo = {}
+        #: ``{(names, interprocedural): frozenset}`` memo of
+        #: :meth:`live_functions`; any mutation of the graph drops it.
+        self.live_memo = {}
 
     @classmethod
     def from_units(cls, units):
@@ -44,11 +47,13 @@ class CallGraph:
     def add_function(self, decl):
         self.functions[decl.name] = decl
         self.fingerprint_memo = {}
+        self.live_memo = {}
 
     def link(self):
         """(Re)compute callee/caller sets, from the callee sets pass 1
         carried on each decl (walking the body only when absent)."""
         self.fingerprint_memo = {}
+        self.live_memo = {}
         self.callees = {}
         self.callers = {name: set() for name in self.functions}
         for name, decl in self.functions.items():
@@ -109,6 +114,35 @@ class CallGraph:
                 stack.extend(adjacency[current] - seen)
             parts.append(sorted(component))
         return parts
+
+    def live_functions(self, names, interprocedural=True):
+        """The defined functions whose analysis can meet a call to one
+        of ``names`` (a frozenset): those that call one directly, and
+        with ``interprocedural`` every function of a weakly connected
+        component (:meth:`components`) that holds such a caller.
+
+        A component rather than the callers' reverse call cone: roots
+        of one component share block summaries, and with false-path
+        pruning a summary that one root's traversal leaves behind can
+        change what a later root reports.  So a component is skipped
+        whole or not at all (docs/ENGINE.md, "Live roots").
+        """
+        key = (names, interprocedural)
+        live = self.live_memo.get(key)
+        if live is None:
+            live = {
+                name for name, callees in self.callees.items()
+                if not callees.isdisjoint(names)
+            }
+            stack = list(live) if interprocedural else []
+            while stack:
+                name = stack.pop()
+                for other in self.callers[name] | self.callees[name]:
+                    if other in self.functions and other not in live:
+                        live.add(other)
+                        stack.append(other)
+            live = self.live_memo[key] = frozenset(live)
+        return live
 
     def _reachable_from(self, names):
         seen = set()

@@ -17,6 +17,7 @@ import functools
 import gc
 import os
 import sys
+import time
 
 from repro.checkers import ALL_CHECKERS
 from repro.driver.project import Project
@@ -312,9 +313,10 @@ def entry_point():
 def _main(parser, args):
     # ``resources`` closes what the run opened (store backends and
     # their connections) however it ends.
+    started = time.perf_counter()
     with contextlib.ExitStack() as resources:
         try:
-            return _run(parser, args, resources)
+            return _run(parser, args, resources, started)
         except OSError as error:
             print("xgcc: %s" % error, file=sys.stderr)
             return 2
@@ -614,7 +616,34 @@ def _make_options(args):
     )
 
 
-def _run(parser, args, resources):
+#: Each numeric flag's lower bound, checked before any work.  NaN fails
+#: every bound; argparse has already checked the types.
+_BOUNDS = {
+    ">= 1": lambda value: value >= 1,
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+}
+_NUMERIC_FLAGS = (
+    ("--jobs", "jobs", ">= 1"),
+    ("--max-steps-per-root", "max_steps_per_root", ">= 1"),
+    ("--max-paths-per-root", "max_paths_per_root", ">= 1"),
+    ("--max-seconds-per-root", "max_seconds_per_root", "> 0"),
+    ("--worker-timeout", "worker_timeout", "> 0"),
+    ("--poll-interval", "poll_interval", "> 0"),
+    ("--cache-gc-days", "cache_gc_days", ">= 0"),
+)
+
+
+def _check_numeric_flags(parser, args):
+    """Reject a nonsense budget, pool size, or interval."""
+    for flag, attribute, bound in _NUMERIC_FLAGS:
+        value = getattr(args, attribute)
+        if value is not None and not _BOUNDS[bound](value):
+            parser.error("%s must be %s (got %s)" % (flag, bound, value))
+
+
+def _run(parser, args, resources, started):
+    _check_numeric_flags(parser, args)
     if args.list_checkers:
         for name in sorted(ALL_CHECKERS):
             print(name)
@@ -790,12 +819,13 @@ def _run(parser, args, resources):
         from repro.driver.dump import reports_to_json
 
         project.stats.add("report_json_dumps")
-        payload = reports_to_json(reports)
-        if args.report_json == "-":
-            print(payload)
-        else:
-            with open(args.report_json, "w") as handle:
-                handle.write(payload + "\n")
+        with project.stats.phase("report_json"):
+            payload = reports_to_json(reports)
+            if args.report_json == "-":
+                print(payload)
+            else:
+                with open(args.report_json, "w") as handle:
+                    handle.write(payload + "\n")
 
     if result is not None and result.degraded:
         # Engine-level degradations (abandoned roots) join the driver's
@@ -805,14 +835,16 @@ def _run(parser, args, resources):
         for entry in result.degraded:
             print("xgcc: degraded: %s" % entry.describe(), file=sys.stderr)
 
-    if args.format == "json":
-        from repro.driver.dump import reports_to_json
+    with project.stats.phase("render"):
+        if args.format == "json":
+            from repro.driver.dump import reports_to_json
 
-        print(reports_to_json(reports))
-    else:
-        from repro.driver.dump import render_reports
+            print(reports_to_json(reports))
+        else:
+            from repro.driver.dump import render_reports
 
-        sys.stdout.write(render_reports(reports, trace=args.trace))
+            sys.stdout.write(render_reports(reports, trace=args.trace))
+    project.stats.account_run(time.perf_counter() - started)
     if args.stats:
         if result is not None:
             for key, value in sorted(result.stats.items()):

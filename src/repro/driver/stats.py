@@ -69,7 +69,20 @@ from contextlib import contextmanager
 #: ``refine``, ``rank``, ``record``, ``prune``; docs/DRIVER.md, "The
 #: report pipeline") on every CLI run and daemon analysis, and
 #: ``pass2_tasks`` (the pool tasks components were packed into).
-SCHEMA_VERSION = 13
+#: 14: the ``render`` and ``report_json`` timers, ``run_wall`` (a
+#: one-shot CLI run from its parsed arguments to its stats) with its
+#: ``unaccounted`` residual (see :data:`WALL_TIMERS`), and the engine's
+#: ``roots_skipped`` counter (docs/ENGINE.md, "Live roots").
+SCHEMA_VERSION = 14
+
+#: The wall-clock timers of a one-shot CLI run that never overlap one
+#: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other
+#: timer nests inside one of them (``preprocess`` in ``pass1_wall``,
+#: ``traverse`` in ``pass2_wall``) or is summed across workers.
+WALL_TIMERS = (
+    "pass1_wall", "callgraph", "pass2_wall", "history", "triage",
+    "refine", "rank", "record", "prune", "report_json", "render",
+)
 
 
 class DriverStats:
@@ -106,6 +119,13 @@ class DriverStats:
 
     def add_time(self, name, seconds):
         self.timers[name] = self.timers.get(name, 0.0) + seconds
+
+    def account_run(self, seconds):
+        """Record a one-shot run's ``run_wall`` and the ``unaccounted``
+        part of it that no :data:`WALL_TIMERS` entry covers."""
+        self.add_time("run_wall", seconds)
+        covered = sum(self.timers.get(name, 0.0) for name in WALL_TIMERS)
+        self.add_time("unaccounted", seconds - covered)
 
     @contextmanager
     def collector_passes(self):

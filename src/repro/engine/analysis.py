@@ -49,6 +49,9 @@ from repro.engine.synonyms import maybe_create_synonym, mirror_transition
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
+#: ``run_one``'s live-function set before the first analyzed root.
+_UNKNOWN = object()
+
 
 class AnalysisOptions:
     """Engine switches.  Defaults mirror the paper's described behaviour;
@@ -302,6 +305,7 @@ class Analysis:
             "calls_followed": 0,
             "errors": 0,
             "degraded_roots": 0,
+            "roots_skipped": 0,
             "matcher_table_hits": 0,
             "matcher_miss_memo_hits": 0,
             "matcher_fallbacks": 0,
@@ -406,6 +410,7 @@ class Analysis:
             else:
                 roots = sorted(self.callgraph.functions)
         capture = self.options.capture_root_artifacts
+        live = _UNKNOWN
         for root in roots:
             if root not in self.callgraph.functions:
                 continue
@@ -416,30 +421,19 @@ class Analysis:
                 # artifact at merge time.
                 self._apply_replay(resolved)
                 continue
+            if live is _UNKNOWN:
+                live = self._live_functions(ext)
             start = len(self.log)
             degraded_before = len(self.degraded)
             if capture:
                 self.log.push_scope()
                 self._tracker.begin_root()
-            self._begin_root(root)
-            try:
-                self._run_root(ext, root)
-            except RootBudgetExceeded as err:
-                # Per-root budget: abandon this root only, keep its
-                # partial reports, analyze the remaining roots.
-                self._record_degraded(root, err.kind, err.detail, start)
-            except AnalysisBudgetExceeded:
-                self._truncated = True
-                self._record_degraded(
-                    root, "global-steps",
-                    "max_steps=%r exhausted; remaining roots skipped"
-                    % self.options.max_steps,
-                    start,
-                )
-            except Exception as err:
-                if self.options.root_error_policy != "degrade":
-                    raise
-                self._record_degraded(root, "error", repr(err), start)
+            if live is None or root in live:
+                self._analyze_root(ext, root, start)
+            else:
+                # No start rule can fire under this root: traversing it
+                # would only fill summaries no live root reads.
+                self.stats["roots_skipped"] += 1
             self.root_spans.append((self._ext_index, root, start, len(self.log)))
             if capture:
                 self._capture_artifact(ext, root, start, degraded_before)
@@ -449,6 +443,38 @@ class Analysis:
         self.stats["matcher_miss_memo_hits"] = self._m_miss_memo_hits
         self.stats["matcher_fallbacks"] = self._m_fallbacks
         return self._table
+
+    def _live_functions(self, ext):
+        """The functions whose roots can fire one of ``ext``'s start
+        rules, or None when every root can (docs/ENGINE.md, "Live
+        roots")."""
+        anchors = ext.start_anchors()
+        if anchors is None:
+            return None
+        return self.callgraph.live_functions(
+            anchors, interprocedural=self.options.interprocedural
+        )
+
+    def _analyze_root(self, ext, root, start):
+        self._begin_root(root)
+        try:
+            self._run_root(ext, root)
+        except RootBudgetExceeded as err:
+            # Per-root budget: abandon this root only, keep its
+            # partial reports, analyze the remaining roots.
+            self._record_degraded(root, err.kind, err.detail, start)
+        except AnalysisBudgetExceeded:
+            self._truncated = True
+            self._record_degraded(
+                root, "global-steps",
+                "max_steps=%r exhausted; remaining roots skipped"
+                % self.options.max_steps,
+                start,
+            )
+        except Exception as err:
+            if self.options.root_error_policy != "degrade":
+                raise
+            self._record_degraded(root, "error", repr(err), start)
 
     def _apply_replay(self, resolved):
         """Apply a resolved delta's writes to the live environment.

@@ -43,6 +43,13 @@ class Pattern:
     def mentions_end_of_path(self):
         return False
 
+    def anchors(self):
+        """The callee names every match must call: a frozenset such
+        that each point this pattern matches contains a direct call to
+        one of them, or None when no such set is known (docs/ENGINE.md,
+        "Live roots")."""
+        return None
+
     def __and__(self, other):
         return AndPattern(self, other)
 
@@ -73,6 +80,16 @@ class BasePattern(Pattern):
             return True
         return False
 
+    def anchors(self):
+        # Every non-hole node of the pattern must match, so any one call
+        # with a named callee anchors it.
+        if self.pattern_ast is None:
+            return None
+        for node in self.pattern_ast.walk():
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Ident):
+                return frozenset((node.func.name,))
+        return None
+
     def __repr__(self):
         return "BasePattern(%r)" % (self.source or self.pattern_ast)
 
@@ -93,6 +110,10 @@ class AndPattern(Pattern):
 
     def mentions_end_of_path(self):
         return self.left.mentions_end_of_path() or self.right.mentions_end_of_path()
+
+    def anchors(self):
+        left = self.left.anchors()
+        return left if left is not None else self.right.anchors()
 
     def __repr__(self):
         return "(%r && %r)" % (self.left, self.right)
@@ -118,6 +139,13 @@ class OrPattern(Pattern):
 
     def mentions_end_of_path(self):
         return self.left.mentions_end_of_path() or self.right.mentions_end_of_path()
+
+    def anchors(self):
+        left = self.left.anchors()
+        right = self.right.anchors()
+        if left is None or right is None:
+            return None
+        return left | right
 
     def __repr__(self):
         return "(%r || %r)" % (self.left, self.right)

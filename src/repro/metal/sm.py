@@ -119,6 +119,7 @@ class Extension:
     # attributes so unpickled instances start clean.
     _groups_cache = None
     _eop_cache = None
+    _anchors_cache = None
     _compiled_cache = None
 
     def __init__(self, name):
@@ -308,6 +309,30 @@ class Extension:
             self._eop_cache = cache
         return cache[1]
 
+    def start_anchors(self):
+        """The callee names a run must call before any rule can fire.
+
+        Only a rule out of the initial global state can create an
+        instance or change the global state, so a root whose analysis
+        never meets a call to one of these names cannot report.  The
+        union of the start rules' :meth:`Pattern.anchors`; None when
+        one of them is unanchored, and empty when there is no start
+        rule (docs/ENGINE.md, "Live roots").
+        """
+        key = self._mutation_key()
+        cache = self._anchors_cache
+        if cache is None or cache[0] != key:
+            anchors = frozenset()
+            for rule in self.global_transitions(self.initial_global):
+                names = rule.pattern.anchors()
+                if names is None:
+                    anchors = None
+                    break
+                anchors |= names
+            cache = (key, anchors)
+            self._anchors_cache = cache
+        return cache[1]
+
     def compiled(self):
         """The table-driven matcher set for this extension (lazily built
         by :mod:`repro.metal.compile`, invalidated when the transition
@@ -324,7 +349,8 @@ class Extension:
     def __getstate__(self):
         """Derived caches hold compiled closures; never pickle them."""
         state = dict(self.__dict__)
-        for attr in ("_groups_cache", "_eop_cache", "_compiled_cache"):
+        for attr in ("_groups_cache", "_eop_cache", "_anchors_cache",
+                     "_compiled_cache"):
             state.pop(attr, None)
         return state
 

@@ -488,7 +488,7 @@ class TestEngineDegradation:
 
     def test_step_budget_degrades_only_offending_root(self):
         # An exponential path-explosion root next to a tiny buggy one.
-        chunks = ["int wide(int *p, int a) {", "  int x = 0;"]
+        chunks = ["int wide(int *p, int a) {", "  int x = 0;", "  kfree(p);"]
         for index in range(24):
             chunks.append("  if (a > %d) { x = x + 1; } else { x = x - 1; }"
                           % index)
@@ -512,7 +512,7 @@ class TestEngineDegradation:
         assert any(r.function == "buggy" for r in result.reports)
 
     def test_path_budget_records_kind_paths(self):
-        chunks = ["int fanout(int a) {", "  int x = 0;"]
+        chunks = ["int fanout(int *p, int a) {", "  int x = 0;", "  kfree(p);"]
         for index in range(12):
             chunks.append("  if (a > %d) { x = x + 1; } else { x = x - 1; }"
                           % index)
@@ -527,7 +527,8 @@ class TestEngineDegradation:
 
     def test_time_budget_records_kind_time(self):
         unit = parse(
-            "int slow(int a) { int x = 0; x = x + a; return x; }\n", "slow.c"
+            "int slow(int *p, int a) { int x = 0; kfree(p); x = x + a;"
+            " return x; }\n", "slow.c"
         )
         options = AnalysisOptions(max_seconds_per_root=1e-9)
         result = Analysis([unit], options=options).run(free_checker())
@@ -557,8 +558,8 @@ class TestEngineDegradation:
 
     def test_global_budget_still_truncates_but_records(self):
         unit = parse(
-            "int a(int x) { return x; }\n"
-            "int b(int x) { return x; }\n",
+            "int a(int *p, int x) { kfree(p); return x; }\n"
+            "int b(int *p, int x) { kfree(p); return x; }\n",
             "global.c",
         )
         options = AnalysisOptions(max_steps=1, interprocedural=False)

@@ -123,8 +123,8 @@ class TestFunctionSummaries:
     def test_summary_cache_hit(self):
         code = (
             "void helper(int *p) { *p = 1; }\n"
-            "int root(int *a, int *b) { helper(a); helper(b); helper(a);"
-            " return 0; }\n"
+            "int root(int *a, int *b, int *c) { helper(a); helper(b);"
+            " helper(a); kfree(c); return 0; }\n"
         )
         unit = parse(code)
         analysis = Analysis([unit])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.driver.cli import main
 from repro.driver.project import Project
+from repro.driver.stats import WALL_TIMERS
 from repro.reports.history import RunHistory
 
 STAGES = ("history", "triage", "refine", "rank", "record", "prune")
@@ -54,6 +55,26 @@ class TestStageTimers:
         stats = str(tmp_path / "stats.json")
         run(["--stats-json", stats, source], capsys)
         assert set(STAGES) <= set(stats_of(stats)["timers_s"])
+
+    def test_render_and_report_json_are_timed(self, tmp_path, source,
+                                              capsys):
+        stats = str(tmp_path / "stats.json")
+        run(["--report-json", str(tmp_path / "r.json"), "--stats-json",
+             stats, source], capsys)
+        timers = stats_of(stats)["timers_s"]
+        assert timers["render"] >= 0.0
+        assert timers["report_json"] >= 0.0
+
+    def test_run_wall_less_the_wall_timers_is_unaccounted(self, tmp_path,
+                                                          source, capsys):
+        stats = str(tmp_path / "stats.json")
+        run(["--stats-json", stats, source], capsys)
+        timers = stats_of(stats)["timers_s"]
+        covered = sum(timers.get(name, 0.0) for name in WALL_TIMERS)
+        assert 0.0 < covered <= timers["run_wall"]
+        assert timers["unaccounted"] == pytest.approx(
+            timers["run_wall"] - covered, abs=1e-5
+        )
 
 
 class TestErrorPolicy:
@@ -125,3 +146,44 @@ class TestStoreChecksComeFirst:
             main(["--checker", "free"] + flags + [source])
         assert info.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "0"], "--jobs must be >= 1 (got 0)"),
+        (["--jobs", "-3"], "--jobs must be >= 1 (got -3)"),
+        (["--max-steps-per-root", "-1"], "--max-steps-per-root must be >= 1"),
+        (["--max-steps-per-root", "0"], "--max-steps-per-root must be >= 1"),
+        (["--max-paths-per-root", "-2"], "--max-paths-per-root must be >= 1"),
+        (["--max-seconds-per-root", "-1"],
+         "--max-seconds-per-root must be > 0"),
+        (["--max-seconds-per-root", "0"],
+         "--max-seconds-per-root must be > 0"),
+        (["--max-seconds-per-root", "nan"],
+         "--max-seconds-per-root must be > 0"),
+        (["--worker-timeout", "-5", "--jobs", "2"],
+         "--worker-timeout must be > 0"),
+        (["--poll-interval", "0"], "--poll-interval must be > 0"),
+        (["--cache-gc-days", "-1"], "--cache-gc-days must be >= 0"),
+    ])
+    def test_nonsense_numeric_flag_before_pass_1(self, source, capsys,
+                                                 monkeypatch, flags,
+                                                 message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pass 1 ran before the usage check")
+
+        monkeypatch.setattr(Project, "compile_files", unreachable)
+        with pytest.raises(SystemExit) as info:
+            main(["--checker", "free"] + flags + [source])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "1"],
+        ["--max-steps-per-root", "1"],
+        ["--max-seconds-per-root", "inf"],
+        ["--cache-gc-days", "0", "--cache-gc", "--cache-dir", "CACHE"],
+    ])
+    def test_edge_values_are_accepted(self, tmp_path, source, capsys, flags):
+        flags = [str(tmp_path / "c") if flag == "CACHE" else flag
+                 for flag in flags]
+        code, out, err = run(flags + [source], capsys)
+        assert code in (0, 1), err

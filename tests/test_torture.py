@@ -19,9 +19,20 @@ from repro.cfront.unparse import unparse
 from repro.cfg.builder import build_cfg
 from repro.checkers import free_checker, null_checker
 from repro.engine.analysis import Analysis, AnalysisOptions
+from repro.metal.patterns import MATCH_NOTHING
+from repro.metal.sm import Extension
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FILES = sorted(glob.glob(os.path.join(DATA, "*.c")))
+
+
+def walk_everything():
+    """An extension whose start rule is unanchored, so no root is
+    skipped as dead (docs/ENGINE.md, "Live roots") and every construct
+    is walked even where no checker's start call appears."""
+    ext = Extension("walk_everything")
+    ext.transition("start", MATCH_NOTHING)
+    return ext
 
 
 def read(path):
@@ -50,7 +61,9 @@ class TestTortureFiles:
 
     def test_analysis_survives(self, path):
         unit = parse(read(path), path)
-        result = Analysis([unit]).run([free_checker(), null_checker()])
+        result = Analysis([unit]).run(
+            [free_checker(), null_checker(), walk_everything()]
+        )
         assert result.stats["points_visited"] > 0
 
     def test_deterministic_analysis(self, path):
