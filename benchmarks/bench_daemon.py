@@ -16,9 +16,16 @@ The shape assertions are the ISSUE acceptance criteria: every
 daemon-served report text is byte-identical to a cold serial run over
 the same tree, and the warm-edit daemon latency is at or below the
 measured solo dirty-cone analysis time.
+
+Every timed section starts from a collected heap (:func:`settle`): the
+daemon runs in this process, next to the untimed cold oracle runs, and
+without it the full collector pass their garbage makes due lands in
+whichever timed section comes next (a ~50 ms pass over the whole test
+process, the daemon's or the solo run's, by allocation luck).
 """
 
 import functools
+import gc
 import json
 import statistics
 import threading
@@ -64,10 +71,17 @@ def cold_serial_text(root, paths):
     return "".join(r.format() + "\n" for r in stratify(result.reports))
 
 
+def settle():
+    """Collect the garbage earlier (untimed) work left, so no collector
+    pass it is due lands in the timed section that follows."""
+    gc.collect()
+
+
 def timed_solo_edit_run(root, paths, cache_dir):
     """What a daemon-less incremental workflow pays per edit: process-
     fresh project + session over warm caches (pass-1 probe of every
     file, manifest load, dirty-cone pass 2)."""
+    settle()
     start = time.perf_counter()
     project = Project(include_paths=[root], cache_dir=cache_dir)
     project.compile_files(paths)
@@ -79,6 +93,7 @@ def timed_solo_edit_run(root, paths, cache_dir):
 
 
 def timed_request(client, op, **fields):
+    settle()
     start = time.perf_counter()
     reply = client.request(op, **fields)
     return time.perf_counter() - start, reply

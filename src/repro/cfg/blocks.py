@@ -106,6 +106,14 @@ class CFG:
         self.blocks.append(block)
         return block
 
+    def unlink(self):
+        """Drop every edge and predecessor list, so refcounting alone
+        frees this graph (blocks and edges form cycles).  For a CFG
+        nothing reads any more."""
+        for block in self.blocks:
+            block.edges = []
+            block.preds = []
+
     def local_names(self):
         """Names of parameters and locals declared anywhere in the function."""
         names = {p.name for p in self.decl.params if p.name}

@@ -4,6 +4,8 @@ Functions with no callers are roots; recursive call chains are broken
 arbitrarily so that every function is reachable from some root.
 """
 
+import hashlib
+
 from repro.cfront import astnodes as ast
 
 
@@ -33,6 +35,9 @@ class CallGraph:
         #: ``{(names, interprocedural): frozenset}`` memo of
         #: :meth:`live_functions`; any mutation of the graph drops it.
         self.live_memo = {}
+        #: :meth:`component_labels` memo; any mutation of the graph
+        #: drops it.
+        self.label_memo = None
 
     @classmethod
     def from_units(cls, units):
@@ -48,12 +53,14 @@ class CallGraph:
         self.functions[decl.name] = decl
         self.fingerprint_memo = {}
         self.live_memo = {}
+        self.label_memo = None
 
     def link(self):
         """(Re)compute callee/caller sets, from the callee sets pass 1
         carried on each decl (walking the body only when absent)."""
         self.fingerprint_memo = {}
         self.live_memo = {}
+        self.label_memo = None
         self.callees = {}
         self.callers = {name: set() for name in self.functions}
         for name, decl in self.functions.items():
@@ -134,15 +141,50 @@ class CallGraph:
                 name for name, callees in self.callees.items()
                 if not callees.isdisjoint(names)
             }
-            stack = list(live) if interprocedural else []
-            while stack:
-                name = stack.pop()
-                for other in self.callers[name] | self.callees[name]:
-                    if other in self.functions and other not in live:
-                        live.add(other)
-                        stack.append(other)
+            if interprocedural:
+                live = self.connected(live)
             live = self.live_memo[key] = frozenset(live)
         return live
+
+    def connected(self, names):
+        """The defined functions weakly connected to one of ``names``:
+        the union of the :meth:`components` that hold them, found by a
+        walk over those components only."""
+        found = {name for name in names if name in self.functions}
+        stack = list(found)
+        while stack:
+            name = stack.pop()
+            for other in self.callers[name] | self.callees[name]:
+                if other in self.functions and other not in found:
+                    found.add(other)
+                    stack.append(other)
+        return found
+
+    def component_labels(self):
+        """``{function: label}`` over the defined functions, naming the
+        *membership* of each one's weakly connected component
+        (:meth:`components`): ``""`` for a function that calls no
+        defined function and has no caller, else a digest of the sorted
+        member names.  Two graphs give a function the same label exactly
+        when its component holds the same functions in both.  Memoized."""
+        if self.label_memo is not None:
+            return self.label_memo
+        functions = self.functions
+        labels = {}
+        for name in functions:
+            if name in labels:
+                continue
+            if not self.callers[name] and not any(
+                    callee in functions for callee in self.callees[name]):
+                labels[name] = ""
+                continue
+            members = self.connected((name,))
+            label = hashlib.sha256(
+                "\x1f".join(sorted(members)).encode()).hexdigest()[:16]
+            for member in members:
+                labels[member] = label
+        self.label_memo = labels
+        return labels
 
     def _reachable_from(self, names):
         seen = set()

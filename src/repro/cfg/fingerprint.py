@@ -69,10 +69,13 @@ def _local_hash(decl):
     return digest.hexdigest()
 
 
-def strongly_connected_components(graph):
+def strongly_connected_components(graph, names=None):
     """Tarjan's SCCs over the defined-call edges, iteratively (generated
     call chains nest thousands deep).  Returns a list of sorted name
-    lists in reverse-topological order: callees before callers."""
+    lists in reverse-topological order: callees before callers.  With
+    ``names`` (a set closed under callers, so each SCC lies wholly in or
+    out of it) only the SCCs inside it are returned."""
+    nodes = graph.functions if names is None else names
     index_of = {}
     lowlink = {}
     on_stack = set()
@@ -80,7 +83,7 @@ def strongly_connected_components(graph):
     sccs = []
     counter = [0]
 
-    for start in sorted(graph.functions):
+    for start in sorted(nodes):
         if start in index_of:
             continue
         # Each work entry is (name, iterator over defined callees).
@@ -95,7 +98,7 @@ def strongly_connected_components(graph):
                 edges = iter(sorted(
                     callee
                     for callee in graph.callees.get(name, ())
-                    if callee in graph.functions
+                    if callee in nodes
                 ))
             advanced = False
             for callee in edges:
@@ -133,7 +136,7 @@ def compute_fingerprints(graph, salt=""):
     return fingerprint_tables(graph, salt)[1]
 
 
-def fingerprint_tables(graph, salt=""):
+def fingerprint_tables(graph, salt="", previous=None):
     """``(local_hashes, fingerprints)`` for a call graph.
 
     ``local_hashes`` covers each function's own content only (which
@@ -141,19 +144,40 @@ def fingerprint_tables(graph, salt=""):
     over callees (which functions are in the *dirty cone*).  Memoized on
     the graph, so every consumer in one run shares one pass; callers must
     not mutate the returned dicts.
+
+    ``previous`` is ``(callees, local_hashes, fingerprints)`` of an
+    earlier graph of the same program under the same ``salt`` (a
+    long-lived caller's last run: its :attr:`CallGraph.callees` and
+    tables).  When it names the same functions, only the dirty cone --
+    functions whose own hash or callee set changed, and their transitive
+    callers -- is rehashed; every other fingerprint is the previous one,
+    which is the value a full pass would compute again.
     """
     tables = graph.fingerprint_memo.get(salt)
     if tables is None:
         tables = graph.fingerprint_memo[salt] = _fingerprint_tables(
-            graph, salt)
+            graph, salt, previous)
     return tables
 
 
-def _fingerprint_tables(graph, salt):
-    fingerprints = {}
+def _fingerprint_tables(graph, salt, previous):
     local = {name: function_token_hash(decl)
              for name, decl in graph.functions.items()}
-    for component in strongly_connected_components(graph):
+    if previous is None or previous[1].keys() != local.keys():
+        fingerprints = {}
+        components = strongly_connected_components(graph)
+    else:
+        old_callees, old_local, old_fingerprints = previous
+        cone = dirty_cone(graph, [
+            name for name in graph.functions
+            if local[name] != old_local[name]
+            or graph.callees[name] != old_callees[name]
+        ])
+        fingerprints = {name: fingerprint
+                        for name, fingerprint in old_fingerprints.items()
+                        if name not in cone}
+        components = strongly_connected_components(graph, cone)
+    for component in components:
         members = set(component)
         digest = hashlib.sha256()
         digest.update(str(salt).encode())

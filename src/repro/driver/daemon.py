@@ -280,6 +280,7 @@ class XgccDaemon:
                 backend=self.backend(), callgraph=project.callgraph,
                 log=result.log,
                 meta={"rank": self.pipeline.rank, "source": "daemon"},
+                refine_pin=self.session.pinned_verdicts,
             )
             self._dirty = set()
             self._last_reports = reports

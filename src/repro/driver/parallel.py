@@ -35,8 +35,6 @@ semantics"):
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 
 from repro import faults
 from repro.driver import cache as astcache
@@ -91,6 +89,11 @@ def run_tasks_with_recovery(tasks, worker, jobs, stats, label,
     unless ``keep_going`` is set, in which case the task's result is
     None and a "unit" degradation is recorded.
     """
+    # Imported here, where a pool is made: ``concurrent.futures``
+    # brings ``multiprocessing`` with it, which a serial run never uses.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
+
     results = {}
     notes = {}
     batch_failures = {}

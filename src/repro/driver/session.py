@@ -139,6 +139,20 @@ def defining_file(graph, name):
     return getattr(location, "filename", None) or ""
 
 
+class _CappedPin(dict):
+    """An in-memory pin of at most ``cap`` entries: past the cap the
+    oldest pins fall out (the store still has them)."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key, value)
+        while len(self) > self.cap:
+            del self[next(iter(self))]
+
+
 class IncrementalSession:
     """Summary-persistent incremental scheduling for one configuration.
 
@@ -148,9 +162,10 @@ class IncrementalSession:
     packs live on disk, not in the object).
     """
 
-    #: In-memory pack-pin cap (pinned sessions only).  A rewritten pack
-    #: unpins its file's previous one; beyond the cap the oldest pins
-    #: fall out (the disk store still has them).
+    #: In-memory pin cap (pinned sessions only), for summary packs and
+    #: refine verdicts alike.  A rewritten pack unpins its file's
+    #: previous one; beyond the cap the oldest pins fall out (the disk
+    #: store still has them).
     PIN_CAP = 8192
 
     def __init__(self, cache_dir, signature, stats=None,
@@ -175,7 +190,20 @@ class IncrementalSession:
         self.pin_warm_state = pin_warm_state
         self._pinned_manifest = None
         self._pinned_manifest_stat = None
-        self._pinned_packs = {}
+        self._pinned_packs = _CappedPin(self.PIN_CAP)
+        #: ``{refine cache key: verdict}`` for a pinned session's report
+        #: pipeline (:func:`repro.refine.refine_reports`); None when not
+        #: pinned.  Keys bind the function fingerprint, so a pinned
+        #: verdict never goes stale.
+        self.pinned_verdicts = (
+            _CappedPin(self.PIN_CAP) if pin_warm_state else None
+        )
+        #: A pinned session's last ``(callees, local hashes,
+        #: fingerprints)``: the next run rehashes only its dirty cone
+        #: against them (the graph itself, with its ASTs, is not kept).
+        self._last_fingerprints = None
+        #: A pinned session's last ``(callees, component labels)``.
+        self._last_labels = None
 
     # -- pinned warm state -------------------------------------------------
 
@@ -215,11 +243,8 @@ class IncrementalSession:
         )
 
     def _pin_pack(self, key, pack):
-        if not self.pin_warm_state:
-            return
-        self._pinned_packs[key] = pack
-        while len(self._pinned_packs) > self.PIN_CAP:
-            self._pinned_packs.pop(next(iter(self._pinned_packs)))
+        if self.pin_warm_state:
+            self._pinned_packs[key] = pack
 
     def pinned_frame_keys(self):
         """Pack keys the in-memory pin currently holds (a daemon's `gc`
@@ -269,7 +294,14 @@ class IncrementalSession:
             )
 
         graph = project.callgraph
-        local, fingerprints = fingerprint_tables(graph)
+        local, fingerprints = fingerprint_tables(
+            graph, previous=self._last_fingerprints)
+        if self.pin_warm_state:
+            if self._last_labels is not None \
+                    and self._last_labels[0] == graph.callees:
+                # The same call edges give the same components.
+                graph.label_memo = self._last_labels[1]
+            self._last_fingerprints = (graph.callees, local, fingerprints)
         all_roots = (
             graph.roots() if options.interprocedural
             else sorted(graph.functions)
@@ -292,12 +324,30 @@ class IncrementalSession:
             }
         stats.add("incremental_dirty_functions", len(edited))
         stats.add("incremental_dirty_cone", len(cone))
+        if options.interprocedural:
+            # Roots of one weakly connected component share block
+            # summaries, and with false-path pruning what one root
+            # leaves behind changes what a later one reports: a
+            # component is re-analyzed whole, as a cold run walks it.
+            # An edit or a deletion can also split a component (a root
+            # stops calling the shared callee, or is gone), leaving the
+            # other roots' fingerprints as they were: their cached
+            # artifacts were walked after a root this run does not
+            # walk.  So a function whose component changed membership
+            # (its label) joins the cone too.
+            if manifest is not None:
+                cone.update(
+                    name for name, label in graph.component_labels().items()
+                    if (previous.get(name) or ())[2:] != [label]
+                )
+            cone = graph.connected(cone)
 
         packs = {}
+        live = []
         reanalyze = set(root for root in all_roots if root in cone)
         cached = self._load_clean_artifacts(
             extensions, [root for root in all_roots if root not in cone],
-            graph, fingerprints, manifest, reanalyze, stats, packs,
+            graph, fingerprints, manifest, reanalyze, stats, packs, live,
         )
 
         run_options = copy.copy(options)
@@ -305,14 +355,16 @@ class IncrementalSession:
 
         # Known-coupled configuration (some cached artifact wrote
         # cross-root state): schedule with delta replay from the start.
+        # An artifact with writes is never empty, so ``live`` holds them.
         if any(
-            artifact.delta is not None and artifact.delta.has_writes()
-            for artifact in cached.values()
+            cached[pair].delta is not None and cached[pair].delta.has_writes()
+            for pair in live
         ):
             return self._run_coupled(
                 project, extensions, options, run_options, jobs,
                 extension_factory, worker_timeout, stats, graph, all_roots,
                 fingerprints, local, manifest, cached, reanalyze, packs,
+                live,
             )
 
         analyze_roots = sorted(reanalyze)
@@ -343,7 +395,7 @@ class IncrementalSession:
                     project, extensions, options, run_options, jobs,
                     extension_factory, worker_timeout, stats, graph,
                     all_roots, fingerprints, local, manifest, cached,
-                    reanalyze, packs,
+                    reanalyze, packs, live,
                 )
         if fresh.truncated:
             return self._fallback(
@@ -358,7 +410,7 @@ class IncrementalSession:
             "incremental_roots_replayed",
             len(all_roots) - len(analyze_roots),
         )
-        result = self._merge(extensions, all_roots, fresh, cached)
+        result = self._merge(all_roots, fresh, cached, live)
         self._persist(fresh, cached, graph, fingerprints, local, manifest,
                       stats, project, packs)
         return result
@@ -368,7 +420,7 @@ class IncrementalSession:
     def _run_coupled(self, project, extensions, options, run_options, jobs,
                      extension_factory, worker_timeout, stats, graph,
                      all_roots, fingerprints, local, manifest, cached,
-                     reanalyze, packs):
+                     reanalyze, packs, live):
         """Incremental scheduling for extensions with cross-root state.
 
         Serial by construction: replayed deltas and analyzed roots must
@@ -573,7 +625,7 @@ class IncrementalSession:
             "incremental_roots_replayed",
             len(all_roots) - len(analyze_roots),
         )
-        result = self._merge(extensions, all_roots, fresh, cached)
+        result = self._merge(all_roots, fresh, cached, live)
         self._persist(fresh, cached, graph, fingerprints, local, manifest,
                       stats, project, packs)
         return result
@@ -595,14 +647,16 @@ class IncrementalSession:
 
     def _load_clean_artifacts(self, extensions, clean_roots, graph,
                               fingerprints, manifest, reanalyze, stats,
-                              packs):
+                              packs, live):
         """``{(ext_index, root): RootArtifact}`` for every clean root
         whose file's pack holds an entry with the root's current
         fingerprint for every extension; other clean roots move into
-        ``reanalyze``.  Each file's pack is read at most once, all in
-        one backend batch, and recorded into ``packs`` as ``{file:
-        (key, pack)}``; a corrupt pack is evicted and only its file's
-        roots re-analyze."""
+        ``reanalyze``.  The pairs of the artifacts that are not
+        ``empty`` (:class:`~repro.engine.summaries.RootArtifact`) are
+        appended to ``live``.  Each file's pack is read at most once,
+        all in one backend batch, and recorded into ``packs`` as
+        ``{file: (key, pack)}``; a corrupt pack is evicted and only its
+        file's roots re-analyze."""
         by_file = {}
         for root in clean_roots:
             by_file.setdefault(defining_file(graph, root), []).append(root)
@@ -631,51 +685,72 @@ class IncrementalSession:
                 self._pinned_packs.pop(key, None)
                 reanalyze.update(by_file[name])
                 continue
-            if pack is not None:
-                packs[name] = (key, pack)
-                if pinned:
-                    # In-memory warm hit: no disk read, but refresh the
-                    # stored pack's mtime (below, in one batch) so GC
-                    # still sees it in use.
-                    touched.append(key)
-            for root in by_file[name]:
-                entries = [
-                    pack.get((ext_index, root)) if pack else None
-                    for ext_index in range(count)
-                ]
-                if any(entry is None or entry[0] != fingerprints[root]
-                       for entry in entries):
-                    stats.add("summary_misses")
-                    reanalyze.add(root)
+            roots = by_file[name]
+            if pack is None:
+                stats.add("summary_misses", len(roots))
+                reanalyze.update(roots)
+                continue
+            packs[name] = (key, pack)
+            if pinned:
+                # In-memory warm hit: no disk read, but refresh the
+                # stored pack's mtime (below, in one batch) so GC still
+                # sees it in use.
+                touched.append(key)
+            hits = 0
+            for root in roots:
+                fingerprint = fingerprints[root]
+                found = []
+                for ext_index in range(count):
+                    entry = pack.get((ext_index, root))
+                    if entry is None or entry[0] != fingerprint:
+                        break
+                    found.append(entry[1])
+                else:
+                    hits += 1
+                    for ext_index, artifact in enumerate(found):
+                        cached[(ext_index, root)] = artifact
+                        if not artifact.empty:
+                            live.append((ext_index, root))
                     continue
-                stats.add("summary_hits", count)
+                reanalyze.add(root)
+            if hits < len(roots):
+                stats.add("summary_misses", len(roots) - hits)
+            if hits:
+                stats.add("summary_hits", hits * count)
                 if pinned:
-                    stats.add("summary_memory_hits", count)
-                for ext_index, entry in enumerate(entries):
-                    cached[(ext_index, root)] = entry[1]
+                    stats.add("summary_memory_hits", hits * count)
         if touched:
             self.store.touch_many(touched)
         return cached
 
-    def _merge(self, extensions, all_roots, fresh, cached):
+    def _merge(self, all_roots, fresh, cached, live):
         """Replay fresh + cached artifacts in serial (extension, root)
         order through one log: global dedup re-applies at exactly the
-        points a cold serial run would apply it."""
+        points a cold serial run would apply it.  Only the artifacts
+        that add something are replayed: the fresh ones that are not
+        empty and the cached ones in ``live``."""
         produced = {
             (artifact.ext_index, artifact.root): artifact
             for artifact in fresh.root_artifacts
         }
+        position = {root: index for index, root in enumerate(all_roots)}
+        replay = [
+            ((ext_index, position[root]), artifact)
+            for (ext_index, root), artifact in produced.items()
+            if root in position and not artifact.empty
+        ]
+        for pair in live:
+            artifact = cached.get(pair)
+            # A demoted (coupled) root left ``cached``; a re-analyzed
+            # pair replays its fresh artifact instead.
+            if artifact is not None and pair not in produced:
+                replay.append(((pair[0], position[pair[1]]), artifact))
+        replay.sort(key=lambda item: item[0])
         log = ErrorLog()
         degraded = []
-        for ext_index in range(len(extensions)):
-            for root in all_roots:
-                artifact = produced.get((ext_index, root))
-                if artifact is None:
-                    artifact = cached.get((ext_index, root))
-                if artifact is None:
-                    continue
-                artifact.replay_into(log)
-                degraded.extend(artifact.degraded)
+        for __, artifact in replay:
+            artifact.replay_into(log)
+            degraded.extend(artifact.degraded)
         merged_stats = dict(fresh.stats)
         merged_stats["errors"] = len(log)
         # Provenance (docs/DRIVER.md, "Stats schema"): the traversal
@@ -745,10 +820,13 @@ class IncrementalSession:
         )
         for name in gone:
             self._pinned_packs.pop(previous.get(name), None)
+        labels = graph.component_labels()
+        if self.pin_warm_state:
+            self._last_labels = (graph.callees, labels)
         self.store.store_manifest(
             self.signature,
             {
-                name: [local[name], fingerprints[name]]
+                name: [local[name], fingerprints[name], labels[name]]
                 for name in fingerprints
             },
             packs=pack_keys,

@@ -44,7 +44,8 @@ from contextlib import contextmanager
 #: ``triage_load_errors``), and the HTTP report server
 #: (``report_server_requests``, ``report_server_errors``).  8: the
 #: path-feasibility refinement counters (docs/REFINE.md):
-#: ``refine_cache_hits`` (verdicts replayed from the store),
+#: ``refine_cache_hits`` (verdicts replayed from the store or the
+#: daemon's in-memory pin),
 #: ``refine_confirmed`` / ``refine_infeasible`` / ``refine_unknown``
 #: (per-verdict tallies), ``refine_budget_hits`` (verdicts degraded to
 #: unknown by a blown enumeration budget or injected fault), and

@@ -287,12 +287,19 @@ class Analysis:
         self._cfgs = {}
         self._fctxs = {}
         self._user_globals = {}
+        # Per-run state.  ``_call_stack`` is only ever mutated in place:
+        # the delta tracker holds the list itself.
+        self._table = None
+        self._ext = None
+        self._call_stack = []
         # Cross-root state tracking (incremental global checkers): when
         # artifacts are captured, a DeltaTracker diffs the annotation
-        # store and user globals at root boundaries.
+        # store and user globals at root boundaries.  It gets the call
+        # stack, not a bound method, so it holds no reference back to
+        # this analysis and refcounting frees the whole run.
         self._tracker = None
         if self.options.capture_root_artifacts:
-            self._tracker = DeltaTracker(self.current_function_name)
+            self._tracker = DeltaTracker(self._call_stack)
             self.annotations.tracker = self._tracker
         # {(ext_index, root): ResolvedDelta} replayed instead of analyzed.
         self._replay = {}
@@ -332,10 +339,6 @@ class Analysis:
         self.root_artifacts = []
         self._phase_timer = phase_timer
         self._ext_index = 0
-        # Per-run state.
-        self._table = None
-        self._ext = None
-        self._call_stack = []
         self._steps = 0
         self._points_cache = {}
         self._truncated = False
@@ -613,7 +616,7 @@ class Analysis:
         fctx = self._fctx(root)
         sm = SMInstance(ext)
         constraints = PathConstraints()
-        self._call_stack = [root]
+        self._call_stack[:] = [root]
         try:
             self._traverse(fctx, sm, constraints, fctx.cfg.entry, [])
         except StopPath:

@@ -300,8 +300,10 @@ class DeltaTracker:
     whose writes must not be attributed to the next analyzed root.
     """
 
-    def __init__(self, current_function):
-        self._current_function = current_function
+    def __init__(self, call_stack):
+        #: The engine's live call stack (mutated in place by the engine):
+        #: its last entry is the function being traversed.
+        self._call_stack = call_stack
         # Global baselines: the pickled environment all prior roots built.
         self._ann_baseline = {}    # (node_id, ann_key) -> bytes or _OPAQUE
         self._glob_baseline = {}   # (ext_name, var) -> bytes or _OPAQUE
@@ -311,6 +313,9 @@ class DeltaTracker:
         self._glob_candidates = set()  # (ext_name, var)
         self._reads = set()
         self._ann_wildcard = False
+
+    def _current_function(self):
+        return self._call_stack[-1] if self._call_stack else None
 
     # -- root lifecycle ----------------------------------------------------
 

@@ -307,11 +307,16 @@ class RootArtifact:
 
     ``clean`` is False when the root was degraded (budget blown, error
     recovered) -- degraded outcomes depend on budgets and wall clock, so
-    the driver never persists them.
+    the driver never persists them.  ``empty`` is True when replaying
+    the artifact adds nothing to a merge log and it wrote no cross-root
+    state; it is derived, so it is set on construction and on unpickling
+    and never pickled.
     """
 
-    __slots__ = ("ext_index", "extension", "root", "reports", "examples",
-                 "counterexamples", "degraded", "clean", "delta")
+    #: The pickled fields.
+    _STATE = ("ext_index", "extension", "root", "reports", "examples",
+              "counterexamples", "degraded", "clean", "delta")
+    __slots__ = _STATE + ("empty",)
 
     def __init__(self, ext_index, extension, root, reports, examples,
                  counterexamples, degraded, clean, delta=None):
@@ -327,6 +332,14 @@ class RootArtifact:
         #: cross-root state (annotations, user globals) this root wrote,
         #: plus its coarse read set.  ``None`` means "not captured".
         self.delta = delta
+        self._set_empty()
+
+    def _set_empty(self):
+        self.empty = not (
+            self.reports or self.examples or self.counterexamples
+            or self.degraded
+            or (self.delta is not None and self.delta.has_writes())
+        )
 
     def replay_into(self, log):
         """Append this root's contribution to a merge log (dedup applies
@@ -339,12 +352,13 @@ class RootArtifact:
             log.counterexamples.setdefault(rule_id, set()).update(sites)
 
     def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._STATE}
 
     def __setstate__(self, state):
         self.delta = None  # absent in pre-delta pickles
         for name, value in state.items():
             setattr(self, name, value)
+        self._set_empty()
 
     def __repr__(self):
         return "<RootArtifact %s/%s %d reports%s>" % (

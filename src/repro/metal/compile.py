@@ -570,7 +570,9 @@ class CompiledExtension:
     """
 
     def __init__(self, extension):
-        self.extension = extension
+        # No reference back to ``extension``: the extension caches this
+        # object, and a back-reference would make every extension a
+        # cycle only the collector can free.
         self.n_rules = 0
         self.n_fallback = 0
         specific = {}

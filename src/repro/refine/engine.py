@@ -27,15 +27,17 @@ For one local :class:`repro.reports.model.Report` the pipeline is:
    always contradictory" (-> ``infeasible``) apart from "the trace
    never re-anchored at all" (-> ``unknown``).
 
-Verdicts are cached in the store's summary tier under
-``refine<version><fingerprint><report-hash>`` keys -- the function's
-Merkle fingerprint is part of the key because report hashes
-deliberately exclude function bodies, so an edit that preserves the
-hash must still invalidate the verdict.  Only ``confirmed`` and
-``infeasible`` are cached (``unknown`` re-evaluates, it may have been
-a budget artifact).  Fault sites: ``refine.budget`` (forces the
-per-report budget degradation) and ``refine.error`` (forces an
-evaluation error); both degrade the verdict to ``unknown``.
+Verdicts are cached in the store's summary tier under keys that bind
+the refine version, the three deterministic budgets, the function's
+Merkle fingerprint and the report hash -- the fingerprint is part of
+the key because report hashes deliberately exclude function bodies, so
+an edit that preserves the hash must still invalidate the verdict.
+Every verdict is cached except the ones the wall clock or a fault
+decided (:data:`UNCACHED_REASONS`); a long-lived caller can also hand
+in an in-memory pin that is consulted before the store.  Fault sites:
+``refine.budget`` (forces the per-report budget degradation) and
+``refine.error`` (forces an evaluation error); both degrade the
+verdict to ``unknown``.
 """
 
 import json
@@ -48,8 +50,9 @@ from repro.cfront import astnodes as ast
 from repro.refine.domain import RefineState
 from repro.refine.slicing import relevant_variables
 
-#: Bump to invalidate every cached verdict (domain or enumeration change).
-REFINE_VERSION = 1
+#: Bump to invalidate every cached verdict (domain or enumeration change,
+#: or a change to what the cache key binds).
+REFINE_VERSION = 2
 
 #: Verdicts ride in the store's summary tier next to function summaries.
 CACHE_TIER = "sum"
@@ -57,6 +60,11 @@ CACHE_TIER = "sum"
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_INFEASIBLE = "infeasible"
 VERDICT_UNKNOWN = "unknown"
+
+#: Verdict reasons decided by the wall clock or an injected fault: never
+#: cached.  Every other verdict is a pure function of the function body,
+#: the report and the deterministic budgets the cache key binds.
+UNCACHED_REASONS = frozenset(["budget-time", "budget-injected", "error"])
 
 #: Consult the wall clock every 64 steps, not every step.
 _TIME_CHECK_MASK = 63
@@ -69,7 +77,10 @@ class RefineOptions:
     verdicts stay byte-identical across machines and job counts.  The
     wall-clock budget is a safety net: blowing it degrades that
     report's verdict to ``unknown`` (counted in ``refine_budget_hits``)
-    and the verdict is not cached.
+    and the verdict is not cached.  The deterministic budgets
+    (``max_paths``, ``max_steps``, ``max_block_visits``) are part of
+    every cache key, so a verdict one budget produced is never served
+    under another.
     """
 
     def __init__(self, max_paths=256, max_steps=20000,
@@ -313,11 +324,14 @@ def classify_report(report, callgraph, options=None):
         if spec is not None:
             raise RuntimeError("injected refine fault")
         cfg = build_cfg(decl)
-        anchors = _anchor_lines(report)
-        relevant = relevant_variables(cfg, anchors, report.variable)
-        budget = _Budget(options)
-        enum = _Enumeration(cfg, anchors, relevant, options, budget)
-        enum.run()
+        try:
+            anchors = _anchor_lines(report)
+            relevant = relevant_variables(cfg, anchors, report.variable)
+            budget = _Budget(options)
+            enum = _Enumeration(cfg, anchors, relevant, options, budget)
+            enum.run()
+        finally:
+            cfg.unlink()  # this report's private CFG: no cyclic garbage
     except RecursionError:
         return {"verdict": VERDICT_UNKNOWN, "reason": "error"}
     except Exception:
@@ -336,21 +350,32 @@ def classify_report(report, callgraph, options=None):
     return {"verdict": VERDICT_UNKNOWN, "reason": "trace-not-realized"}
 
 
-def _cache_key(report, fingerprints):
+def cacheable(verdict):
+    """Whether ``verdict`` may be cached: everything but the reasons the
+    wall clock or a fault decided."""
+    return verdict["reason"] not in UNCACHED_REASONS
+
+
+def _cache_key(report, fingerprints, options):
     """Store key for one report's verdict, or None if uncacheable.
 
     The key binds the function's Merkle fingerprint (its own tokens
     plus the transitive callee cone) as well as the stable report hash:
     report hashes deliberately exclude function bodies, so an edit that
     preserves the hash -- flipping a branch condition, say -- must
-    still invalidate the cached verdict.
+    still invalidate the cached verdict.  It binds the deterministic
+    budgets too: ``trace-not-realized``, ``loop-structure``,
+    ``revisit-cap`` and the step/path budget verdicts depend on them.
     """
     if report.report_hash is None:
         return None
     fingerprint = (fingerprints or {}).get(report.function)
     if fingerprint is None:
         return None
-    return "refine%d%s%s" % (REFINE_VERSION, fingerprint, report.report_hash)
+    return "refine%d-%d-%d-%d-%s%s" % (
+        REFINE_VERSION, options.max_block_visits, options.max_steps,
+        options.max_paths, fingerprint, report.report_hash,
+    )
 
 
 def _load_cached(backend, keys):
@@ -370,7 +395,9 @@ def _load_cached(backend, keys):
         if (
             isinstance(doc, dict)
             and doc.get("refine_version") == REFINE_VERSION
-            and doc.get("verdict") in (VERDICT_CONFIRMED, VERDICT_INFEASIBLE)
+            and doc.get("verdict") in (VERDICT_CONFIRMED, VERDICT_INFEASIBLE,
+                                       VERDICT_UNKNOWN)
+            and doc.get("reason") not in UNCACHED_REASONS
         ):
             out[key] = {"verdict": doc["verdict"],
                         "reason": doc.get("reason")}
@@ -393,14 +420,16 @@ def _store_cached(backend, payloads):
 
 
 def refine_reports(reports, callgraph, options=None, stats=None,
-                   backend=None, fingerprints=None):
+                   backend=None, fingerprints=None, pin=None):
     """Annotate every report with a feasibility verdict.
 
     Verdicts land in ``report.annotations["feasibility"]``.  With
-    ``options.cache`` on, ``confirmed``/``infeasible`` verdicts are
-    served from and written back to ``backend`` under
-    (``fingerprints[report.function]``, ``report.report_hash``) keys;
-    ``unknown`` is never cached (it may be a budget artifact).
+    ``options.cache`` on, every :func:`cacheable` verdict is served
+    from and written back to ``backend`` under :func:`_cache_key` keys.
+    ``pin`` is an optional in-memory ``{key: verdict}`` mapping (the
+    daemon's): it is read before the store, and every verdict served or
+    evaluated is pinned, so a warm caller reads no store frames for
+    unchanged functions.
     """
     options = options or RefineOptions()
 
@@ -411,26 +440,27 @@ def refine_reports(reports, callgraph, options=None, stats=None,
     keys = {}
     if options.cache:
         for report in reports:
-            key = _cache_key(report, fingerprints)
+            key = _cache_key(report, fingerprints, options)
             if key is not None:
                 keys[id(report)] = key
-    cached = (_load_cached(backend, set(keys.values()))
+    pin = {} if pin is None else pin
+    cached = (_load_cached(backend, {key for key in keys.values()
+                                     if key not in pin})
               if options.cache else {})
     fresh = {}
     for report in reports:
         key = keys.get(id(report))
-        verdict = cached.get(key) if key is not None else None
+        verdict = None
+        if key is not None:
+            verdict = pin.get(key) or cached.get(key)
         if verdict is not None:
             count("refine_cache_hits")
         else:
             verdict = classify_report(report, callgraph, options)
-            if (
-                options.cache
-                and key is not None
-                and verdict["verdict"] in (VERDICT_CONFIRMED,
-                                           VERDICT_INFEASIBLE)
-            ):
+            if key is not None and cacheable(verdict):
                 fresh[key] = verdict
+        if key is not None and cacheable(verdict):
+            pin[key] = verdict
         report.annotations["feasibility"] = dict(verdict)
         count("refine_%s" % verdict["verdict"])
         if verdict["reason"] in ("budget-steps", "budget-paths",

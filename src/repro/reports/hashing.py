@@ -67,8 +67,12 @@ def report_hash(report, occurrence=0):
     in the canonical serial order; :func:`assign_report_hashes` computes
     it for a whole run.
     """
+    return _key_hash(report_base_key(report), occurrence)
+
+
+def _key_hash(key, occurrence):
     digest = hashlib.sha256()
-    for field in report_base_key(report):
+    for field in key:
         digest.update(str(field).encode("utf-8"))
         digest.update(b"\x1e")
     digest.update(str(occurrence).encode("utf-8"))
@@ -88,5 +92,5 @@ def assign_report_hashes(reports):
         key = report_base_key(report)
         occurrence = seen.get(key, 0)
         seen[key] = occurrence + 1
-        report.report_hash = report_hash(report, occurrence)
+        report.report_hash = _key_hash(key, occurrence)
     return reports

@@ -88,9 +88,15 @@ class RunHistory:
             "meta": dict(meta or {}),
             "reports": [report.to_dict() for report in reports],
         }
-        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
         if run_id is None:
-            run_id = _new_run_id(hashlib.sha256(payload).hexdigest())
+            # The digest tail only tells concurrent recorders apart: the
+            # report hashes and the metadata name the content without a
+            # second encoding of the whole document.
+            digest = hashlib.sha256(
+                json.dumps(doc["meta"], sort_keys=True).encode("utf-8"))
+            for report in reports:
+                digest.update(report.report_hash.encode("utf-8"))
+            run_id = _new_run_id(digest.hexdigest())
         elif not run_id.startswith(RUN_ID_PREFIX):
             raise RunHistoryError(
                 "run ids must start with %r (got %r)"

@@ -68,10 +68,12 @@ def load_triage(backend=None, path=None, stats=None, say=_quiet):
 
 
 def run_pipeline(reports, config, stats, backend=None, callgraph=None,
-                 log=None, meta=None, say=_quiet):
+                 log=None, meta=None, say=_quiet, refine_pin=None):
     """Run every stage over ``reports``; returns ``(reports, run_id)``.
 
-    ``callgraph`` feeds refinement and ``log`` statistical ranking.  The
+    ``callgraph`` feeds refinement and ``log`` statistical ranking;
+    ``refine_pin`` is a long-lived caller's in-memory verdict pin
+    (:func:`repro.refine.refine_reports`).  The
     run is recorded only when ``meta`` (its metadata) is given and
     there is a ``backend``; ``run_id`` is None otherwise or when the
     record failed.  ``say`` receives one line per note (a recorded run,
@@ -97,7 +99,8 @@ def run_pipeline(reports, config, stats, backend=None, callgraph=None,
         with stats.phase("refine"):
             __, fingerprints = fingerprint_tables(callgraph)
             refine.refine_reports(reports, callgraph, stats=stats,
-                                  backend=backend, fingerprints=fingerprints)
+                                  backend=backend, fingerprints=fingerprints,
+                                  pin=refine_pin)
     with stats.phase("rank"):
         reports = ranking.rank_reports(reports, config.rank, log)
     with stats.phase("refine"):

@@ -332,7 +332,7 @@ class TestGlobalDifferential:
 
 class TestDeltaUnits:
     def test_tracked_globals_records_reads_and_writes(self):
-        tracker = deltamod.DeltaTracker(lambda: "fn")
+        tracker = deltamod.DeltaTracker(["fn"])
         tracker.begin_root()
         globs = deltamod.TrackedGlobals("ext", tracker)
         globs["a"] = 1
@@ -347,7 +347,7 @@ class TestDeltaUnits:
         assert not delta.opaque
 
     def test_net_effect_only(self):
-        tracker = deltamod.DeltaTracker(lambda: "fn")
+        tracker = deltamod.DeltaTracker(["fn"])
         tracker.begin_root()
         globs = deltamod.TrackedGlobals("ext", tracker)
         globs["a"] = 1
@@ -358,7 +358,7 @@ class TestDeltaUnits:
         assert delta.glob_dels == set()
 
     def test_deletion_of_prior_state_is_recorded(self):
-        tracker = deltamod.DeltaTracker(lambda: "fn")
+        tracker = deltamod.DeltaTracker(["fn"])
         globs = deltamod.TrackedGlobals("ext", tracker)
         tracker.begin_root()
         globs["a"] = 1
@@ -369,7 +369,7 @@ class TestDeltaUnits:
         assert delta.glob_dels == {("ext", "a")}
 
     def test_unpicklable_value_marks_opaque(self):
-        tracker = deltamod.DeltaTracker(lambda: "fn")
+        tracker = deltamod.DeltaTracker(["fn"])
         tracker.begin_root()
         globs = deltamod.TrackedGlobals("ext", tracker)
         globs["cb"] = lambda: None

@@ -85,6 +85,12 @@ def graph_of(source):
     return project.callgraph
 
 
+def basis(graph):
+    """What a pinned session keeps of its last graph for the next
+    :func:`fingerprint_tables`."""
+    return (graph.callees,) + fingerprint_tables(graph)
+
+
 CHAIN = """\
 int leaf(int x) { return x + 1; }
 int mid(int x) { return leaf(x) + 2; }
@@ -162,6 +168,46 @@ int solo(int x) { return x; }
         assert relinked["leaf"] != linked["leaf"]
         assert relinked["top"] != linked["top"]
         assert relinked["other"] == linked["other"]
+
+    @pytest.mark.parametrize("edit", [
+        ("x + 1", "x + 9"),                     # a leaf body
+        ("return x * 2;", "return leaf(x);"),   # a new callee
+        ("leaf(x) + 2", "x + 2"),               # a dropped callee
+        ("int other", "\nint other"),            # a moved function
+        ("", ""),                               # nothing
+    ])
+    def test_rehashing_the_cone_equals_a_full_pass(self, edit):
+        mutual = CHAIN + (
+            "int ping(int x) { return pong(x - 1) + top(x); }\n"
+            "int pong(int x) { return ping(x - 2); }\n"
+        )
+        before = graph_of(mutual)
+        after = graph_of(mutual.replace(*edit))
+        assert fingerprint_tables(after, previous=basis(before)) == \
+            fingerprint_tables(graph_of(mutual.replace(*edit)))
+
+    def test_a_changed_function_set_rehashes_everything(self):
+        before = graph_of(CHAIN)
+        after = graph_of(CHAIN + "int extra(int x) { return top(x); }\n")
+        assert fingerprint_tables(after, previous=basis(before)) == \
+            fingerprint_tables(graph_of(CHAIN + "int extra(int x) "
+                                        "{ return top(x); }\n"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_rehashing_generated_edits_equals_a_full_pass(self, tmp_path,
+                                                         seed):
+        gen = generate_project(seed=seed, n_modules=3,
+                               functions_per_module=4, bug_rate=0.3)
+        previous = compiled_project(tmp_path, write_tree(tmp_path, gen))
+        for step in range(3):
+            gen, __ = apply_function_edits(gen, k=1 + step, seed=seed + step)
+            paths = write_tree(tmp_path, gen)
+            current = compiled_project(tmp_path, paths)
+            tables = fingerprint_tables(current.callgraph,
+                                        previous=basis(previous.callgraph))
+            full = compiled_project(tmp_path, paths)
+            assert tables == fingerprint_tables(full.callgraph)
+            previous = current
 
     def test_dirty_cone_is_edited_plus_transitive_callers(self):
         graph = graph_of(CHAIN)

@@ -236,6 +236,21 @@ _root_body = st.lists(st.one_of(_stmt, _call), min_size=1,
 _orders = st.permutations(sorted(ALL_CHECKERS))
 
 
+def shared_callee_program(callee_body, root_bodies):
+    """A program of one shared ``callee`` and one ``root<i>`` per body,
+    each root free to call the callee."""
+    params = ", ".join("int *%s" % p for p in _POINTERS)
+    conds = ", ".join("int c%d" % i for i in range(4))
+    code = "int sink;\nint callee(%s, %s) {\n%s\n    return 0;\n}\n" % (
+        params, conds, callee_body
+    )
+    for index, body in enumerate(root_bodies):
+        code += "int root%d(%s, %s) {\n%s\n    return 0;\n}\n" % (
+            index, params, conds, body
+        )
+    return code
+
+
 class TestSkipIsInvisible:
     @given(st.integers(0, 10_000), st.integers(2, 10), st.booleans(),
            _options, _orders)
@@ -255,15 +270,7 @@ class TestSkipIsInvisible:
     @settings(max_examples=60, deadline=None)
     def test_random_roots_sharing_a_callee(self, callee_body, root_bodies,
                                            options, order):
-        params = ", ".join("int *%s" % p for p in _POINTERS)
-        conds = ", ".join("int c%d" % i for i in range(4))
-        code = "int sink;\nint callee(%s, %s) {\n%s\n    return 0;\n}\n" % (
-            params, conds, callee_body
-        )
-        for index, body in enumerate(root_bodies):
-            code += "int root%d(%s, %s) {\n%s\n    return 0;\n}\n" % (
-                index, params, conds, body
-            )
+        code = shared_callee_program(callee_body, root_bodies)
         assert_skip_is_invisible(lambda: [parse(code, "gen.c")], options,
                                  order)
 

@@ -293,7 +293,7 @@ class TestVerdictCache:
                            str(stats_json))
         assert verdicts_of(docs)["contradictory"] == "confirmed"
 
-    def test_unknown_verdicts_are_never_cached(
+    def test_fault_degraded_verdicts_are_never_cached(
         self, teeth_tree, tmp_path, capsys
     ):
         cache = str(tmp_path / "cache")
@@ -322,6 +322,235 @@ class TestVerdictCache:
         verdicts = verdicts_of(docs)
         assert verdicts["feasible"] == "unknown"
         assert verdicts["contradictory"] == "infeasible"
+
+
+#: One report per verdict reason the cache may hold, across the budgets
+#: of :data:`BUDGETS`: a witness, an all-contradictory trace, an
+#: interprocedural report, an end-of-path lock report whose trace does
+#: not re-anchor, a do-while revisit (``loop-structure``), a for loop
+#: that blows a one-visit cap (``revisit-cap``), and every report under
+#: the step and path budgets.
+KINDS_SOURCE = """
+int sink;
+int contradictory(int *p, int x) {
+    if (x < 5)
+        kfree(p);
+    if (x > 4)
+        return *p;
+    return 0;
+}
+int feasible(int *q, int y) {
+    if (y > 0)
+        kfree(q);
+    if (y > 1)
+        return *q;
+    return 0;
+}
+void deref(int *a) { sink = *a; }
+void caller(int *b) { kfree(b); deref(b); }
+int leak(int x) {
+    lock(l);
+    if (x)
+        return 1;
+    unlock(l);
+    return 0;
+}
+int dowhile(int *p, int x, int n) {
+    do {
+        n = n - 1;
+    } while (n > 0);
+    if (x < 5)
+        kfree(p);
+    if (x > 4)
+        return *p;
+    return 0;
+}
+int forloop(int *p, int x, int n) {
+    int i;
+    for (i = 0; i < n; i++)
+        sink = i;
+    if (x < 5)
+        kfree(p);
+    if (x > 4)
+        return *p;
+    return 0;
+}
+"""
+
+#: Refine budgets that between them produce every cacheable reason.
+BUDGETS = {
+    "default": {},
+    "steps": {"max_steps": 3},
+    "paths": {"max_paths": 1},
+    "visits": {"max_block_visits": 1},
+}
+
+CACHEABLE_REASONS = {
+    "witness", "all-paths-contradictory", "interprocedural",
+    "trace-not-realized", "loop-structure", "revisit-cap",
+    "budget-steps", "budget-paths",
+}
+
+
+class _NoReads:
+    """A backend that must never be read (a pinned verdict needs none)."""
+
+    def get_many(self, tier, keys):
+        raise AssertionError("store read for %d keys" % len(list(keys)))
+
+    def put_many(self, tier, items):
+        return 0
+
+
+class _Recording(LocalStore):
+    """A local store that remembers every refine frame written."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.written = {}
+
+    def put_many(self, tier, items):
+        self.written.update(items)
+        return super().put_many(tier, items)
+
+
+def kinds_reports():
+    """``(reports, callgraph, fingerprints)`` of :data:`KINDS_SOURCE`
+    under the free and lock checkers, hashes assigned."""
+    from repro.cfg.callgraph import CallGraph
+    from repro.cfg.fingerprint import fingerprint_tables
+    from repro.cfront.parser import parse
+    from repro.checkers import ALL_CHECKERS
+    from repro.engine.analysis import Analysis
+
+    unit = parse(KINDS_SOURCE, "kinds.c")
+    result = Analysis([unit]).run(
+        [ALL_CHECKERS["free"](), ALL_CHECKERS["lock"]()]
+    )
+    graph = CallGraph.from_units([unit])
+    return list(result.reports), graph, fingerprint_tables(graph)[1]
+
+
+def feasibility(reports):
+    out = {}
+    for report in reports:
+        out[report.report_hash] = report.annotations.pop("feasibility")
+    return out
+
+
+class TestVerdictCacheKinds:
+    """Every verdict but the wall clock's and the faults' is cached,
+    under a key that binds the deterministic budgets, and a verdict
+    served from the store or the in-memory pin is the verdict
+    ``classify_report`` computes."""
+
+    def refine(self, reports, graph, fingerprints, options, backend,
+               pin=None):
+        from repro.driver.stats import DriverStats
+        from repro.refine import refine_reports
+
+        stats = DriverStats()
+        refine_reports(reports, graph, options, stats=stats,
+                       backend=backend, fingerprints=fingerprints, pin=pin)
+        return feasibility(reports), stats.count("refine_cache_hits")
+
+    def test_the_kinds_cover_every_cacheable_reason(self):
+        from repro.refine import RefineOptions, classify_report
+
+        reports, graph, __ = kinds_reports()
+        reasons = {
+            classify_report(report, graph, RefineOptions(**budgets))["reason"]
+            for budgets in BUDGETS.values() for report in reports
+        }
+        assert reasons == CACHEABLE_REASONS
+
+    @pytest.mark.parametrize("budgets", sorted(BUDGETS))
+    def test_served_verdicts_equal_fresh_ones(self, tmp_path, budgets):
+        from repro.refine import RefineOptions, classify_report
+
+        options = RefineOptions(**BUDGETS[budgets])
+        reports, graph, fingerprints = kinds_reports()
+        fresh = {r.report_hash: classify_report(r, graph, options)
+                 for r in reports}
+        backend = LocalStore(str(tmp_path / "store"))
+        cold, hits = self.refine(reports, graph, fingerprints, options,
+                                 backend)
+        assert (cold, hits) == (fresh, 0)
+        served, hits = self.refine(reports, graph, fingerprints, options,
+                                   backend)
+        assert (served, hits) == (fresh, len(reports))
+        pin = {}
+        pinned, __ = self.refine(reports, graph, fingerprints, options,
+                                 backend, pin=pin)
+        assert pinned == fresh and len(pin) == len(reports)
+        pinned, hits = self.refine(reports, graph, fingerprints, options,
+                                   _NoReads(), pin=pin)
+        assert (pinned, hits) == (fresh, len(reports))
+
+    def test_a_budget_never_serves_another_budgets_verdict(self, tmp_path):
+        from repro.refine import RefineOptions, classify_report
+
+        reports, graph, fingerprints = kinds_reports()
+        backend = LocalStore(str(tmp_path / "store"))
+        pin = {}
+        for budgets in ("steps", "paths", "visits", "default"):
+            options = RefineOptions(**BUDGETS[budgets])
+            fresh = {r.report_hash: classify_report(r, graph, options)
+                     for r in reports}
+            verdicts, hits = self.refine(reports, graph, fingerprints,
+                                         options, backend, pin=pin)
+            assert (verdicts, hits) == (fresh, 0), budgets
+
+    def test_clock_and_fault_verdicts_are_never_written(self, tmp_path,
+                                                       monkeypatch):
+        from repro.refine import RefineOptions
+        from repro.refine import engine
+
+        reports, graph, fingerprints = kinds_reports()
+        backend = _Recording(str(tmp_path / "store"))
+        pin = {}
+        monkeypatch.setattr(engine, "_TIME_CHECK_MASK", 0)
+        timed, __ = self.refine(reports, graph, fingerprints,
+                                RefineOptions(max_seconds_per_report=-1.0),
+                                backend, pin=pin)
+        for site in ("refine.budget", "refine.error"):
+            with faults.injected([{"site": site}]):
+                faulted, __ = self.refine(reports, graph, fingerprints,
+                                          RefineOptions(), backend, pin=pin)
+            timed.update({"%s %s" % (site, key): verdict
+                          for key, verdict in faulted.items()})
+        reasons = {verdict["reason"] for verdict in timed.values()}
+        assert {"budget-time", "budget-injected", "error"} <= reasons
+        stored = [json.loads(frame) for frame in backend.written.values()]
+        # Only the interprocedural verdict, decided before any budget.
+        assert all(doc["reason"] == "interprocedural" for doc in stored)
+        assert all(verdict["reason"] == "interprocedural"
+                   for verdict in pin.values())
+
+    def test_faults_fire_on_a_report_whose_verdict_is_not_cached(
+        self, teeth_tree, tmp_path, capsys
+    ):
+        cache = str(tmp_path / "cache")
+        report_json(teeth_tree, capsys, "--refine=annotate", "--cache-dir",
+                    cache)
+        edited = TEETH_TREE["mod.c"].replace("if (x > 4)", "if (x > 3)")
+        write_tree(teeth_tree, {"mod.c": edited})
+        for site, reason in (("refine.budget", "budget-injected"),
+                             ("refine.error", "error")):
+            with faults.injected([{"site": site}]):
+                docs = report_json(teeth_tree, capsys, "--refine=annotate",
+                                   "--cache-dir", cache)
+            reasons = {
+                doc["function"]: doc["annotations"]["feasibility"]["reason"]
+                for doc in docs
+            }
+            # The edited function missed the cache and met the fault;
+            # the unchanged ones were served.
+            assert reasons == {"contradictory": reason,
+                               "feasible": "witness", "looped": "witness"}
+        docs = report_json(teeth_tree, capsys, "--refine=annotate",
+                           "--cache-dir", cache)
+        assert verdicts_of(docs)["contradictory"] == "confirmed"
 
 
 @contextlib.contextmanager
