@@ -1,6 +1,6 @@
 """Parallel driver + persistent AST cache benchmarks (docs/DRIVER.md).
 
-Four series, dumped to ``BENCH_parallel.json`` with the host's
+Three series, dumped to ``BENCH_parallel.json`` with the host's
 ``cpu_count``:
 
 - pass-1 wall-clock, serial vs ``jobs=2`` and ``jobs=4``, on generated
@@ -8,20 +8,20 @@ Four series, dumped to ``BENCH_parallel.json`` with the host's
   cores to show it);
 - cold vs warm cache: the warm run must do *zero* re-parses -- every
   file is a cache hit -- and beat the cold run's wall-clock;
-- pass-2 wall-clock, serial vs component-parallel, same-report check;
-- pass-2 wall-clock on the e2e corpus (``benchmarks/e2e/corpus.py``,
-  seed 1) at ``jobs=1`` and ``jobs=2``, alternating: whether pass-2
-  workers pay for themselves on this host.
+- whole CLI runs over the e2e corpus (``benchmarks/e2e/corpus.py``,
+  seed 1) at ``--jobs 1`` and ``--jobs 2``, alternating, plain and cold
+  ``--incremental``: pass-1 fan-out plus the serial pass 2, with
+  byte-identical reports.
 """
 
-import gc
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 
-from repro.codegen.project_gen import default_checkers, generate_project
+from repro.codegen.project_gen import generate_project
 from repro.driver.project import Project
 
 SUMMARY_PATH = "BENCH_parallel.json"
@@ -110,77 +110,62 @@ def test_incremental_cache(benchmark, tmp_path):
     benchmark(timed_pass1, root, paths, 1, cache_dir)
 
 
-def test_pass2_components(benchmark, tmp_path):
-    root, paths = materialize(tmp_path, 12, functions_per_file=5, seed=4)
-
-    def analyze(jobs):
-        project = Project(include_paths=[root])
-        project.compile_files(paths)
-        start = time.perf_counter()
-        result = project.run(default_checkers(), jobs=jobs,
-                             extension_factory=default_checkers)
-        return time.perf_counter() - start, project, result
-
-    serial_s, __, serial_result = analyze(1)
-    parallel_s, parallel, parallel_result = analyze(4)
-    keys = lambda result: [  # noqa: E731
-        (r.message, r.location.filename, r.location.line)
-        for r in result.reports
-    ]
-    assert keys(parallel_result) == keys(serial_result)
-    assert parallel.stats.count("pass2_components") > 1
-
-    print("\npass-2, %d components: serial %.2fs, jobs=4 %.2fs"
-          % (parallel.stats.count("pass2_components"), serial_s, parallel_s))
-    _summary["pass2_components"] = {
-        "components": parallel.stats.count("pass2_components"),
-        "serial_s": round(serial_s, 4),
-        "jobs4_s": round(parallel_s, 4),
-        "reports": len(serial_result.reports),
-    }
-    _dump_summary()
-    benchmark(analyze, 1)
+def _quartiles(series):
+    """``[q1, median, q3]`` of ``series``, rounded for the summary."""
+    return [round(value, 4)
+            for value in statistics.quantiles(series, n=4, method="inclusive")]
 
 
-def test_corpus_pass2_jobs(tmp_path):
+def test_corpus_jobs(tmp_path):
+    """Whole CLI runs over the e2e corpus (seed 1, the e2e flags) at
+    ``--jobs 1`` and ``--jobs 2``, alternating, without a cache and as a
+    cold ``--incremental`` run: what pass-1 workers buy on this host.
+    Pass 2 is serial either way, so stdout must be byte-identical."""
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "e2e"))
     try:
         import corpus
     finally:
         sys.path.pop(0)
-    from repro.checkers import ALL_CHECKERS
 
     generated, __ = corpus.generate_kcorpus(1)
     root = str(tmp_path / "kcorpus")
     paths = corpus.write_tree(generated, root)
-    names = ("free", "lock", "mallocfail", "range", "user-pointer")
-    factory = lambda: [ALL_CHECKERS[name]() for name in names]  # noqa: E731
-    project = Project(include_paths=[os.path.join(root, "include")])
-    project.compile_files(paths)
-    project.callgraph  # built once, outside the timed runs
-    walls = {1: [], 2: []}
-    outputs = {}
-    for __ in range(5):
-        for jobs in (1, 2):
-            # Collector paused, as in a one-shot CLI run (docs/DRIVER.md,
-            # "The cyclic collector").
-            gc.collect()
-            gc.disable()
-            try:
+    argv = [sys.executable, "-m", "repro.driver.cli"]
+    for name in ("free", "lock", "mallocfail", "range", "user-pointer"):
+        argv += ["--checker", name]
+    argv += ["-I", os.path.join(root, "include"), "--refine=demote",
+             "--rank", "statistical"]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    modes = ("plain", "incremental")
+    walls = {(mode, jobs): [] for mode in modes for jobs in (1, 2)}
+    outputs = {mode: set() for mode in modes}
+    rounds = 5
+    for index in range(rounds):
+        for mode in modes:
+            for jobs in (1, 2):
+                flags = ["--jobs", str(jobs)]
+                if mode == "incremental":  # a fresh cache: every run is cold
+                    flags += ["--incremental", "--cache-dir",
+                              str(tmp_path / ("cache-%d-%d" % (jobs, index)))]
                 start = time.perf_counter()
-                result = project.run(factory(), jobs=jobs,
-                                     extension_factory=factory)
-                walls[jobs].append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-            outputs[jobs] = [report.to_dict() for report in result.reports]
-    assert outputs[1] == outputs[2]
-    row = {
-        "jobs%d_s" % jobs: round(statistics.median(series), 4)
-        for jobs, series in walls.items()
-    }
-    row["runs"] = len(walls[1])
-    print("\ncorpus pass 2 (median of %d alternating): jobs=1 %.3fs, "
-          "jobs=2 %.3fs" % (row["runs"], row["jobs1_s"], row["jobs2_s"]))
-    _summary["corpus_pass2_jobs"] = row
+                proc = subprocess.run(argv + flags + paths, env=env,
+                                      stdout=subprocess.PIPE, check=False)
+                walls[(mode, jobs)].append(time.perf_counter() - start)
+                assert proc.returncode == 1, proc.returncode
+                outputs[mode].add(proc.stdout)
+    assert len(outputs["plain"]) == 1
+    assert outputs["incremental"] == outputs["plain"]
+    row = {"runs": rounds}
+    for mode in modes:
+        row[mode] = {
+            "jobs%d_s" % jobs: _quartiles(walls[(mode, jobs)])
+            for jobs in (1, 2)
+        }
+        print("\ncorpus whole run, %s (q1/median/q3 of %d alternating): "
+              "jobs=1 %s  jobs=2 %s"
+              % (mode, rounds, row[mode]["jobs1_s"], row[mode]["jobs2_s"]))
+    _summary["corpus_jobs"] = row
     _dump_summary()

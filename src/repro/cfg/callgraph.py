@@ -88,45 +88,11 @@ class CallGraph:
             remaining = sorted(set(self.functions) - reachable)
         return sorted(roots)
 
-    def components(self):
-        """Weakly-connected components over the *defined* functions.
-
-        Two functions share a component when one (transitively) calls the
-        other in either direction; calls to undefined externals do not
-        connect anything.  Each component is a sorted name list and the
-        component list is ordered by first member, so the partition is
-        deterministic -- this is the unit of pass-2 parallel scheduling
-        (each component's roots can be analyzed in isolation because the
-        DFS never follows a call out of its component).
-        """
-        adjacency = {name: set() for name in self.functions}
-        for name, callees in self.callees.items():
-            for callee in callees:
-                if callee in self.functions:
-                    adjacency[name].add(callee)
-                    adjacency[callee].add(name)
-        seen = set()
-        parts = []
-        for name in sorted(self.functions):
-            if name in seen:
-                continue
-            component = []
-            stack = [name]
-            while stack:
-                current = stack.pop()
-                if current in seen:
-                    continue
-                seen.add(current)
-                component.append(current)
-                stack.extend(adjacency[current] - seen)
-            parts.append(sorted(component))
-        return parts
-
     def live_functions(self, names, interprocedural=True):
         """The defined functions whose analysis can meet a call to one
         of ``names`` (a frozenset): those that call one directly, and
         with ``interprocedural`` every function of a weakly connected
-        component (:meth:`components`) that holds such a caller.
+        component (:meth:`connected`) that holds such a caller.
 
         A component rather than the callers' reverse call cone: roots
         of one component share block summaries, and with false-path
@@ -148,8 +114,10 @@ class CallGraph:
 
     def connected(self, names):
         """The defined functions weakly connected to one of ``names``:
-        the union of the :meth:`components` that hold them, found by a
-        walk over those components only."""
+        the union of the weakly connected components that hold them
+        (two functions share one when one transitively calls the other
+        in either direction; calls to undefined externals connect
+        nothing), found by a walk over those components only."""
         found = {name for name in names if name in self.functions}
         stack = list(found)
         while stack:
@@ -163,7 +131,7 @@ class CallGraph:
     def component_labels(self):
         """``{function: label}`` over the defined functions, naming the
         *membership* of each one's weakly connected component
-        (:meth:`components`): ``""`` for a function that calls no
+        (:meth:`connected`): ``""`` for a function that calls no
         defined function and has no caller, else a digest of the sorted
         member names.  Two graphs give a function the same label exactly
         when its component holds the same functions in both.  Memoized."""

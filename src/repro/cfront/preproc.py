@@ -12,6 +12,7 @@ The output is a token list suitable for :class:`repro.cfront.parser.Parser`
 plus the text form (for size accounting in the two-pass driver).
 """
 
+import operator
 import os
 import time
 
@@ -505,6 +506,14 @@ class _CondParser:
         raise PreprocessorError("bad token in #if expression: %r" % token.value, token.location)
 
 
+#: The ``#if`` operators that are one Python operator each.
+_ARITHMETIC = {
+    "|": operator.or_, "^": operator.xor, "&": operator.and_,
+    "<<": operator.lshift, ">>": operator.rshift,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+}
+
+
 def _apply_binop(token, left, right, skipping):
     op = token.value
     if op in ("<<", ">>") and not 0 <= right < 64:
@@ -542,16 +551,8 @@ def _apply_binop(token, left, right, skipping):
         if (left < 0) != (right < 0):
             quotient = -quotient
         return quotient if op == "/" else left - quotient * right
-    return {
-        "|": left | right,
-        "^": left ^ right,
-        "&": left & right,
-        "<<": left << right,
-        ">>": left >> right,
-        "+": left + right,
-        "-": left - right,
-        "*": left * right,
-    }[op]
+    # Only the operator's own value: ``1 & -1`` must not compute a shift.
+    return _ARITHMETIC[op](left, right)
 
 
 def _relocate(token, location):

@@ -149,7 +149,8 @@ def build_parser():
     parser.add_argument("--no-synonyms", action="store_true")
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes for both passes (default 1 = serial)",
+        help="worker processes for pass 1 (default 1 = serial); pass 2 "
+        "always runs in this process",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR",
@@ -474,8 +475,8 @@ def _make_project(args, resources):
 
 
 def _build_extensions(checker_names, metal_sources):
-    """Rebuild the CLI extension list (also runs inside worker processes,
-    where compiled extensions cannot be shipped by pickle)."""
+    """Build the CLI extension list (the daemon rebuilds it per analysis:
+    extensions are stateful)."""
     extensions = [ALL_CHECKERS[name]() for name in checker_names]
     for text, path in metal_sources:
         extensions.append(compile_metal(text, path))
@@ -739,26 +740,16 @@ def _run(parser, args, resources, started):
     reports = []
     result = None
     if extensions:
-        factory = functools.partial(
-            _build_extensions, tuple(args.checker), tuple(metal_sources)
-        )
         if args.incremental:
             from repro.driver.session import IncrementalSession
 
             signature = _session_signature(args, metal_sources, options)
             session = IncrementalSession(args.cache_dir, signature,
                                          backend=project.store_backend)
-            result = project.run(extensions, options, jobs=args.jobs,
-                                 extension_factory=factory,
-                                 worker_timeout=args.worker_timeout,
-                                 incremental=session)
-        elif args.jobs > 1 and not args.dump_summaries:
-            # Summary tables are worker-local; --dump-summaries forces the
-            # serial path below.
-            result = project.run(extensions, options, jobs=args.jobs,
-                                 extension_factory=factory,
-                                 worker_timeout=args.worker_timeout)
+            result = project.run(extensions, options, incremental=session)
         else:
+            # Built here, not in Project.run: --dump-summaries reads the
+            # summary tables through this analysis's CFGs.
             analysis = project.analysis(options)
             with project.stats.phase("pass2_wall"):
                 result = analysis.run(extensions)
@@ -806,7 +797,7 @@ def _run(parser, args, resources, started):
         # run (--triage-suppress HASH + re-run in one invocation).
         _triage_record_mode(parser, args, resources)
 
-    reports, __ = run_pipeline(
+    reports, __, docs = run_pipeline(
         reports, _pipeline_config(args), project.stats,
         backend=project.store_backend, callgraph=project.callgraph,
         log=result.log if result is not None else None,
@@ -820,7 +811,7 @@ def _run(parser, args, resources, started):
 
         project.stats.add("report_json_dumps")
         with project.stats.phase("report_json"):
-            payload = reports_to_json(reports)
+            payload = reports_to_json(reports, docs=docs)
             if args.report_json == "-":
                 print(payload)
             else:
@@ -839,7 +830,7 @@ def _run(parser, args, resources, started):
         if args.format == "json":
             from repro.driver.dump import reports_to_json
 
-            print(reports_to_json(reports))
+            print(reports_to_json(reports, docs=docs))
         else:
             from repro.driver.dump import render_reports
 

@@ -38,6 +38,7 @@ with in-memory warm state (nothing the daemon still replays is swept).
 
 import contextlib
 import errno
+import itertools
 import json
 import os
 import socket
@@ -49,6 +50,7 @@ from repro.driver import cache as astcache
 from repro.driver import dump
 from repro.driver.stats import DriverStats
 from repro.driver.watch import TreeWatcher, WatcherError, fingerprint_file
+from repro.reports.history import report_docs
 from repro.reports.pipeline import PipelineConfig, run_pipeline
 
 #: Bump when the request/response shape changes; every response carries
@@ -131,6 +133,9 @@ class XgccDaemon:
         #: The last completed analysis' ranked structured reports (the
         #: HTTP report server renders these without re-analyzing).
         self._last_reports = []
+        #: Their documents, as the record stage built them (None when
+        #: the analysis was not recorded).
+        self._last_docs = None
         #: Serializes analysis/state access between the UNIX-socket serve
         #: loop and the threaded HTTP report server.
         self.lock = threading.RLock()
@@ -139,6 +144,13 @@ class XgccDaemon:
 
     def backend(self):
         return getattr(self.session, "backend", None)
+
+    def last_docs(self):
+        """The last analysis' report documents, built once: by its
+        record stage, or here when it was not recorded."""
+        if self._last_docs is None:
+            self._last_docs = report_docs(self._last_reports)
+        return self._last_docs
 
     def invalidate(self):
         """Drop the warm response cache (triage changed: the same tree
@@ -198,7 +210,9 @@ class XgccDaemon:
     # -- analysis ----------------------------------------------------------
 
     def _build_project(self, c_files, dirty):
-        """Pass 1: adopt pinned units, recompile only the dirty files."""
+        """Pass 1: adopt pinned units, recompile only the dirty files.
+        Each run of consecutive files to recompile is one pass-1 batch
+        over ``jobs`` workers, so units still register in file order."""
         from repro.driver.project import Project
 
         project = Project(
@@ -207,24 +221,32 @@ class XgccDaemon:
             store_url=self.store_url, file_reader=self.file_reader,
             store_backend=getattr(self.session, "backend", None),
         )
-        for path in c_files:
-            pin = self._units.get(path)
-            if pin is not None and path not in dirty:
-                project.adopt_unit(pin.compiled)
+
+        def pinned(path):
+            return path in self._units and path not in dirty
+
+        for reuse, run in itertools.groupby(c_files, key=pinned):
+            run = list(run)
+            if reuse:
+                for path in run:
+                    project.adopt_unit(self._units[path].compiled)
                 continue
-            compiled = project.compile_files(
-                [path], worker_timeout=self.worker_timeout
-            )
-            if not compiled:
-                # Pass 1 failed outright (keep_going recorded a unit
-                # degradation): drop any stale pin so the next burst
-                # retries instead of serving the pre-edit unit.
-                self._units.pop(path, None)
-                continue
-            self._units[path] = _PinnedUnit(
-                self.watcher.state.get(path), compiled[0], compiled[0].deps
-            )
-            self.stats.add("daemon_files_reparsed")
+            done = {
+                compiled.filename: compiled
+                for compiled in project.compile_files(
+                    run, jobs=self.jobs, worker_timeout=self.worker_timeout)
+            }
+            for path in run:
+                compiled = done.get(path)
+                if compiled is None:
+                    # Pass 1 failed outright (keep_going recorded a unit
+                    # degradation): drop any stale pin so the next burst
+                    # retries instead of serving the pre-edit unit.
+                    self._units.pop(path, None)
+                    continue
+                self._units[path] = _PinnedUnit(
+                    self.watcher.state.get(path), compiled, compiled.deps)
+                self.stats.add("daemon_files_reparsed")
         for path in list(self._units):
             if path not in self.watcher.state:
                 del self._units[path]  # deleted input: unpin
@@ -268,14 +290,10 @@ class XgccDaemon:
                 project = self._build_project(c_files, dirty)
                 extensions = self.extension_factory()
                 result = project.run(
-                    extensions, self.options, jobs=self.jobs,
-                    extension_factory=self.extension_factory,
-                    worker_timeout=self.worker_timeout,
-                    incremental=self.session,
-                )
+                    extensions, self.options, incremental=self.session)
             if result.degraded:
                 self.stats.record_engine_degradations(result.degraded)
-            reports, run_id = run_pipeline(
+            reports, run_id, docs = run_pipeline(
                 list(result.reports), self.pipeline, self.stats,
                 backend=self.backend(), callgraph=project.callgraph,
                 log=result.log,
@@ -284,6 +302,7 @@ class XgccDaemon:
             )
             self._dirty = set()
             self._last_reports = reports
+            self._last_docs = docs
             response = {
                 "ok": True,
                 "protocol": PROTOCOL_VERSION,

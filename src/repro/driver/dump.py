@@ -30,11 +30,12 @@ def render_reports(reports, trace=False):
     )
 
 
-def reports_to_json(reports, indent=2):
-    """The structured report document (``--report-json``)."""
-    return json.dumps(
-        [report.to_dict() for report in reports], indent=indent
-    )
+def reports_to_json(reports, indent=2, docs=None):
+    """The structured report document (``--report-json``); ``docs`` are
+    the reports' documents when the caller built them already."""
+    if docs is None:
+        docs = [report.to_dict() for report in reports]
+    return json.dumps(docs, indent=indent)
 
 
 def load_report_json(text):

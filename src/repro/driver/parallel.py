@@ -1,34 +1,23 @@
-"""Parallel scheduling for both driver passes (§6 at scale).
+"""Parallel pass 1 (§6 at scale).
 
 Pass 1 is embarrassingly parallel: each file is preprocessed, parsed, and
 emitted in isolation, so :func:`compile_files_into` fans the per-file work
 out over a ``ProcessPoolExecutor`` and registers results in input order --
-serial and parallel runs build byte-identical projects.
+serial and parallel runs build byte-identical projects.  Pass 2 runs in
+the parent, over the reassembled source (docs/DRIVER.md, "Pass 2 is
+serial").
 
-Pass 2 parallelism rides on a structural fact: the DFS never follows a
-call edge out of a weakly-connected call-graph component, so components
-can be analyzed in separate worker processes with the full engine
-(summaries, false-path pruning, composition all intact).  Components
-are packed into at most one task per worker.  The parent
-merges worker logs back into the *serial* report order using the per-root
-spans the engine records (:attr:`repro.engine.analysis.Analysis.root_spans`),
-so parallel runs produce the same reports in the same order.
-
-Both passes degrade instead of dying (docs/DRIVER.md, "Degradation
+Pass 1 degrades instead of dying (docs/DRIVER.md, "Degradation
 semantics"):
 
 - A worker that crashes, is killed, or exceeds ``worker_timeout`` is
-  retried once in a fresh pool; if that also fails, its work order runs
+  retried once in a fresh pool; if that also fails, its file is compiled
   in-process.  Every recovery is counted and recorded in the driver
   stats' degradation list.
 - A corrupt cache entry (checksum mismatch, version skew, unreadable
   pickle) is evicted and its file re-parsed rather than poisoning the
   run.
-- Extensions hold Python callables (checker actions are lambdas), which
-  do not pickle; workers therefore rebuild them from an
-  ``extension_factory`` -- any picklable zero-argument callable -- or
-  from a pickle of the extension list when that happens to work.  When
-  neither does, the run falls back to serial, and the reason (the actual
+- Tasks that do not pickle run serially, and the reason (the actual
   pickling error, not a silent swallow) lands in the stats.
 """
 
@@ -546,260 +535,3 @@ def _absorb(project, task, result):
     if keys:
         project.ast_keys_used[result.filename] = keys
     return compiled
-
-
-# -- pass 2 -------------------------------------------------------------------
-
-
-class ExtensionSpec:
-    """A worker-rebuildable description of the extension list."""
-
-    __slots__ = ("factory", "pickled")
-
-    def __init__(self, factory=None, pickled=None):
-        self.factory = factory
-        self.pickled = pickled
-
-    @classmethod
-    def capture(cls, extensions, factory=None, stats=None):
-        """Build a spec, or return None when nothing ships to workers
-        (recording the actual pickling failure in ``stats``)."""
-        if factory is not None:
-            err = _pickle_error(factory)
-            if err is None:
-                return cls(factory=factory)
-            if stats is not None:
-                stats.record_degradation(
-                    "pickle",
-                    "extension_factory does not pickle (%r); "
-                    "running pass 2 serially" % err,
-                )
-            return None
-        try:
-            data = pickle.dumps(list(extensions), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as err:
-            if stats is not None:
-                stats.record_degradation(
-                    "pickle",
-                    "extensions do not pickle (%r) and no factory was "
-                    "given; running pass 2 serially" % err,
-                )
-            return None
-        return cls(pickled=data)
-
-    def build(self):
-        if self.factory is not None:
-            extensions = self.factory()
-            if not isinstance(extensions, (list, tuple)):
-                extensions = [extensions]
-            return list(extensions)
-        return pickle.loads(self.pickled)
-
-
-class Pass2Task:
-    """The analysis work order for one batch of call-graph components.
-
-    ``roots`` is None for a full run, or the sorted subset of the
-    batch's roots the incremental scheduler wants re-analyzed.
-    """
-
-    __slots__ = ("index", "decls", "static_vars", "options", "spec", "roots")
-
-    def __init__(self, index, decls, static_vars, options, spec, roots=None):
-        self.index = index
-        self.decls = decls
-        self.static_vars = static_vars
-        self.options = options
-        self.spec = spec
-        self.roots = roots
-
-
-class Pass2Result:
-    """A worker's mergeable analysis outcome."""
-
-    __slots__ = ("index", "reports", "spans", "examples", "counterexamples",
-                 "stats", "timers", "truncated", "degraded", "artifacts",
-                 "coupled", "pid")
-
-    def __init__(self, index, reports, spans, examples, counterexamples,
-                 stats, timers, truncated, degraded, artifacts, coupled, pid):
-        self.index = index
-        self.reports = reports
-        self.spans = spans
-        self.examples = examples
-        self.counterexamples = counterexamples
-        self.stats = stats
-        self.timers = timers
-        self.truncated = truncated
-        self.degraded = degraded
-        self.artifacts = artifacts
-        self.coupled = coupled
-        self.pid = pid
-
-
-def pass2_worker(task):
-    """Run the full Analysis DFS over one batch of components."""
-    from repro.cfg.callgraph import CallGraph
-    from repro.driver.stats import DriverStats
-    from repro.engine.analysis import Analysis
-
-    faults.at_worker_entry("pass2.worker", key=task.index)
-    faults.check("pass2.analysis", key=task.index)
-    graph = CallGraph()
-    for decl in task.decls:
-        graph.add_function(decl)
-    graph.link()
-    stats = DriverStats()
-    analysis = Analysis(
-        callgraph=graph,
-        options=task.options,
-        static_vars=task.static_vars,
-        phase_timer=stats.phase,
-    )
-    result = analysis.run(task.spec.build(), roots=task.roots)
-    return Pass2Result(
-        index=task.index,
-        reports=list(result.log.reports),
-        spans=list(analysis.root_spans),
-        examples=result.log.examples,
-        counterexamples=result.log.counterexamples,
-        stats=result.stats,
-        timers=stats.timers,
-        truncated=result.truncated,
-        degraded=list(result.degraded),
-        artifacts=list(result.root_artifacts),
-        coupled=result.coupled,
-        pid=os.getpid(),
-    )
-
-
-def pack_components(components, bins):
-    """Deal ``components`` into at most ``bins`` batches of about equal
-    size (largest first, each to the lightest batch), each batch in the
-    given order.  One pool task per batch, not per component: a task
-    rebuilds the extensions, which costs more than most components.
-    """
-    loads = [0] * min(bins, len(components))
-    batches = [[] for __ in loads]
-    for index in sorted(range(len(components)),
-                        key=lambda index: -len(components[index])):
-        lightest = loads.index(min(loads))
-        loads[lightest] += len(components[index])
-        batches[lightest].append(index)
-    return [[components[index] for index in sorted(batch)]
-            for batch in batches]
-
-
-def run_parallel(project, extensions, options=None, jobs=1,
-                 extension_factory=None, worker_timeout=None, roots=None):
-    """Pass-2 parallel scheduling over call-graph components, packed
-    into at most ``jobs`` tasks (:func:`pack_components`).
-
-    Deterministic by construction: the parent walks extensions in order
-    and the *global* sorted root list (exactly the serial iteration
-    order), appending each root's report span from whichever worker
-    analyzed its component.  Falls back to a serial run when there is
-    nothing to parallelize or the extensions cannot be shipped; a
-    crashed, killed, or hung worker is retried once and then its
-    components are analyzed in-process (see run_tasks_with_recovery).
-
-    ``roots`` restricts the run to a subset of roots (incremental
-    dirty-cone scheduling): components containing none of them are not
-    scheduled at all.
-    """
-    from repro.engine.analysis import AnalysisOptions
-
-    if not isinstance(extensions, (list, tuple)):
-        extensions = [extensions]
-    stats = project.stats
-    graph = project.callgraph
-    components = graph.components()
-    if roots is not None:
-        wanted = set(roots)
-        components = [
-            component for component in components
-            if wanted.intersection(component)
-        ]
-    spec = ExtensionSpec.capture(extensions, extension_factory, stats=stats)
-    if spec is None:
-        stats.add("pass2_serial_fallback")
-    if spec is None or jobs <= 1 or len(components) <= 1 or not extensions:
-        with stats.phase("pass2_wall"):
-            return project.analysis(options).run(extensions, roots=roots)
-
-    options = options or AnalysisOptions()
-    static_vars = dict(project.static_vars)
-    tasks = []
-    for index, batch in enumerate(pack_components(components, jobs)):
-        names = [name for component in batch for name in component]
-        tasks.append(Pass2Task(
-            index,
-            [graph.functions[name] for name in names],
-            static_vars,
-            options,
-            spec,
-            roots=None if roots is None else sorted(wanted.intersection(names)),
-        ))
-    stats.add("pass2_components", len(components))
-    stats.add("pass2_tasks", len(tasks))
-    start = time.perf_counter()
-    results_map = run_tasks_with_recovery(
-        tasks, pass2_worker, jobs, stats, "pass2", timeout=worker_timeout
-    )
-    stats.add_time("pass2_wall", time.perf_counter() - start)
-    results = [results_map[index] for index in sorted(results_map)]
-
-    return merge_results(project, extensions, results)
-
-
-def merge_results(project, extensions, results):
-    """Deterministically merge worker outcomes into one AnalysisResult."""
-    from repro.engine.analysis import AnalysisResult
-    from repro.engine.errors import ErrorLog
-
-    stats = project.stats
-    span_owner = {}
-    for result in results:
-        stats.count_worker_task(result.pid)
-        stats.merge_timings(result.timers)
-        for ext_index, root, begin, end in result.spans:
-            span_owner[(ext_index, root)] = (result, begin, end)
-
-    log = ErrorLog()
-    roots = project.callgraph.roots()
-    for ext_index in range(len(extensions)):
-        for root in roots:
-            owned = span_owner.get((ext_index, root))
-            if owned is None:
-                continue
-            result, begin, end = owned
-            for report in result.reports[begin:end]:
-                log.add(report)
-    for result in results:
-        for rule_id, sites in result.examples.items():
-            log.examples.setdefault(rule_id, set()).update(sites)
-        for rule_id, sites in result.counterexamples.items():
-            log.counterexamples.setdefault(rule_id, set()).update(sites)
-
-    merged_stats = {}
-    for result in results:
-        for name, value in result.stats.items():
-            merged_stats[name] = merged_stats.get(name, 0) + value
-    merged_stats["errors"] = len(log)
-    truncated = any(result.truncated for result in results)
-    degraded = []
-    for result in results:
-        degraded.extend(result.degraded)
-    # Per-root artifacts are independent by construction (root-scoped
-    # dedup), so concatenating worker captures in serial (extension,
-    # root) order reproduces exactly what a serial capture run records.
-    artifacts = sorted(
-        (artifact for result in results for artifact in result.artifacts),
-        key=lambda artifact: (artifact.ext_index, artifact.root),
-    )
-    coupled = any(result.coupled for result in results)
-    # Block/suffix summary tables are per-worker (keyed on worker-local
-    # block objects) and are not reassembled across processes; use a
-    # serial run when Figure-5-style summary dumps are needed.
-    return AnalysisResult(log, {}, merged_stats, truncated, degraded=degraded,
-                          root_artifacts=artifacts, coupled=coupled)

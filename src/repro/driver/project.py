@@ -221,39 +221,20 @@ class Project:
             phase_timer=self.stats.phase,
         )
 
-    def run(self, extensions, options=None, jobs=1, extension_factory=None,
-            worker_timeout=None, roots=None, incremental=None):
-        """Apply extensions to the whole project.
+    def run(self, extensions, options=None, incremental=None):
+        """Apply extensions to the whole project (pass 2, in this
+        process; its wall time is the ``pass2_wall`` timer).
 
-        ``jobs > 1`` schedules independent call-graph components onto
-        worker processes (same reports, same order as serial).  Workers
-        rebuild the extension list from ``extension_factory`` -- a
-        picklable zero-argument callable -- or by pickling ``extensions``
-        directly; when neither works the run falls back to serial.  A
-        worker that dies (or outlives ``worker_timeout`` seconds) is
-        retried once, then its component is analyzed in-process.
-
-        ``roots`` restricts pass 2 to a subset of the call-graph roots.
         ``incremental`` takes an :class:`repro.driver.session.
         IncrementalSession`: the session fingerprints the call graph,
         re-analyzes only the dirty cone, and replays persisted artifacts
         for everything else -- same reports, same order as a cold run.
         """
-        if incremental is not None:
-            return incremental.run(
-                self, extensions, options=options, jobs=jobs,
-                extension_factory=extension_factory,
-                worker_timeout=worker_timeout,
-            )
-        if jobs and jobs > 1:
-            from repro.driver.parallel import run_parallel
-            return run_parallel(
-                self, extensions, options=options, jobs=jobs,
-                extension_factory=extension_factory,
-                worker_timeout=worker_timeout, roots=roots,
-            )
+        self.callgraph  # timed on its own: built before pass 2's timer
         with self.stats.phase("pass2_wall"):
-            return self.analysis(options).run(extensions, roots=roots)
+            if incremental is not None:
+                return incremental.run(self, extensions, options=options)
+            return self.analysis(options).run(extensions)
 
     # -- reporting helpers ----------------------------------------------------------
 

@@ -195,14 +195,14 @@ class _Routes:
         if self.daemon is not None:
             with self.daemon.lock:
                 response = self.daemon.analyze()
-                reports = list(self.daemon._last_reports)
+                docs = self.daemon.last_docs()
             return 200, {
                 "ok": True, "protocol": REPORT_PROTOCOL,
                 "run_id": response.get("run_id"),
-                "report_count": len(reports),
+                "report_count": len(docs),
                 "text": response.get("reports", ""),
                 "served_from": response.get("served_from"),
-                "reports": [report.to_dict() for report in reports],
+                "reports": docs,
             }
         latest = self.history.latest_run_id()
         if latest is None:
@@ -219,9 +219,9 @@ class _Routes:
             if head == "current" and self.daemon is not None:
                 with self.daemon.lock:
                     self.daemon.analyze()
-                    head_reports = list(self.daemon._last_reports)
+                    head_docs = self.daemon.last_docs()
                 diff = self.history.diff(base, None, triage=triage,
-                                         head_reports=head_reports)
+                                         head_docs=head_docs)
             else:
                 diff = self.history.diff(base, head, triage=triage)
         except RunHistoryError as err:

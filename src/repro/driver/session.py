@@ -13,10 +13,8 @@ and schedules pass 2 around *function fingerprints*
    fingerprint is unchanged produced, by construction, the same
    analysis outcome; everything else is the *dirty cone* (edited
    functions plus their transitive callers).
-3. Re-analyze only the dirty roots (serial or parallel -- the component
-   scheduler skips untouched components entirely), capturing one
-   independent :class:`repro.engine.summaries.RootArtifact` per
-   (extension, root).
+3. Re-analyze only the dirty roots, capturing one independent
+   :class:`repro.engine.summaries.RootArtifact` per (extension, root).
 4. Replay cached artifacts for the clean roots and freshly captured
    ones for the dirty roots, in serial (extension, root) order, through
    a fresh log -- reproducing a cold run's ranked report byte for byte.
@@ -51,11 +49,8 @@ Safety valves (all recorded in the driver stats, never silent):
 
 - ``restrict_partial_hits`` makes caching change reports; the session
   refuses and runs non-incrementally.
-- Coupled runs force serial scheduling (parallel workers build
-  per-component annotation environments, which are not the serial
-  ones); a parallel fast-path run that unexpectedly turns out coupled
-  is re-run serially with delta capture, counted as
-  ``annotation_delta_serial_reruns``.
+- A partial fast-path run that unexpectedly turns out coupled is re-run
+  with delta replay, counted as ``annotation_delta_serial_reruns``.
 - Truncated runs (global step budget) skip roots order-dependently;
   non-incremental fallback.
 - Degraded roots (per-root budget blown, recovered error) and roots
@@ -275,8 +270,7 @@ class IncrementalSession:
 
     # -- scheduling --------------------------------------------------------
 
-    def run(self, project, extensions, options=None, jobs=1,
-            extension_factory=None, worker_timeout=None):
+    def run(self, project, extensions, options=None):
         """Incremental pass 2: fingerprint, diff, re-analyze dirty roots,
         replay the rest.  Returns an :class:`AnalysisResult` whose
         reports (and ranking inputs) match a cold run byte for byte."""
@@ -288,8 +282,7 @@ class IncrementalSession:
 
         if options.restrict_partial_hits:
             return self._fallback(
-                project, extensions, options, jobs, extension_factory,
-                worker_timeout, stats,
+                project, extensions, options, stats,
                 "restrict_partial_hits changes reports under caching",
             )
 
@@ -361,30 +354,21 @@ class IncrementalSession:
             for pair in live
         ):
             return self._run_coupled(
-                project, extensions, options, run_options, jobs,
-                extension_factory, worker_timeout, stats, graph, all_roots,
-                fingerprints, local, manifest, cached, reanalyze, packs,
-                live,
+                project, extensions, options, run_options, stats, graph,
+                all_roots, fingerprints, local, manifest, cached, reanalyze,
+                packs, live,
             )
 
         analyze_roots = sorted(reanalyze)
-        fresh = project.run(
-            extensions, run_options, jobs=jobs,
-            extension_factory=extension_factory,
-            worker_timeout=worker_timeout, roots=analyze_roots,
-        )
+        fresh = project.analysis(run_options).run(
+            extensions, roots=analyze_roots)
 
         if fresh.coupled:
             # The run discovered cross-root state we had no record of.
-            # A full serial run already *is* the serial environment, so
-            # its deltas are valid as captured; anything partial (or
-            # parallel, where workers build per-component environments)
-            # must be redone serially with delta replay.
-            full_serial = (
-                jobs <= 1 and not cached
-                and set(analyze_roots) == set(all_roots)
-            )
-            if not full_serial:
+            # A full run already *is* the cold environment, so its
+            # deltas are valid as captured; a partial one must be redone
+            # with delta replay.
+            if cached or set(analyze_roots) != set(all_roots):
                 stats.add("annotation_delta_serial_reruns")
                 stats.record_degradation(
                     "incremental",
@@ -392,15 +376,13 @@ class IncrementalSession:
                     "serially with annotation-delta replay",
                 )
                 return self._run_coupled(
-                    project, extensions, options, run_options, jobs,
-                    extension_factory, worker_timeout, stats, graph,
+                    project, extensions, options, run_options, stats, graph,
                     all_roots, fingerprints, local, manifest, cached,
                     reanalyze, packs, live,
                 )
         if fresh.truncated:
             return self._fallback(
-                project, extensions, options, jobs, extension_factory,
-                worker_timeout, stats,
+                project, extensions, options, stats,
                 "global step budget exhausted; root skipping is "
                 "order-dependent",
             )
@@ -417,15 +399,13 @@ class IncrementalSession:
 
     # -- coupled (global-checker) scheduling -------------------------------
 
-    def _run_coupled(self, project, extensions, options, run_options, jobs,
-                     extension_factory, worker_timeout, stats, graph,
-                     all_roots, fingerprints, local, manifest, cached,
+    def _run_coupled(self, project, extensions, options, run_options, stats,
+                     graph, all_roots, fingerprints, local, manifest, cached,
                      reanalyze, packs, live):
         """Incremental scheduling for extensions with cross-root state.
 
-        Serial by construction: replayed deltas and analyzed roots must
-        interleave in the order a cold serial run would produce, so the
-        per-component parallel scheduler does not apply.  The sequence:
+        Replayed deltas and analyzed roots interleave in the order a cold
+        run would produce them.  The sequence:
 
         1. *Pre-run demotion*: every dirty root's previous delta names
            the writes that may change; clean roots whose read set (or
@@ -443,8 +423,6 @@ class IncrementalSession:
            only cause extra analysis, never a stale replay.
         """
         stats.add("incremental_coupled_runs")
-        if jobs > 1:
-            stats.add("annotation_delta_serial_forced")
 
         old_deltas = {}
         old_packs = {name: pack for name, (__, pack) in packs.items()}
@@ -558,8 +536,7 @@ class IncrementalSession:
             rounds += 1
             if rounds > max_rounds:
                 return self._fallback(
-                    project, extensions, options, jobs, extension_factory,
-                    worker_timeout, stats,
+                    project, extensions, options, stats,
                     "annotation-delta scheduling did not converge",
                 )
             analysis = project.analysis(run_options)
@@ -581,13 +558,11 @@ class IncrementalSession:
                 continue
 
             analyze_roots = sorted(reanalyze)
-            with project.stats.phase("pass2_wall"):
-                fresh = analysis.run(
-                    extensions, roots=all_roots, replay=replay_map)
+            fresh = analysis.run(
+                extensions, roots=all_roots, replay=replay_map)
             if fresh.truncated:
                 return self._fallback(
-                    project, extensions, options, jobs, extension_factory,
-                    worker_timeout, stats,
+                    project, extensions, options, stats,
                     "global step budget exhausted; root skipping is "
                     "order-dependent",
                 )
@@ -632,18 +607,13 @@ class IncrementalSession:
 
     # -- pieces ------------------------------------------------------------
 
-    def _fallback(self, project, extensions, options, jobs,
-                  extension_factory, worker_timeout, stats, why):
+    def _fallback(self, project, extensions, options, stats, why):
         """Run non-incrementally (and persist nothing), loudly."""
         stats.add("incremental_fallbacks")
         stats.record_degradation(
             "incremental", "%s; re-ran non-incrementally" % why
         )
-        return project.run(
-            extensions, options, jobs=jobs,
-            extension_factory=extension_factory,
-            worker_timeout=worker_timeout,
-        )
+        return project.analysis(options).run(extensions)
 
     def _load_clean_artifacts(self, extensions, clean_roots, graph,
                               fingerprints, manifest, reanalyze, stats,

@@ -6,10 +6,9 @@ cache behaves (hits vs misses vs fresh parses), and how work spread over
 worker processes.  ``xgcc --stats`` prints the summary; ``--stats-json``
 dumps it for the benchmarks.
 
-Timer convention: phase timers are summed across workers, so on a
-multi-core run they exceed the wall-clock entries (``pass1_wall``,
-``pass2_wall``) -- they measure aggregate CPU effort, the wall entries
-measure elapsed time.  Nested timers are included in their parent:
+Timer convention: pass-1 phase timers are summed across workers, so on
+a multi-core run they exceed the wall-clock ``pass1_wall`` -- they
+measure aggregate CPU effort, the wall entries measure elapsed time.  Nested timers are included in their parent:
 ``lex`` is part of ``preprocess``.
 """
 
@@ -73,8 +72,14 @@ from contextlib import contextmanager
 #: 14: the ``render`` and ``report_json`` timers, ``run_wall`` (a
 #: one-shot CLI run from its parsed arguments to its stats) with its
 #: ``unaccounted`` residual (see :data:`WALL_TIMERS`), and the engine's
-#: ``roots_skipped`` counter (docs/ENGINE.md, "Live roots").
-SCHEMA_VERSION = 14
+#: ``roots_skipped`` counter (docs/ENGINE.md, "Live roots").  15: pass 2
+#: is serial, so the pool's counters are removed: ``pass2_`` followed by
+#: ``components``, ``tasks``, ``serial_fallback``, ``worker_retries``,
+#: ``worker_failures`` or ``inprocess_fallbacks``, and
+#: ``annotation_delta_serial_forced``; ``pass2_wall`` now covers an
+#: incremental session's own work (fingerprinting, pack reads, merge,
+#: persist) as well as its analysis.
+SCHEMA_VERSION = 15
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other

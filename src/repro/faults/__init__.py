@@ -18,7 +18,7 @@ The package is split in two (with everything re-exported here):
 A fault *plan* is a list of spec dicts::
 
     faults.install([
-        {"site": "pass2.worker.kill", "key": 0, "times": 1},
+        {"site": "pass1.worker.kill", "key": "/src/ioctl.c", "times": 1},
         {"site": "cache.corrupt", "mode": "garbage", "times": 1},
         {"site": "summary.corrupt", "mode": "truncate", "times": 1},
         {"site": "engine.budget", "key": "hot_root"},
@@ -33,9 +33,6 @@ site                        fires where                    key
 ``pass1.worker.kill``       pass-1 worker entry (exits)    source path
 ``pass1.worker.hang``       pass-1 worker entry (sleeps)   source path
 ``pass1.parse``             before the parse (raises)      source path
-``pass2.worker.kill``       pass-2 worker entry (exits)    component index
-``pass2.worker.hang``       pass-2 worker entry (sleeps)   component index
-``pass2.analysis``          before the DFS (raises)        component index
 ``cache.corrupt``           after an AST-cache store       cache key
 ``summary.corrupt``         after a summary-pack store     pack key
 ``engine.budget``           every budget check (raises)    root function
@@ -59,7 +56,7 @@ Determinism guarantees:
 - ``times=N`` counters live in a shared on-disk state directory, so the
   count is global across the installing process and every worker: the
   first N matching attempts fire, wherever they happen.  A plan that
-  kills the first pass-2 worker therefore kills it exactly once -- the
+  kills the first pass-1 worker therefore kills it exactly once -- the
   retry survives -- no matter which process hosts the retry.
 - ``probability=p`` is stateless: the verdict is a pure hash of
   ``(seed, site, key)``, so it is identical in every process and on

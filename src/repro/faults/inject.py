@@ -14,8 +14,8 @@ from repro.faults.plan import _bump, _plan, _stable_fraction, in_worker
 
 
 class InjectedFault(Exception):
-    """Raised at ``raise``-style injection sites (``pass1.parse``,
-    ``pass2.analysis``)."""
+    """Raised at ``raise``-style injection sites (:func:`check`, as
+    ``pass1.parse`` does)."""
 
 
 def fires(site, key=None):

@@ -19,7 +19,6 @@ ENV_VAR = "XGCC_FAULTS"
 
 _SITES = frozenset([
     "pass1.worker.kill", "pass1.worker.hang", "pass1.parse",
-    "pass2.worker.kill", "pass2.worker.hang", "pass2.analysis",
     "cache.corrupt", "summary.corrupt", "summary.manifest", "engine.budget",
     "daemon.watcher", "daemon.request",
     "store.request", "store.conflict", "store.slow",

@@ -48,6 +48,14 @@ def _new_run_id(payload_digest):
     return RUN_ID_PREFIX + stamp + payload_digest[:12]
 
 
+def report_docs(reports):
+    """Each report's stored document, in order (hashes are assigned
+    first if the engine has not)."""
+    if any(report.report_hash is None for report in reports):
+        assign_report_hashes(reports)
+    return [report.to_dict() for report in reports]
+
+
 def diff_hash_sets(base_hashes, head_hashes):
     """``(new, resolved, unresolved)`` hash sets between two runs."""
     base, head = set(base_hashes), set(head_hashes)
@@ -72,21 +80,22 @@ class RunHistory:
 
     # -- recording -----------------------------------------------------------
 
-    def record_run(self, reports, run_id=None, meta=None):
+    def record_run(self, reports, run_id=None, meta=None, docs=None):
         """Persist one run's report set; returns the run id.
 
         ``reports`` is the canonical serial-order report list; hashes
-        are assigned here if the engine has not already.  ``meta`` is an
-        arbitrary JSON-able dict (checker set, tree name, ranking mode)
-        stored alongside.
+        are assigned here if the engine has not already.  ``docs`` are
+        their documents when the caller built them (:func:`report_docs`)
+        to serve as well.  ``meta`` is an arbitrary JSON-able dict
+        (checker set, tree name, ranking mode) stored alongside.
         """
-        if any(report.report_hash is None for report in reports):
-            assign_report_hashes(reports)
+        if docs is None:
+            docs = report_docs(reports)
         doc = {
             "run_schema": RUN_SCHEMA,
             "timestamp": time.time(),
             "meta": dict(meta or {}),
-            "reports": [report.to_dict() for report in reports],
+            "reports": docs,
         }
         if run_id is None:
             # The digest tail only tells concurrent recorders apart: the
@@ -190,11 +199,12 @@ class RunHistory:
 
     # -- diffing -------------------------------------------------------------
 
-    def diff(self, base_id, head_id, triage=None, head_reports=None):
+    def diff(self, base_id, head_id, triage=None, head_docs=None):
         """The structured diff between two runs.
 
-        ``head_reports`` substitutes a live report list (the report
-        server's ``head=current``) for a stored head run.  ``triage``
+        ``head_docs`` substitutes the documents of a live report list
+        (the report server's ``head=current``; :func:`report_docs`) for
+        a stored head run.  ``triage``
         is an optional :class:`repro.reports.triage.TriageStore`; new
         reports it suppresses land in ``suppressed`` instead of ``new``.
 
@@ -204,10 +214,7 @@ class RunHistory:
         """
         base_label = self.resolve_run_id(base_id)
         base_docs = self.load_run(base_label)["reports"]
-        if head_reports is not None:
-            if any(r.report_hash is None for r in head_reports):
-                assign_report_hashes(head_reports)
-            head_docs = [report.to_dict() for report in head_reports]
+        if head_docs is not None:
             head_label = "current"
         else:
             head_label = self.resolve_run_id(head_id)

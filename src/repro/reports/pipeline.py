@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.reports.history import RunHistory
+from repro.reports.history import RunHistory, report_docs
 from repro.reports.triage import TriageError, TriageStore
 
 #: What reading a triage file or document can raise.
@@ -69,15 +69,19 @@ def load_triage(backend=None, path=None, stats=None, say=_quiet):
 
 def run_pipeline(reports, config, stats, backend=None, callgraph=None,
                  log=None, meta=None, say=_quiet, refine_pin=None):
-    """Run every stage over ``reports``; returns ``(reports, run_id)``.
+    """Run every stage over ``reports``; returns ``(reports, run_id,
+    docs)``.
 
     ``callgraph`` feeds refinement and ``log`` statistical ranking;
     ``refine_pin`` is a long-lived caller's in-memory verdict pin
     (:func:`repro.refine.refine_reports`).  The
     run is recorded only when ``meta`` (its metadata) is given and
     there is a ``backend``; ``run_id`` is None otherwise or when the
-    record failed.  ``say`` receives one line per note (a recorded run,
-    a prune, a degradation).
+    record failed.  ``docs`` are the reports' documents the record stage
+    built (:func:`repro.reports.history.report_docs`), None when the run
+    was not recorded: a caller that serves or dumps documents reuses
+    them.  ``say`` receives one line per note (a recorded run, a prune,
+    a degradation).
     """
     # Module attributes, looked up per call: the e2e benchmark's tracer
     # wraps them in place.
@@ -108,10 +112,12 @@ def run_pipeline(reports, config, stats, backend=None, callgraph=None,
             reports = refine.apply_refine_mode(reports, config.refine)
 
     runs = RunHistory(backend, stats=stats) if backend is not None else None
-    run_id = None
+    run_id = docs = None
     with stats.phase("record"):
         if meta is not None and runs is not None:
-            run_id = _attempt(lambda: runs.record_run(reports, meta=meta),
+            docs = report_docs(reports)
+            run_id = _attempt(lambda: runs.record_run(reports, meta=meta,
+                                                      docs=docs),
                               Exception, "report_run_record_errors",
                               "run not recorded", stats, say)
             if run_id is not None:
@@ -123,4 +129,4 @@ def run_pipeline(reports, config, stats, backend=None, callgraph=None,
                                "runs not pruned", stats, say)
             if deleted:
                 say("pruned %d stored run(s)" % deleted)
-    return reports, run_id
+    return reports, run_id, docs

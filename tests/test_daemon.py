@@ -182,7 +182,7 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 14
+                assert stats["stats"]["schema_version"] == 15
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
                 # The daemon keeps CPython's cyclic collector on and
@@ -248,6 +248,31 @@ class TestDaemonDifferential:
                     assert 0 < resp["roots_analyzed"] < total_pairs
                     assert resp["roots_replayed"] > 0
                     assert resp["reports"] == cold_output(src, capsys)
+
+    def test_jobs_compile_the_cold_start_in_workers(
+        self, tmp_path, sock_dir, capsys
+    ):
+        """``jobs`` is the daemon's pass-1 pool: the cold start compiles
+        every file in one pooled batch, and each run of consecutive
+        edited files is one batch, registered in file order."""
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=11, n_modules=4,
+                               functions_per_module=5, bug_rate=0.3)
+        write_tree(src, gen.files)
+        sock = os.path.join(sock_dir, "d.sock")
+        with running_daemon(src, tmp_path / "cache", sock,
+                            jobs=2) as daemon:
+            with DaemonClient(sock) as client:
+                first = client.request("analyze")
+                assert first["reports"] == cold_output(src, capsys)
+                assert daemon.stats.workers
+                assert os.getpid() not in daemon.stats.workers
+                gen, __ = apply_function_edits(gen, k=3, seed=27)
+                write_tree(src, gen.files)
+                resp = client.request("analyze")
+                assert resp["served_from"] == "analysis"
+                assert resp["reports"] == cold_output(src, capsys)
 
     def test_header_edit_dirties_includers_only(
         self, tmp_path, sock_dir, capsys
@@ -789,4 +814,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 14
+            assert payload["stats"]["schema_version"] == 15

@@ -123,6 +123,14 @@ class TestFaultPlanUnit:
             faults.install([{"site": "no.such.site"}])
         faults.clear()
 
+    @pytest.mark.parametrize(
+        "site", ["pass2.worker.kill", "pass2.worker.hang", "pass2.analysis"])
+    def test_pass2_sites_rejected(self, site):
+        # Pass 2 runs in the installing process: no worker to fault.
+        with pytest.raises(ValueError):
+            faults.install([{"site": site}])
+        faults.clear()
+
     def test_clear_removes_plan_and_env(self):
         faults.install([{"site": "pass1.parse"}])
         assert faults.active()
@@ -368,91 +376,6 @@ class TestManifestRace:
         assert warm.stats.count("incremental_fallbacks") == 0
 
 
-class TestPass2Recovery:
-    @pytest.mark.parametrize("jobs", POOL_JOBS)
-    def test_worker_kill_recovered_on_retry(self, workload, jobs):
-        with faults.injected(
-            [{"site": "pass2.worker.kill", "key": 0, "times": 1}]
-        ):
-            project = _fresh(workload)
-            project.compile_files(workload["paths"])
-            result = project.run(
-                default_checkers(), jobs=jobs,
-                extension_factory=default_checkers,
-            )
-        assert _keys(result) == workload["baseline_keys"]
-        assert project.stats.count("pass2_worker_retries") >= 1
-        assert project.stats.count("pass2_inprocess_fallbacks") == 0
-        assert any(
-            d["kind"] == "worker" and "recovered on retry" in d["detail"]
-            for d in project.stats.degradations
-        )
-
-    @pytest.mark.parametrize("jobs", POOL_JOBS)
-    def test_persistent_kill_falls_back_in_process(self, workload, jobs):
-        # Enough budget to kill the batch worker and the retry worker;
-        # the in-process fallback is kill-immune by construction.
-        with faults.injected(
-            [{"site": "pass2.worker.kill", "key": 0, "times": 10}]
-        ):
-            project = _fresh(workload)
-            project.compile_files(workload["paths"])
-            result = project.run(
-                default_checkers(), jobs=jobs,
-                extension_factory=default_checkers,
-            )
-        assert _keys(result) == workload["baseline_keys"]
-        assert project.stats.count("pass2_inprocess_fallbacks") == 1
-        assert any(
-            d["kind"] == "worker" and "recovered in-process" in d["detail"]
-            for d in project.stats.degradations
-        )
-
-    @pytest.mark.parametrize("jobs", POOL_JOBS)
-    def test_worker_hang_recovered_via_timeout(self, workload, jobs):
-        with faults.injected(
-            [{"site": "pass2.worker.hang", "key": 0, "times": 1,
-              "seconds": 30}]
-        ):
-            project = _fresh(workload)
-            project.compile_files(workload["paths"])
-            start = time.monotonic()
-            result = project.run(
-                default_checkers(), jobs=jobs,
-                extension_factory=default_checkers, worker_timeout=1.0,
-            )
-            assert time.monotonic() - start < 20
-        assert _keys(result) == workload["baseline_keys"]
-        assert project.stats.count("pass2_worker_retries") >= 1
-
-    @pytest.mark.parametrize("jobs", POOL_JOBS)
-    def test_analysis_exception_recovered(self, workload, jobs):
-        with faults.injected(
-            [{"site": "pass2.analysis", "key": 0, "times": 2}]
-        ):
-            project = _fresh(workload)
-            project.compile_files(workload["paths"])
-            result = project.run(
-                default_checkers(), jobs=jobs,
-                extension_factory=default_checkers,
-            )
-        assert _keys(result) == workload["baseline_keys"]
-        assert project.stats.count("pass2_worker_failures") >= 1
-
-    def test_serial_jobs_are_immune_to_worker_faults(self, workload):
-        # jobs=1 never enters a worker process, so worker faults cannot
-        # fire: the run is simply the serial run.
-        with faults.injected(
-            [{"site": "pass2.worker.kill", "key": 0},
-             {"site": "pass2.worker.hang", "key": 0}]
-        ):
-            project = _fresh(workload)
-            project.compile_files(workload["paths"], jobs=1)
-            result = project.run(default_checkers(), jobs=1)
-        assert _keys(result) == workload["baseline_keys"]
-        assert project.stats.count("pass2_worker_failures") == 0
-
-
 class TestEngineDegradation:
     def _reports_by_root(self, workload, extensions):
         """Fault-free serial run: report identities attributed per root."""
@@ -645,7 +568,8 @@ class TestAcceptance:
 
         # The hostile run: corrupt cache + killed worker + blown budget.
         with faults.injected([
-            {"site": "pass2.worker.kill", "key": 0, "times": 1},
+            {"site": "pass1.worker.kill", "key": workload["paths"][0],
+             "times": 1},
             {"site": "engine.budget", "key": victim_root},
         ]):
             code_faulted = main(
@@ -661,7 +585,7 @@ class TestAcceptance:
         kinds = {entry["kind"] for entry in stats["degradations"]}
         assert {"worker", "cache", "root"} <= kinds
         assert stats["counters"]["cache_evictions"] == 1
-        assert stats["counters"]["pass2_worker_retries"] >= 1
+        assert stats["counters"]["pass1_worker_retries"] >= 1
         assert any(
             entry["kind"] == "root" and entry.get("root") == victim_root
             for entry in stats["degradations"]

@@ -38,8 +38,7 @@ from repro.ranking.severity import stratify
 
 def global_suite():
     """Composition with cross-root state on both channels: pathkill
-    (annotations), free (plain per-root), audit (user globals).
-    Module-level so parallel workers can rebuild it by pickle."""
+    (annotations), free (plain per-root), audit (user globals)."""
     return [
         path_kill_extension(),
         free_checker(("kfree", "vfree")),
@@ -142,29 +141,24 @@ class TestGlobalDifferential:
         cache = tmp_path / "cache"
         paths = write_tree(tmp_path, gen)
         cold = compiled_project(tmp_path, paths, cache, jobs=2)
-        cold.run(
-            global_suite(), jobs=2, extension_factory=global_suite,
-            incremental=make_session(cache),
-        )
-        # A parallel fast-path run that turns out coupled is redone
-        # serially with delta capture, loudly.
-        assert cold.stats.count("annotation_delta_serial_reruns") == 1
+        cold.run(global_suite(), incremental=make_session(cache))
+        # A cold full run that turns out coupled already is the cold
+        # environment: its deltas are kept, nothing is re-run.
+        assert cold.stats.count("annotation_delta_serial_reruns") == 0
         assert cold.stats.count("incremental_fallbacks") == 0
 
         edited, __ = apply_function_edits(gen, k=2, seed=5)
         paths = write_tree(tmp_path, edited)
         warm = compiled_project(tmp_path, paths, cache, jobs=2)
         incremental = warm.run(
-            global_suite(), jobs=2, extension_factory=global_suite,
-            incremental=make_session(cache),
-        )
+            global_suite(), incremental=make_session(cache))
         __, reference = self._reference(tmp_path, paths)
         assert ranked_text(incremental) == ranked_text(reference)
         counters = warm.stats.counters
         assert counters.get("incremental_fallbacks", 0) == 0
-        # Known-coupled from the cached deltas: serial was forced up
-        # front rather than discovered by a wasted parallel run.
-        assert counters["annotation_delta_serial_forced"] == 1
+        # Known-coupled from the cached deltas: delta replay from the
+        # start, not discovered by a wasted run.
+        assert counters["incremental_coupled_runs"] == 1
         assert counters.get("annotation_delta_serial_reruns", 0) == 0
 
     def test_audit_tag_edit_reenters_readers_into_cone(self, tmp_path):
@@ -519,7 +513,7 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 14
+        assert stats["schema_version"] == 15
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
         assert store.lookup(key) is None
 

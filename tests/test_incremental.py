@@ -41,7 +41,7 @@ from repro.metal import ANY_POINTER, Extension
 
 
 def incr_checkers():
-    """Worker-rebuildable checker list (top-level so it pickles)."""
+    """A fresh checker list (extensions are stateful: one per run)."""
     return [free_checker(("kfree", "vfree")), lock_checker()]
 
 
@@ -380,18 +380,13 @@ class TestIncrementalDifferential:
         gen = generate_project(seed=9, n_modules=4, functions_per_module=6)
         cache = tmp_path / "cache"
         paths = write_tree(tmp_path, gen)
-        cold = compiled_project(tmp_path, paths, cache)
-        cold.run(
-            incr_checkers(), jobs=2, extension_factory=incr_checkers,
-            incremental=make_session(cache),
-        )
+        cold = compiled_project(tmp_path, paths, cache, jobs=2)
+        cold.run(incr_checkers(), incremental=make_session(cache))
         edited, __ = apply_function_edits(gen, k=2, seed=5)
         paths = write_tree(tmp_path, edited)
         warm = compiled_project(tmp_path, paths, cache, jobs=2)
         incremental = warm.run(
-            incr_checkers(), jobs=2, extension_factory=incr_checkers,
-            incremental=make_session(cache),
-        )
+            incr_checkers(), incremental=make_session(cache))
         __, reference = self._cold_reference(tmp_path, paths)
         assert report_keys(incremental) == report_keys(reference)
         assert warm.stats.count("summary_hits") > 0
@@ -793,7 +788,7 @@ class TestIncrementalCLI:
         main(args + paths)
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
-        assert cold["schema_version"] == 14
+        assert cold["schema_version"] == 15
         assert cold["counters"]["incremental_cold_runs"] == 1
         assert cold["counters"]["summary_stores"] > 0
         main(args + paths)
@@ -802,6 +797,34 @@ class TestIncrementalCLI:
         assert warm["counters"]["summary_hits"] > 0
         assert warm["counters"]["incremental_roots_analyzed"] == 0
         assert "incremental_dirty_cone" in warm["counters"]
+
+    def test_pass2_wall_covers_the_session(self, tmp_path, capsys,
+                                           monkeypatch):
+        """A warm run's pass 2 is mostly the session's own work (pack
+        reads, merge, persist); ``pass2_wall`` must time it, not only
+        the analysis of the dirty cone."""
+        gen = generate_project(seed=9, n_modules=2, functions_per_module=5)
+        paths = self._write(tmp_path, gen)
+        stats_path = tmp_path / "stats.json"
+        args = [
+            "--checker", "free", "-I", str(tmp_path),
+            "--cache-dir", str(tmp_path / "cache"), "--incremental",
+            "--stats-json", str(stats_path),
+        ] + paths
+        main(args)
+        load = IncrementalSession._load_clean_artifacts
+
+        def slow_load(*load_args, **kwargs):
+            time.sleep(0.05)
+            return load(*load_args, **kwargs)
+
+        monkeypatch.setattr(IncrementalSession, "_load_clean_artifacts",
+                            slow_load)
+        main(args)
+        capsys.readouterr()
+        warm = json.loads(stats_path.read_text())
+        assert warm["counters"]["incremental_roots_analyzed"] == 0
+        assert warm["timers_s"]["pass2_wall"] >= 0.05
 
 
 class TestAcceptance:

@@ -434,11 +434,8 @@ class TestGlobalWorkloadDifferential:
         options = AnalysisOptions(
             matcher=mode, capture_root_artifacts=artifacts
         )
-        project = _project(tmp_path, paths)
-        result = project.run(
-            global_suite(), options=options, jobs=jobs,
-            extension_factory=global_suite,
-        )
+        project = _project(tmp_path, paths, jobs=jobs)
+        result = project.run(global_suite(), options=options)
         return project, result
 
     def test_cold_serial_byte_identical_with_artifacts(self, tmp_path):

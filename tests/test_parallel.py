@@ -1,9 +1,9 @@
 """Parallel two-pass driver + persistent AST cache tests (docs/DRIVER.md).
 
 Covers: pass-1 fan-out determinism, cold/warm cache behaviour and
-invalidation, call-graph component partitioning, parallel pass-2 report
-equivalence with serial runs (byte-identical, same order, same ranking),
-serial fallback for unshippable extensions, and the CLI flags.
+invalidation, call-graph component partitioning, report equivalence of
+pass-1 fan-out with serial runs (byte-identical, same order, same
+ranking), and the CLI flags.
 """
 
 import json
@@ -32,8 +32,8 @@ TOY_INCLUDE = os.path.join(TOY_KERNEL, "include")
 
 
 def toy_checkers():
-    """Worker-rebuildable extension list for the toy kernel (the factory
-    must be a top-level function so it pickles)."""
+    """A fresh extension list for the toy kernel (extensions are
+    stateful: one list per run)."""
     return [free_checker(("kfree",)), lock_checker()]
 
 
@@ -214,6 +214,15 @@ class TestAstCache:
         assert counters["cache_hits"] == len(sources) - 1
 
 
+def components(graph):
+    """The weakly connected components, as sorted name lists ordered by
+    first member, grouped by :meth:`CallGraph.component_labels`."""
+    parts = {}
+    for name, label in sorted(graph.component_labels().items()):
+        parts.setdefault(label or name, []).append(name)
+    return sorted(parts.values())
+
+
 class TestCallGraphComponents:
     def test_partition(self):
         from repro.cfront.parser import parse
@@ -228,20 +237,21 @@ class TestCallGraphComponents:
             "int shared(int x) { return x; }\n"
         )
         graph = CallGraph.from_units([unit])
-        assert graph.components() == [
+        assert components(graph) == [
             ["a", "b", "leaf"],
             ["lone"],
             ["r1", "r2", "shared"],
         ]
+        assert graph.component_labels()["lone"] == ""
 
     def test_components_cover_all_roots(self):
         project = toy_project()
         project.compile_files(TOY_SOURCES)
         graph = project.callgraph
-        members = [n for part in graph.components() for n in part]
+        members = [n for part in components(graph) for n in part]
         assert sorted(members) == sorted(graph.functions)
-        for root in graph.roots():
-            assert any(root in part for part in graph.components())
+        for part in components(graph):
+            assert graph.connected(part[:1]) == set(part)
 
 
 class TestParallelAnalysis:
@@ -252,16 +262,10 @@ class TestParallelAnalysis:
 
         parallel = toy_project()
         parallel.compile_files(TOY_SOURCES, jobs=2)
-        parallel_result = parallel.run(
-            toy_checkers(), jobs=2, extension_factory=toy_checkers
-        )
+        parallel_result = parallel.run(toy_checkers())
 
         # Same reports, same order -- not just as sets.
         assert report_keys(parallel_result) == report_keys(serial_result)
-        assert sorted(report_keys(parallel_result)) == sorted(
-            report_keys(serial_result)
-        )
-        assert parallel.stats.count("pass2_components") > 1
         assert parallel_result.stats["errors"] == serial_result.stats["errors"]
 
     def test_generated_project_matches_serial(self, tmp_path):
@@ -276,9 +280,7 @@ class TestParallelAnalysis:
 
         parallel = Project(include_paths=[root])
         parallel.compile_files(paths, jobs=2)
-        parallel_result = parallel.run(
-            default_checkers(), jobs=2, extension_factory=default_checkers
-        )
+        parallel_result = parallel.run(default_checkers())
 
         assert report_keys(parallel_result) == report_keys(serial_result)
 
@@ -295,60 +297,6 @@ class TestParallelAnalysis:
         )
         assert [r.format() for r in p_stat] == [r.format() for r in s_stat]
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_pass2_ships_at_most_one_task_per_worker(
-        self, tmp_path, monkeypatch, jobs
-    ):
-        from repro.driver import parallel
-
-        root, paths = write_generated(
-            tmp_path, seed=11, n_modules=3, functions_per_module=5,
-            cross_calls=False,
-        )
-        shipped = []
-        run_tasks = parallel.run_tasks_with_recovery
-
-        def counting(tasks, worker, *args, **kwargs):
-            if worker is parallel.pass2_worker:
-                shipped.append(len(tasks))
-            return run_tasks(tasks, worker, *args, **kwargs)
-
-        monkeypatch.setattr(parallel, "run_tasks_with_recovery", counting)
-        project = Project(include_paths=[root])
-        project.compile_files(paths)
-        result = project.run(
-            default_checkers(), jobs=jobs, extension_factory=default_checkers
-        )
-        assert project.stats.count("pass2_components") > jobs
-        assert shipped == [jobs] == [project.stats.count("pass2_tasks")]
-
-        serial = Project(include_paths=[root])
-        serial.compile_files(paths)
-        assert report_keys(result) == report_keys(
-            serial.run(default_checkers())
-        )
-
-    def test_pack_components_balances_and_keeps_order(self):
-        from repro.driver.parallel import pack_components
-
-        parts = [["a"] * 5, ["b"], ["c"] * 3, ["d"] * 2, ["e"]]
-        batches = pack_components(parts, 2)
-        # Largest first, each to the lighter batch: 5+1 and 3+2+1.
-        assert batches == [[["a"] * 5, ["b"]], [["c"] * 3, ["d"] * 2, ["e"]]]
-        assert pack_components(parts[:1], 4) == [[["a"] * 5]]
-
-    def test_unshippable_extensions_fall_back_to_serial(self):
-        project = toy_project()
-        project.compile_files(TOY_SOURCES)
-        # Checker actions are lambdas: no factory + unpicklable extensions
-        # means the parallel scheduler must run the serial engine instead.
-        result = project.run(toy_checkers(), jobs=2)
-        assert project.stats.count("pass2_serial_fallback") == 1
-
-        serial = toy_project()
-        serial.compile_files(TOY_SOURCES)
-        assert report_keys(result) == report_keys(serial.run(toy_checkers()))
-
     def test_single_component_runs_serial(self, tmp_path):
         src = tmp_path / "s.c"
         src.write_text(
@@ -356,11 +304,9 @@ class TestParallelAnalysis:
             "int entry(int *p) { helper(p); return *p; }\n"
         )
         project = Project()
-        project.compile_files([str(src)])
-        result = project.run(
-            toy_checkers(), jobs=2, extension_factory=toy_checkers
-        )
-        assert project.stats.count("pass2_components") == 0
+        project.compile_files([str(src)], jobs=2)
+        result = project.run(toy_checkers())
+        assert list(project.stats.workers) == [os.getpid()]  # no pool
         assert len(result.reports) == 1
 
 
@@ -373,9 +319,7 @@ def ranked_report_lines(root, paths, jobs=1, cache_dir=None):
     """
     project = Project(include_paths=[root], cache_dir=cache_dir)
     project.compile_files(paths, jobs=jobs)
-    result = project.run(
-        default_checkers(), jobs=jobs, extension_factory=default_checkers
-    )
+    result = project.run(default_checkers())
     return [r.format() for r in stratify(result.reports)]
 
 
@@ -402,9 +346,7 @@ class TestDifferentialHarness:
         warm = Project(include_paths=[root], cache_dir=cache)
         warm.compile_files(paths, jobs=2)
         assert warm.stats.count("parses") == 0
-        warm_result = warm.run(
-            default_checkers(), jobs=2, extension_factory=default_checkers
-        )
+        warm_result = warm.run(default_checkers())
         assert [r.format() for r in stratify(warm_result.reports)] == serial
 
     def test_hypothesis_sweep_if_available(self):
@@ -500,7 +442,7 @@ class TestParallelCLI:
         capsys.readouterr()
         stats = json.load(open(stats_json))
         timers, counters = stats["timers_s"], stats["counters"]
-        assert stats["schema_version"] == 14
+        assert stats["schema_version"] == 15
         assert timers["pass2_wall"] > 0
         assert 0 < timers["lex"] <= timers["preprocess"]
         assert counters["tokens_lexed"] > counters["parses"]

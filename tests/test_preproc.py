@@ -219,6 +219,15 @@ class TestMalformedDirectives:
         text = "#if " + "(" * 900 + "1" + ")" * 900 + "\nint x;\n#endif"
         assert pp(text) == "int x ;"
 
+    @pytest.mark.parametrize("condition", [
+        "!(0 & -1)", "(2 | -1) == -1", "(3 ^ -1) == -4", "3 + -1 == 2",
+        "3 * -1 == -3", "3 - -1 == 4",
+    ])
+    def test_negative_operands_of_other_operators_evaluate(self, condition):
+        # Only the operator's own value is computed: ``0 & -1`` once
+        # raised "negative shift count" from an unused ``0 << -1``.
+        assert pp("#if %s\nint x;\n#endif" % condition) == "int x ;"
+
     def test_shift_counts_in_range_still_evaluate(self):
         assert pp("#if (1 << 63) >> 63 == 1\nint x;\n#endif") == "int x ;"
         assert pp("#if 1 << 0\nint x;\n#endif") == "int x ;"

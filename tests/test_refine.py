@@ -763,7 +763,7 @@ class TestHistoryRegressions:
         diff = history.diff(id1[:-4], id2[:-4])
         assert diff["base"] == id1
         assert diff["head"] == id2
-        diff = history.diff("latest", None, head_reports=[])
+        diff = history.diff("latest", None, head_docs=[])
         assert diff["base"] == id2
         assert diff["head"] == "current"
 

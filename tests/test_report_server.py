@@ -374,6 +374,46 @@ class TestLiveDaemon:
             assert warm["text"] == baseline
             assert warm["served_from"] == "cache"
 
+    def test_a_request_builds_each_report_document_once(
+        self, tmp_path, sock_dir, monkeypatch
+    ):
+        """``GET /reports`` and ``GET /diff?head=current`` serve the
+        documents the record stage built: one ``to_dict`` per report for
+        a request that analyzes, none for one served from the warm
+        response cache."""
+        src = tmp_path / "src"
+        src.mkdir()
+        gen = generate_project(seed=23, n_modules=2,
+                               functions_per_module=4, bug_rate=0.5)
+        write_tree(src, gen.files)
+        built = []
+        to_dict = Report.to_dict
+
+        def counting(report):
+            built.append(report)
+            return to_dict(report)
+
+        monkeypatch.setattr(Report, "to_dict", counting)
+        sock = os.path.join(sock_dir, "d.sock")
+        with live_daemon(src, tmp_path / "cache", sock) as (__, server):
+            get(server.url + "/reports")
+            edited = c_paths(src)[0]
+            with open(edited, "a") as handle:
+                handle.write("int added_root(int x) { return x; }\n")
+            del built[:]
+            status, doc = get(server.url + "/reports")
+            assert status == 200
+            assert doc["served_from"] == "analysis"
+            assert doc["report_count"] > 0
+            assert len(built) == doc["report_count"]
+            del built[:]
+            status, doc = get(server.url + "/reports")
+            assert doc["served_from"] == "cache"
+            assert built == []
+            status, diff = get(server.url + "/diff?base=latest")
+            assert diff["head"] == "current"
+            assert built == []
+
     def test_head_current_diff_sees_live_edit(
         self, tmp_path, sock_dir, capsys
     ):
