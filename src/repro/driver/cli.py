@@ -136,12 +136,6 @@ def build_parser():
                         help="preprocessor include path (repeatable)")
     parser.add_argument("--define", "-D", action="append", default=[],
                         help="preprocessor define NAME[=VALUE] (repeatable)")
-    parser.add_argument(
-        "--matcher", choices=["compiled", "interp"], default=None,
-        help="pattern-matching engine: 'compiled' table-driven matchers "
-        "(the default; docs/MATCHER.md) or the tree-walking 'interp' "
-        "oracle -- both produce byte-identical reports",
-    )
     parser.add_argument("--no-interprocedural", action="store_true")
     parser.add_argument("--no-false-path-pruning", action="store_true")
     parser.add_argument("--no-caching", action="store_true")
@@ -613,7 +607,6 @@ def _make_options(args):
         max_paths_per_root=args.max_paths_per_root,
         max_seconds_per_root=args.max_seconds_per_root,
         root_error_policy="degrade" if args.keep_going else "raise",
-        matcher=args.matcher,
     )
 
 

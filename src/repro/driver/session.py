@@ -74,10 +74,8 @@ from repro.engine.summaries import SUMMARY_VERSION
 
 #: AnalysisOptions fields excluded from the session signature:
 #: capture_root_artifacts is the session's own machinery, not a semantic
-#: switch of the run being cached; the matcher backend produces
-#: byte-identical results in both modes (docs/MATCHER.md), so compiled
-#: and interpreted runs share incremental caches.
-_NON_SEMANTIC_OPTIONS = frozenset(["capture_root_artifacts", "matcher"])
+#: switch of the run being cached.
+_NON_SEMANTIC_OPTIONS = frozenset(["capture_root_artifacts"])
 
 
 def session_signature(checker_names=(), metal_texts=(), options=None,

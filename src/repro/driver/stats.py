@@ -30,8 +30,8 @@ from contextlib import contextmanager
 #: ``summary_memory_hits``, ``units_adopted``), and
 #: ``manifest_lock_fallbacks`` (lockfile fallback where ``fcntl`` is
 #: unavailable).  5: the compiled-matcher counters in the engine stats
-#: (``matcher_table_hits``, ``matcher_miss_memo_hits``,
-#: ``matcher_fallbacks``, ``matcher_compile_s`` plus per-extension
+#: (``matcher_table_hits``, ``matcher_miss_memo_hits``, a fallback
+#: counter removed in 16, ``matcher_compile_s`` plus per-extension
 #: ``matcher_compile_s:<name>`` timers; docs/MATCHER.md).  6: the
 #: shared artifact-store counters (``store_round_trips``,
 #: ``store_batch_keys``, ``store_cas_conflicts``, ``store_overlay_hits``,
@@ -78,8 +78,11 @@ from contextlib import contextmanager
 #: ``worker_failures`` or ``inprocess_fallbacks``, and
 #: ``annotation_delta_serial_forced``; ``pass2_wall`` now covers an
 #: incremental session's own work (fingerprinting, pack reads, merge,
-#: persist) as well as its analysis.
-SCHEMA_VERSION = 15
+#: persist) as well as its analysis.  16: one matcher, the interpreter
+#: behind the dispatch tables, so the engine's count of rules the
+#: compiled matcher handed back to the interpreter is removed, and
+#: ``matcher_compile_s`` times only the dispatch-table build.
+SCHEMA_VERSION = 16
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other

@@ -6,7 +6,6 @@ at a time, starting at the callgraph roots.  Composition happens across
 sequential runs through the shared :class:`AnnotationStore`.
 """
 
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -73,7 +72,6 @@ class AnalysisOptions:
         max_seconds_per_root=None,
         root_error_policy="raise",
         capture_root_artifacts=False,
-        matcher=None,
     ):
         self.interprocedural = interprocedural
         self.false_path_pruning = false_path_pruning
@@ -112,19 +110,6 @@ class AnalysisOptions:
         # artifacts in serial order (the driver's incremental session and
         # the parallel merge both do).
         self.capture_root_artifacts = capture_root_artifacts
-        # Pattern-matching engine: "compiled" runs the table-driven
-        # matchers from repro.metal.compile (docs/MATCHER.md);
-        # "interp" runs the tree-walking oracle in repro.metal.patterns.
-        # Both produce byte-identical reports/artifacts/deltas; the
-        # XGCC_MATCHER environment variable overrides the default so CI
-        # can run whole suites against the oracle.
-        if matcher is None:
-            matcher = os.environ.get("XGCC_MATCHER", "compiled")
-        if matcher not in ("compiled", "interp"):
-            raise ValueError(
-                "matcher must be 'compiled' or 'interp', not %r" % (matcher,)
-            )
-        self.matcher = matcher
 
 
 class AnalysisBudgetExceeded(Exception):
@@ -315,7 +300,6 @@ class Analysis:
             "roots_skipped": 0,
             "matcher_table_hits": 0,
             "matcher_miss_memo_hits": 0,
-            "matcher_fallbacks": 0,
             "matcher_compile_s": 0.0,
         }
         # Matcher counters accumulate in plain attributes (a dict update
@@ -323,9 +307,7 @@ class Analysis:
         # and fold into ``stats`` when a run finishes.
         self._m_table_hits = 0
         self._m_miss_memo_hits = 0
-        self._m_fallbacks = 0
-        # The active extension's CompiledExtension, or None under
-        # --matcher=interp (set per run_one).
+        # The active extension's dispatch tables (set per run_one).
         self._compiled = None
         #: DegradedRoot entries for roots abandoned mid-run.
         self.degraded = []
@@ -398,15 +380,12 @@ class Analysis:
         self._table = SummaryTable()
         self._steps = 0
         self._faults_active = faults.active()
-        if self.options.matcher == "compiled":
-            compile_start = time.perf_counter()
-            self._compiled = ext.compiled()
-            elapsed = time.perf_counter() - compile_start
-            self.stats["matcher_compile_s"] += elapsed
-            per_ext = "matcher_compile_s:" + ext.name
-            self.stats[per_ext] = self.stats.get(per_ext, 0.0) + elapsed
-        else:
-            self._compiled = None
+        compile_start = time.perf_counter()
+        self._compiled = ext.compiled()
+        elapsed = time.perf_counter() - compile_start
+        self.stats["matcher_compile_s"] += elapsed
+        per_ext = "matcher_compile_s:" + ext.name
+        self.stats[per_ext] = self.stats.get(per_ext, 0.0) + elapsed
         if roots is None:
             if self.options.interprocedural:
                 roots = self.callgraph.roots()
@@ -444,7 +423,6 @@ class Analysis:
                 break
         self.stats["matcher_table_hits"] = self._m_table_hits
         self.stats["matcher_miss_memo_hits"] = self._m_miss_memo_hits
-        self.stats["matcher_fallbacks"] = self._m_fallbacks
         return self._table
 
     def _live_functions(self, ext):
@@ -710,7 +688,7 @@ class Analysis:
                 if self.options.false_path_pruning:
                     constraints.havoc([node.name])
             elif kind == "return":
-                self._apply_extension(fctx, sm, node, (id(block), item_idx))
+                self._apply_extension(sm, node, (id(block), item_idx))
                 if self.options.propagate_return_state and self._return_records:
                     self._record_return_state(sm, node)
             else:
@@ -756,7 +734,7 @@ class Analysis:
             if self.options.false_path_pruning:
                 self._track_definition(constraints, point, target)
 
-        matched_call = self._apply_extension(fctx, sm, point, creation_site)
+        matched_call = self._apply_extension(sm, point, creation_site)
 
         if isinstance(point, ast.Call) and self.annotations.get(point, "pathkill"):
             # A composed path-kill extension flagged this call (§3.2):
@@ -788,47 +766,14 @@ class Analysis:
 
     # -- extension application (§5.1) ----------------------------------------------------
 
-    def _apply_extension(self, fctx, sm, point, creation_site, end_of_path=False):
-        if self._compiled is not None:
-            return self._apply_extension_compiled(
-                sm, point, creation_site, end_of_path
-            )
-        ext = sm.extension
-        matched_this_point = False
-        touched = set()
+    def _apply_extension(self, sm, point, creation_site, end_of_path=False):
+        """Apply ``sm``'s extension at ``point`` (§5.1).
 
-        # Variable-specific instances first.
-        for inst in list(sm.active_vars):
-            if inst.inactive or inst not in sm.active_vars:
-                continue
-            if inst.created_at == creation_site:
-                # "An instance cannot trigger a transition at the statement
-                # where that instance was created" (§3.1).
-                continue
-            for rule in ext.specific_transitions(inst.value, inst.var_name):
-                bindings = {inst.var_name: inst.obj}
-                mctx = MatchContext(point, bindings, self, end_of_path)
-                if rule.pattern.match(point, bindings, mctx):
-                    matched_this_point = True
-                    touched.add((inst.var_name, inst.obj_key))
-                    self._execute_instance_rule(sm, rule, inst, bindings, point)
-                    break
-
-        # Then global transitions.
-        for rule in ext.global_transitions(sm.gstate):
-            bindings = {}
-            mctx = MatchContext(point, bindings, self, end_of_path)
-            if rule.pattern.match(point, bindings, mctx):
-                matched_this_point = True
-                self._execute_global_rule(
-                    sm, rule, bindings, point, creation_site, touched
-                )
-        return matched_this_point
-
-    def _apply_extension_compiled(self, sm, point, creation_site, end_of_path):
-        """The compiled twin of :meth:`_apply_extension`: identical rule
-        order, first-match-wins for instances, all-matches for globals --
-        only dispatch and matching change (docs/MATCHER.md)."""
+        The dispatch tables (docs/MATCHER.md) pick each source state's
+        candidate rules for this point's class, in declaration order,
+        and the interpreter matches them: the first match wins for an
+        instance, and every match applies for the global state.
+        """
         compiled = self._compiled
         cls = point.__class__
         if not compiled.any_candidates(cls, end_of_path):
@@ -846,11 +791,13 @@ class Analysis:
         miss_hits = 0
         table_hits = 0
 
+        # Variable-specific instances first.
         for inst in list(sm.active_vars):
             if inst.inactive or inst not in sm.active_vars:
                 continue
             if inst.created_at == creation_site:
-                # §3.1: no triggering at the instance's creation site.
+                # "An instance cannot trigger a transition at the statement
+                # where that instance was created" (§3.1).
                 continue
             mkey = (inst.var_name, inst.value)
             candidates = cand_memo.get(mkey)
@@ -866,29 +813,19 @@ class Analysis:
                 continue
             table_hits += 1
             for crule in candidates:
-                if crule.matcher is None:
-                    self._m_fallbacks += 1
-                    bindings = {inst.var_name: inst.obj}
-                    mctx = MatchContext(point, bindings, self, end_of_path)
-                    if not crule.rule.pattern.match(point, bindings, mctx):
-                        continue
-                else:
-                    bindings = crule.match(
-                        point, self, end_of_path, inst.var_name, inst.obj
+                bindings = {inst.var_name: inst.obj}
+                mctx = MatchContext(point, bindings, self, end_of_path)
+                if crule.rule.pattern.match(point, bindings, mctx):
+                    matched_this_point = True
+                    touched.add((inst.var_name, inst.obj_key))
+                    self._execute_instance_rule(
+                        sm, crule.rule, inst, bindings, point
                     )
-                    if bindings is None:
-                        continue
-                matched_this_point = True
-                touched.add((inst.var_name, inst.obj_key))
-                self._execute_instance_rule(sm, crule.rule, inst, bindings, point)
-                break
+                    break
 
+        # Then global transitions.
         table = compiled.global_table(sm.gstate)
-        if table is None:
-            self._m_miss_memo_hits += miss_hits + 1
-            self._m_table_hits += table_hits
-            return matched_this_point
-        candidates = table.candidates(cls, end_of_path)
+        candidates = () if table is None else table.candidates(cls, end_of_path)
         if not candidates:
             self._m_miss_memo_hits += miss_hits + 1
             self._m_table_hits += table_hits
@@ -896,20 +833,13 @@ class Analysis:
         self._m_miss_memo_hits += miss_hits
         self._m_table_hits += table_hits + 1
         for crule in candidates:
-            if crule.matcher is None:
-                self._m_fallbacks += 1
-                bindings = {}
-                mctx = MatchContext(point, bindings, self, end_of_path)
-                if not crule.rule.pattern.match(point, bindings, mctx):
-                    continue
-            else:
-                bindings = crule.match(point, self, end_of_path)
-                if bindings is None:
-                    continue
-            matched_this_point = True
-            self._execute_global_rule(
-                sm, crule.rule, bindings, point, creation_site, touched
-            )
+            bindings = {}
+            mctx = MatchContext(point, bindings, self, end_of_path)
+            if crule.rule.pattern.match(point, bindings, mctx):
+                matched_this_point = True
+                self._execute_global_rule(
+                    sm, crule.rule, bindings, point, creation_site, touched
+                )
         return matched_this_point
 
     def _execute_instance_rule(self, sm, rule, inst, bindings, point):
@@ -1162,7 +1092,7 @@ class Analysis:
                     self._apply_end_of_path(sm, inst, end_point)
             if is_root:
                 self._apply_extension(
-                    fctx, sm, end_point, (id(block), -1), end_of_path=True
+                    sm, end_point, (id(block), -1), end_of_path=True
                 )
         # Locals leave scope at function exit regardless of the checker.
         for inst in list(sm.active_vars):
@@ -1173,43 +1103,20 @@ class Analysis:
         relax(backtrace, self._table, fctx.local_edge_filter)
 
     def _apply_end_of_path(self, sm, inst, end_point):
-        ext = sm.extension
         if inst not in sm.active_vars or inst.inactive:
             return
-        compiled = self._compiled
-        if compiled is not None:
-            table = compiled.specific_table(inst.var_name, inst.value)
-            if table is None:
-                self._m_miss_memo_hits += 1
-                return
-            self._m_table_hits += 1
-            for crule in table.eop_mentions:
-                if crule.matcher is None:
-                    self._m_fallbacks += 1
-                    bindings = {inst.var_name: inst.obj}
-                    mctx = MatchContext(
-                        end_point, bindings, self, end_of_path=True
-                    )
-                    if not crule.rule.pattern.match(end_point, bindings, mctx):
-                        continue
-                else:
-                    bindings = crule.match(
-                        end_point, self, True, inst.var_name, inst.obj
-                    )
-                    if bindings is None:
-                        continue
+        table = self._compiled.specific_table(inst.var_name, inst.value)
+        if table is None:
+            self._m_miss_memo_hits += 1
+            return
+        self._m_table_hits += 1
+        for crule in table.eop_mentions:
+            bindings = {inst.var_name: inst.obj}
+            mctx = MatchContext(end_point, bindings, self, end_of_path=True)
+            if crule.rule.pattern.match(end_point, bindings, mctx):
                 self._execute_instance_rule(
                     sm, crule.rule, inst, bindings, end_point
                 )
-                break
-            return
-        for rule in ext.specific_transitions(inst.value, inst.var_name):
-            if not rule.pattern.mentions_end_of_path():
-                continue
-            bindings = {inst.var_name: inst.obj}
-            mctx = MatchContext(end_point, bindings, self, end_of_path=True)
-            if rule.pattern.match(end_point, bindings, mctx):
-                self._execute_instance_rule(sm, rule, inst, bindings, end_point)
                 break
 
     def _record_return_state(self, sm, marker):

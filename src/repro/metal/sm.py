@@ -21,6 +21,7 @@ The Python API is deliberately close to the metal surface syntax::
 C code actions become Python callables receiving an :class:`ActionContext`.
 """
 
+from repro.metal.compile import CompiledExtension
 from repro.metal.metatypes import MetaType
 from repro.metal.patterns import EndOfPath, Pattern, compile_pattern
 
@@ -114,7 +115,7 @@ class Extension:
     """A metal extension: state variables, values, and transitions."""
 
     # Derived-structure caches (per-state transition grouping, the
-    # end-of-path flag, the compiled matcher tables).  Each cache entry
+    # end-of-path flag, the dispatch tables).  Each cache entry
     # is ``(mutation_key, value)``; see :meth:`_mutation_key`.  Class
     # attributes so unpickled instances start clean.
     _groups_cache = None
@@ -334,20 +335,18 @@ class Extension:
         return cache[1]
 
     def compiled(self):
-        """The table-driven matcher set for this extension (lazily built
-        by :mod:`repro.metal.compile`, invalidated when the transition
-        list changes)."""
+        """This extension's dispatch tables (lazily built by
+        :mod:`repro.metal.compile` from :meth:`_grouping`, invalidated
+        when the transition list changes)."""
         key = self._mutation_key()
         cache = self._compiled_cache
         if cache is None or cache[0] != key:
-            from repro.metal.compile import CompiledExtension
-
             cache = (key, CompiledExtension(self))
             self._compiled_cache = cache
         return cache[1]
 
     def __getstate__(self):
-        """Derived caches hold compiled closures; never pickle them."""
+        """Derived caches are rebuilt on demand; never pickle them."""
         state = dict(self.__dict__)
         for attr in ("_groups_cache", "_eop_cache", "_anchors_cache",
                      "_compiled_cache"):

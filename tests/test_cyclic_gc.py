@@ -77,7 +77,7 @@ def test_one_shot_run_makes_no_collector_pass(tmp_path, capsys):
     assert code == 1
     assert passes == []
     payload = json.loads(stats.read_text())
-    assert payload["schema_version"] == 15
+    assert payload["schema_version"] == 16
     assert payload["counters"]["cyclic_gc_passes"] == 0
     assert payload["timers_s"]["cyclic_gc"] == 0.0
     assert "double free" in capsys.readouterr().out
@@ -219,7 +219,7 @@ def test_a_warm_daemon_request_leaves_no_cyclic_garbage(tmp_path,
     """One warm ``analyze`` after a one-function edit: refcounting frees
     the run's :class:`Analysis` as soon as its result is dropped, and
     what the collector still finds is a few dozen objects (it was about
-    3,100 before the tracker, compiled-matcher, and refine-CFG cycles
+    3,100 before the tracker, dispatch-table, and refine-CFG cycles
     were broken)."""
     import functools
     import weakref

@@ -212,11 +212,10 @@ def assert_skip_is_invisible(make_units, options, order=tuple(ALL_CHECKERS)):
 
 
 _options = st.builds(
-    lambda matcher, interprocedural, caching, pruning, capture:
-    AnalysisOptions(matcher=matcher, interprocedural=interprocedural,
-                    caching=caching, false_path_pruning=pruning,
+    lambda interprocedural, caching, pruning, capture:
+    AnalysisOptions(interprocedural=interprocedural, caching=caching,
+                    false_path_pruning=pruning,
                     capture_root_artifacts=capture),
-    st.sampled_from(["compiled", "interp"]),
     st.booleans(), st.booleans(), st.booleans(), st.booleans(),
 )
 

@@ -1,26 +1,33 @@
-"""The compiled table-driven matcher (docs/MATCHER.md).
+"""The dispatch tables in front of the metal interpreter (docs/MATCHER.md).
 
-Four layers of evidence that ``--matcher=compiled`` is a pure speedup:
+Every rule is matched by the interpreter, ``Pattern.match``; the tables
+only choose which rules it tries.  They can change a result only by
+hiding a rule the interpreter would match, so the evidence is:
 
-* hypothesis properties: random pattern/point pairs (base patterns and
-  ``&&``/``||``/``!``/callout compositions, seeded and unseeded) agree
-  with the interpreter on success *and* on every hole binding;
+* hypothesis properties: for random pattern/point pairs (base patterns
+  and ``&&``/``||``/``!``/callout/``$end_of_path$`` compositions, seeded
+  and unseeded, at normal and end-of-path points), whenever the
+  interpreter matches, the rule's state table offers it as a candidate
+  and ``any_candidates`` says yes;
 * dispatch-table unit tests: every seed checker's transitions land in
-  exactly one source-state table, in declaration order, with zero
-  interpreter fallbacks;
-* engine counters: the ``matcher_*`` stats move in compiled mode and
-  stay zero in interp mode;
+  exactly one source-state table, in declaration order;
+* engine counters: the ``matcher_*`` stats move;
 * the differential harness: every seed checker over the torture files
-  and the Section 7.1 global workload -- serial and ``jobs=4``, cold and
-  warm/incremental -- produces byte-identical ranked reports,
-  RootArtifacts, and annotation deltas in both modes.
+  and the Section 7.1 global workload -- serial and with pass 1 at
+  ``jobs=4``, cold and warm/incremental -- produces byte-identical
+  ranked reports, RootArtifacts, and annotation deltas with the tables
+  and with an admit-all dispatch that offers every rule at every point.
 """
 
 import os
 import re
+import subprocess
+import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cfg.blocks import ReturnMarker
@@ -28,22 +35,21 @@ from repro.cfront import astnodes as ast
 from repro.cfront.parser import parse, parse_expression
 from repro.checkers import ALL_CHECKERS, audit_checker, free_checker
 from repro.checkers.pathkill import path_kill_extension
+from repro.driver.cli import build_parser
 from repro.driver.project import Project
 from repro.driver.session import IncrementalSession, session_signature
-from repro.engine.analysis import Analysis, AnalysisOptions
+from repro.engine.analysis import Analysis, AnalysisOptions, _EndOfPathPoint
 from repro.metal import (
     ANY_EXPR,
     ANY_POINTER,
     ANY_SCALAR,
     Extension,
 )
-from repro.metal.compile import (
-    CompiledExtension,
-    compile_matcher,
-    run_matcher,
-)
+from repro.metal import compile as compile_mod
+from repro.metal.compile import CompiledExtension
 from repro.metal.patterns import (
     Callout,
+    EndOfPath,
     MatchContext,
     NotPattern,
     compile_pattern,
@@ -55,49 +61,69 @@ HOLES = {"v": ANY_POINTER, "x": ANY_EXPR, "n": ANY_SCALAR}
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TORTURE = ["torture_kernelish", "torture_stmts", "torture_exprs",
            "torture_decls"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _norm_value(value):
-    """Bindings hold AST nodes (or argument lists); compare structurally."""
-    if isinstance(value, list):
-        return tuple(ast.structural_key(v) for v in value)
-    if isinstance(value, ast.Node):
-        return ast.structural_key(value)
-    return value
+#: The synthetic point ``$end_of_path$`` rules match at.
+END_POINT = _EndOfPathPoint(
+    SimpleNamespace(cfg=SimpleNamespace(decl=SimpleNamespace(location=None)))
+)
 
 
-def _norm(bindings):
-    if bindings is None:
-        return None
-    return {name: _norm_value(value) for name, value in bindings.items()}
-
-
-def interp_match(pattern, point, seed=None):
+def dispatched(pattern, point, seed=None, end_of_path=False):
+    """Match ``pattern`` at ``point`` with the interpreter; when it
+    matches, assert the dispatch tables offer the rule, both out of an
+    instance state and out of a global state.  Returns whether it
+    matched."""
     bindings = dict(seed or {})
-    ctx = MatchContext(point, bindings)
-    if pattern.match(point, bindings, ctx):
-        return bindings
-    return None
+    ctx = MatchContext(point, bindings, end_of_path=end_of_path)
+    if not pattern.match(point, bindings, ctx):
+        return False
+    ext = Extension("dispatch")
+    ext.state_var("v", ANY_POINTER)
+    specific = ext.transition("v.held", pattern, to="v.stop")
+    global_ = ext.transition("start", pattern)
+    compiled = ext.compiled()
+    cls = type(point)
+    assert compiled.any_candidates(cls, end_of_path)
+    for table, rule in (
+        (compiled.specific_table("v", "held"), specific),
+        (compiled.global_table("start"), global_),
+    ):
+        offered = table.candidates(cls, end_of_path)
+        assert rule in [crule.rule for crule in offered], (pattern, point)
+    return True
 
 
-def compiled_match(pattern, point, seed=None):
-    matcher = compile_matcher(pattern, extra_names=tuple(seed or ()))
-    return run_matcher(matcher, point, seed=seed)
+def table_rules(compiled):
+    """Every CompiledRule of an extension's tables."""
+    tables = list(compiled.specific.values()) + list(
+        compiled.globals_.values()
+    )
+    return [crule for table in tables for crule in table.rules]
 
 
-def reports_of(code, extension, mode, filename="m.c"):
+def admit_all():
+    """Offer every rule of a state at every point: the tables' filter
+    switched off, so each state's rules reach the interpreter in
+    declaration order (docs/MATCHER.md)."""
+    return mock.patch.object(compile_mod, "_admits", lambda kinds, cls: True)
+
+
+def reports_of(code, extension, filename="m.c"):
     unit = parse(code, filename)
-    analysis = Analysis([unit], options=AnalysisOptions(matcher=mode))
+    analysis = Analysis([unit], options=AnalysisOptions())
     result = analysis.run(extension)
     return [r.format_trace() for r in stratify(result.reports)], result
 
 
 # ---------------------------------------------------------------------------
-# hypothesis properties: compiled == interpreter
+# hypothesis properties: the tables never hide an interpreter match
 
 
 IDENTS = ["p", "q", "buf", "count"]
@@ -140,14 +166,13 @@ def _point(text):
 
 
 class TestCompiledVsInterpreterProperties:
+    """The compiled dispatch tables agree with the interpreter: every
+    match the interpreter makes, the tables offer."""
+
     @settings(max_examples=200, deadline=None)
     @given(pattern_texts, expr_texts)
     def test_random_pairs_agree(self, ptext, etext):
-        pattern = compile_pattern(ptext, HOLES)
-        point = _point(etext)
-        assert _norm(compiled_match(pattern, point)) == _norm(
-            interp_match(pattern, point)
-        )
+        dispatched(compile_pattern(ptext, HOLES), _point(etext))
 
     @settings(max_examples=200, deadline=None)
     @given(pattern_texts)
@@ -155,17 +180,17 @@ class TestCompiledVsInterpreterProperties:
         """Force frequent successes: match each pattern against its own
         hole-substituted instantiation."""
         pattern = compile_pattern(ptext, HOLES)
-        point = _point(_instantiate(ptext))
-        got, want = (
-            _norm(compiled_match(pattern, point)),
-            _norm(interp_match(pattern, point)),
-        )
-        assert got == want
+        dispatched(pattern, _point(_instantiate(ptext)))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(pattern_texts, pattern_texts,
-           st.sampled_from(["and", "or", "not", "callout"]))
-    def test_compositions_agree(self, left_text, right_text, combinator):
+           st.sampled_from(["and", "or", "not", "callout", "eop"]),
+           st.booleans())
+    # A hole conjoined with a concrete node admits that node's class.
+    @example("x", "buf", "and", False)
+    @example("buf", "x", "and", False)
+    def test_compositions_agree(self, left_text, right_text, combinator,
+                                at_end):
         left = compile_pattern(left_text, HOLES)
         right = compile_pattern(right_text, HOLES)
         if combinator == "and":
@@ -174,50 +199,41 @@ class TestCompiledVsInterpreterProperties:
             pattern = left | right
         elif combinator == "not":
             pattern = left & NotPattern(right)
-        else:
+        elif combinator == "callout":
             pattern = left & Callout(
                 lambda ctx: isinstance(ctx.point, ast.Call), "is_call"
             )
-        point = _point(_instantiate(left_text))
-        assert _norm(compiled_match(pattern, point)) == _norm(
-            interp_match(pattern, point)
-        )
+        else:
+            pattern = (left & right) | EndOfPath()
+        if at_end:
+            dispatched(pattern, END_POINT, end_of_path=True)
+        else:
+            dispatched(pattern, _point(_instantiate(left_text)))
 
     @settings(max_examples=150, deadline=None)
     @given(pattern_texts, st.sampled_from(IDENTS))
     def test_seeded_matches_agree(self, ptext, seed_ident):
-        """The engine seeds the state variable before matching; both
-        engines must honour (and never rebind past) the seed."""
+        """The engine seeds the state variable before matching; the
+        tables must offer every rule the seeded interpreter matches."""
         pattern = compile_pattern(ptext, HOLES)
-        point = _point(_instantiate(ptext))
         seed = {"v": parse_expression(seed_ident)}
-        assert _norm(compiled_match(pattern, point, seed)) == _norm(
-            interp_match(pattern, point, seed)
-        )
+        dispatched(pattern, _point(_instantiate(ptext)), seed)
 
     def test_return_marker_agreement(self):
         pattern = compile_pattern("return x;", HOLES)
         marker = ReturnMarker(parse_expression("count + 1"), None)
-        assert _norm(compiled_match(pattern, marker)) == _norm(
-            interp_match(pattern, marker)
-        ) != None  # noqa: E711 -- both match, identically
-        empty = ReturnMarker(None, None)
-        assert compiled_match(pattern, empty) is None
-        assert interp_match(pattern, empty) is None
+        assert dispatched(pattern, marker)
+        assert not dispatched(pattern, ReturnMarker(None, None))
         # A hole never swallows the marker itself.
-        bare = compile_pattern("x", HOLES)
-        assert compiled_match(bare, marker) is None
-        assert interp_match(bare, marker) is None
+        assert not dispatched(compile_pattern("x", HOLES), marker)
+        # $end_of_path$ is offered only at the end of a path.
+        assert dispatched(EndOfPath(), END_POINT, end_of_path=True)
+        assert not dispatched(EndOfPath(), marker)
 
     def test_repeated_hole_agreement(self):
         pattern = compile_pattern("get(x, x)", HOLES)
-        hit = _point("get(buf, buf)")
-        miss = _point("get(buf, count)")
-        assert _norm(compiled_match(pattern, hit)) == _norm(
-            interp_match(pattern, hit)
-        ) != None  # noqa: E711
-        assert compiled_match(pattern, miss) is None
-        assert interp_match(pattern, miss) is None
+        assert dispatched(pattern, _point("get(buf, buf)"))
+        assert not dispatched(pattern, _point("get(buf, count)"))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +246,7 @@ class TestDispatchTables:
         ext = ALL_CHECKERS[name]()
         compiled = ext.compiled()
         assert isinstance(compiled, CompiledExtension)
-        # Zero fallbacks: every seed-checker pattern compiles.
-        assert compiled.n_fallback == 0
-        crules = list(compiled.all_rules())
-        assert len(crules) == len(ext.transitions) == compiled.n_rules
-        seen = [id(cr.rule) for cr in crules]
+        seen = [id(crule.rule) for crule in table_rules(compiled)]
         assert sorted(seen) == sorted(id(r) for r in ext.transitions)
 
     @pytest.mark.parametrize("name", sorted(ALL_CHECKERS))
@@ -250,13 +262,18 @@ class TestDispatchTables:
             for crule in table.rules:
                 assert crule.rule.source.is_global
                 assert crule.rule.source.value == value
+        position = {id(rule): i for i, rule in enumerate(ext.transitions)}
         for table in list(compiled.specific.values()) + list(
             compiled.globals_.values()
         ):
-            indices = [crule.index for crule in table.rules]
+            indices = [position[id(crule.rule)] for crule in table.rules]
             # Declaration order survives table construction: first-match-
-            # wins tie-breaking is identical to the interpreter's.
+            # wins tie-breaking is the transition list's order.
             assert indices == sorted(indices)
+            source = table.rules[0].rule.source
+            assert tuple(crule.rule for crule in table.rules) == (
+                ext.transitions_from(source)
+            )
 
     def test_miss_memo_is_one_dict_probe(self):
         ext = free_checker()
@@ -310,8 +327,23 @@ class TestSatelliteCaches:
         ext.transitions.append(ext.transitions[-1])
         rebuilt = ext.compiled()
         assert rebuilt is not first
-        assert rebuilt.n_rules == first.n_rules + 1
+        assert len(table_rules(rebuilt)) == len(table_rules(first)) + 1
         assert len(ext.transitions_from(ref)) == len(before) + 1
+
+    def test_sm_imports_the_tables_module(self):
+        """``Extension.compiled()`` must not import the tables module
+        inside the engine's ``matcher_compile_s`` timer: importing the
+        state-machine module already loads it."""
+        probe = (
+            "import sys, repro.metal.sm; "
+            "print('repro.metal.compile' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "True"
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +363,25 @@ COUNTER_CODE = (
 
 class TestMatcherCounters:
     def test_compiled_counters_move(self):
-        __, result = reports_of(COUNTER_CODE, free_checker(), "compiled")
+        __, result = reports_of(COUNTER_CODE, free_checker())
         stats = result.stats
         assert stats["matcher_table_hits"] > 0
         assert stats["matcher_miss_memo_hits"] > 0
-        assert stats["matcher_fallbacks"] == 0
         assert stats["matcher_compile_s"] > 0.0
         assert "matcher_compile_s:free_checker" in stats
 
-    def test_interp_counters_stay_zero(self):
-        __, result = reports_of(COUNTER_CODE, free_checker(), "interp")
-        stats = result.stats
-        assert stats["matcher_table_hits"] == 0
-        assert stats["matcher_miss_memo_hits"] == 0
-        assert stats["matcher_fallbacks"] == 0
-        assert stats["matcher_compile_s"] == 0.0
-
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            AnalysisOptions(matcher="jit")
+        """There is one matcher: no engine option or CLI flag picks
+        another."""
+        with pytest.raises(TypeError):
+            AnalysisOptions(matcher="interp")
+        flags = [
+            flag
+            for action in build_parser()._actions
+            for flag in action.option_strings
+        ]
+        assert flags
+        assert not [flag for flag in flags if "matcher" in flag]
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +394,20 @@ class TestTortureDifferential:
         with open(os.path.join(DATA, fname + ".c")) as handle:
             text = handle.read()
         for name, make in sorted(ALL_CHECKERS.items()):
-            outputs = {}
-            for mode in ("interp", "compiled"):
-                ranked, result = reports_of(
-                    text, make(), mode, filename=fname + ".c"
+            tables, tables_result = reports_of(
+                text, make(), filename=fname + ".c"
+            )
+            with admit_all():
+                every, every_result = reports_of(
+                    text, make(), filename=fname + ".c"
                 )
-                outputs[mode] = ranked
-                if mode == "compiled":
-                    assert result.stats["matcher_fallbacks"] == 0, name
-            assert outputs["interp"] == outputs["compiled"], (fname, name)
+            assert tables == every, (fname, name)
+            # The tables really filtered: admitting everything turns
+            # their misses into match attempts.
+            assert (
+                tables_result.stats["matcher_miss_memo_hits"]
+                >= every_result.stats["matcher_miss_memo_hits"]
+            ), name
 
 
 # ---------------------------------------------------------------------------
@@ -430,67 +467,72 @@ def _project(tmp_path, paths, cache_dir=None, jobs=1):
 
 
 class TestGlobalWorkloadDifferential:
-    def _run(self, tmp_path, paths, mode, jobs=1, artifacts=False):
-        options = AnalysisOptions(
-            matcher=mode, capture_root_artifacts=artifacts
-        )
+    def _run(self, tmp_path, paths, every=False, jobs=1, artifacts=False):
+        options = AnalysisOptions(capture_root_artifacts=artifacts)
         project = _project(tmp_path, paths, jobs=jobs)
-        result = project.run(global_suite(), options=options)
-        return project, result
+        if every:
+            with admit_all():
+                return project, project.run(global_suite(), options=options)
+        return project, project.run(global_suite(), options=options)
 
     def test_cold_serial_byte_identical_with_artifacts(self, tmp_path):
         from repro.codegen.project_gen import generate_global_project
 
         gen = generate_global_project(seed=3)
         paths = _write_tree(tmp_path, gen)
-        __, interp = self._run(tmp_path, paths, "interp", artifacts=True)
-        __, compiled = self._run(tmp_path, paths, "compiled", artifacts=True)
-        assert interp.reports  # the workload actually finds things
-        assert ranked_text(interp) == ranked_text(compiled)
-        left = sorted(map(artifact_state, interp.root_artifacts))
-        right = sorted(map(artifact_state, compiled.root_artifacts))
+        __, every = self._run(tmp_path, paths, every=True, artifacts=True)
+        __, tables = self._run(tmp_path, paths, artifacts=True)
+        assert every.reports  # the workload actually finds things
+        assert ranked_text(every) == ranked_text(tables)
+        left = sorted(map(artifact_state, every.root_artifacts))
+        right = sorted(map(artifact_state, tables.root_artifacts))
         assert left == right
+        assert any(a.delta is not None for a in tables.root_artifacts)
 
     def test_parallel_modes_byte_identical(self, tmp_path):
-        """Like-for-like under ``--jobs=4``: switching the matcher never
-        changes what a parallel run reports."""
+        """Like-for-like with pass 1 at ``jobs=4``: the tables never
+        change what a parallel run reports."""
         from repro.codegen.project_gen import generate_global_project
 
         gen = generate_global_project(seed=3)
         paths = _write_tree(tmp_path, gen)
-        __, interp = self._run(tmp_path, paths, "interp", jobs=4)
-        __, compiled = self._run(tmp_path, paths, "compiled", jobs=4)
-        assert interp.reports
-        assert ranked_text(interp) == ranked_text(compiled)
+        __, every = self._run(
+            tmp_path, paths, every=True, jobs=4, artifacts=True
+        )
+        __, tables = self._run(tmp_path, paths, jobs=4, artifacts=True)
+        assert every.reports
+        assert ranked_text(every) == ranked_text(tables)
+        left = sorted(map(artifact_state, every.root_artifacts))
+        right = sorted(map(artifact_state, tables.root_artifacts))
+        assert left == right
 
     def test_warm_replay_across_modes(self, tmp_path):
-        """``matcher`` is a non-semantic option: an interp-mode cold run
-        and a compiled-mode warm run share one incremental signature, and
-        the warm run is a pure replay."""
+        """A cache written by an admit-all cold run replays under the
+        tables: the warm run is a pure replay and prints the same."""
         from repro.codegen.project_gen import generate_global_project
 
         gen = generate_global_project(seed=3)
         cache = tmp_path / "cache"
         paths = _write_tree(tmp_path, gen)
 
-        def session(mode):
+        def session():
             return IncrementalSession(
                 str(cache),
                 session_signature(
-                    checker_names=GLOBAL_NAMES,
-                    options=AnalysisOptions(matcher=mode),
+                    checker_names=GLOBAL_NAMES, options=AnalysisOptions()
                 ),
             )
 
         cold_project = _project(tmp_path, paths, cache)
-        cold = cold_project.run(
-            global_suite(), options=AnalysisOptions(matcher="interp"),
-            incremental=session("interp"),
-        )
+        with admit_all():
+            cold = cold_project.run(
+                global_suite(), options=AnalysisOptions(),
+                incremental=session(),
+            )
         warm_project = _project(tmp_path, paths, cache)
         warm = warm_project.run(
-            global_suite(), options=AnalysisOptions(matcher="compiled"),
-            incremental=session("compiled"),
+            global_suite(), options=AnalysisOptions(),
+            incremental=session(),
         )
         assert ranked_text(cold) == ranked_text(warm)
         counters = warm_project.stats.counters
