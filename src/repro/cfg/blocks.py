@@ -16,7 +16,11 @@ one of:
 Terminators: a block either falls through to one successor, branches on its
 last condition tree (labelled True/False edges), dispatches a switch
 (labelled case edges), or ends the function (exit block).
+:meth:`BasicBlock.outcomes` states what a path learns on each edge; the
+engine's DFS and refine's enumerator both fork through it.
 """
+
+from repro.cfront import astnodes as ast
 
 
 class Edge:
@@ -76,6 +80,41 @@ class BasicBlock:
         target.preds.append(self)
         return edge
 
+    def outcomes(self):
+        """``[(edge, facts)]`` for every successor edge, in edge order.
+
+        ``facts`` are the ``(cond, truth)`` pairs a path taking the edge
+        may assume: a branch edge asserts its condition with the edge's
+        truth; a case edge asserts ``discriminant == constant``; the
+        ``default`` edge asserts ``!=`` against every integer case
+        constant; a plain edge (and a case whose label is not an integer)
+        asserts nothing.  The exit block has no outcomes.
+        """
+        cond = self.branch_cond
+        if cond is not None:
+            return [(edge, ((cond, edge.label),)) for edge in self.edges]
+        cond = self.switch_cond
+        if cond is None:
+            return [(edge, ()) for edge in self.edges]
+        constants = [
+            edge.label[1] for edge in self.edges
+            if isinstance(edge.label, tuple) and isinstance(edge.label[1], int)
+        ]
+        out = []
+        for edge in self.edges:
+            label = edge.label
+            if label == "default":
+                facts = tuple(
+                    (ast.Binary("==", cond, ast.IntLit(value)), False)
+                    for value in constants
+                )
+            elif isinstance(label, tuple) and isinstance(label[1], int):
+                facts = ((ast.Binary("==", cond, ast.IntLit(label[1])), True),)
+            else:
+                facts = ()
+            out.append((edge, facts))
+        return out
+
     def successor(self, label=None):
         for edge in self.edges:
             if edge.label == label:
@@ -119,9 +158,7 @@ class CFG:
         names = {p.name for p in self.decl.params if p.name}
         for block in self.blocks:
             for item in block.items:
-                from repro.cfront.astnodes import VarDecl
-
-                if isinstance(item, VarDecl):
+                if isinstance(item, ast.VarDecl):
                     names.add(item.name)
         return names
 

@@ -47,8 +47,6 @@ stale replay.
 
 Safety valves (all recorded in the driver stats, never silent):
 
-- ``restrict_partial_hits`` makes caching change reports; the session
-  refuses and runs non-incrementally.
 - A partial fast-path run that unexpectedly turns out coupled is re-run
   with delta replay, counted as ``annotation_delta_serial_reruns``.
 - Truncated runs (global step budget) skip roots order-dependently;
@@ -277,12 +275,6 @@ class IncrementalSession:
         options = options or AnalysisOptions()
         stats = self.stats or project.stats
         self.backend.bind_stats(stats)
-
-        if options.restrict_partial_hits:
-            return self._fallback(
-                project, extensions, options, stats,
-                "restrict_partial_hits changes reports under caching",
-            )
 
         graph = project.callgraph
         local, fingerprints = fingerprint_tables(

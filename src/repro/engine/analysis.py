@@ -63,9 +63,7 @@ class AnalysisOptions:
         kills=True,
         synonyms=True,
         caching=True,
-        propagate_return_state=False,
         by_value_params=False,
-        restrict_partial_hits=False,
         max_steps=20_000_000,
         max_steps_per_root=None,
         max_paths_per_root=None,
@@ -78,15 +76,7 @@ class AnalysisOptions:
         self.kills = kills
         self.synonyms = synonyms
         self.caching = caching
-        self.propagate_return_state = propagate_return_state
         self.by_value_params = by_value_params
-        # §5.3 describes continuing a partially cached path with only the
-        # missed tuples.  That reduced state is an approximation: the DFS
-        # then explores (gstate, vars) combinations no real path produces,
-        # which can manufacture reports.  Off by default -- partial hits
-        # re-traverse with the full state (full hits still abort) -- so
-        # cached and uncached runs report identically.
-        self.restrict_partial_hits = restrict_partial_hits
         self.max_steps = max_steps
         # Per-root budgets (graceful degradation): when one blows, only
         # the offending root is abandoned -- its partial reports stay in
@@ -324,7 +314,6 @@ class Analysis:
         self._steps = 0
         self._points_cache = {}
         self._truncated = False
-        self._return_records = []
         self._current_block = None
         # Per-root budget tracking.
         self._current_root = None
@@ -606,14 +595,11 @@ class Analysis:
         self._check_budget()
         if self.options.caching:
             summary = self._table.get(block)
-            tuples = state_tuples(sm)
-            missed = {t for t in tuples if not summary.covers(t)}
-            if not missed and self._creations_covered(summary, sm):
+            if all(summary.covers(t) for t in state_tuples(sm)) \
+                    and self._creations_covered(summary, sm):
                 self.stats["cache_hits"] += 1
                 relax(backtrace + [block], self._table, fctx.local_edge_filter)
                 return
-            if missed and missed != tuples and self.options.restrict_partial_hits:
-                self._restrict(sm, missed)
         self.stats["blocks_traversed"] += 1
         backtrace = backtrace + [block]
         run = _BlockRun(block, sm)
@@ -631,27 +617,14 @@ class Analysis:
         path would perform.  So a hit additionally needs some completed
         run whose entry state was a subset of this one -- every object
         unknown now was unknown then, so its creation (and everything
-        downstream) is in the recorded summaries.  The paper's pure
-        tuple-wise rule is available via ``restrict_partial_hits``."""
-        if self.options.restrict_partial_hits:
-            return True
+        downstream) is in the recorded summaries.  So a partial hit
+        re-traverses with the full state: the paper's restriction to the
+        missed tuples explores (gstate, vars) combinations no real path
+        produces."""
         live = frozenset(
             inst.tuple_key(sm.gstate) for inst in sm.live_instances()
         )
         return summary.saw_subset_entry(sm.gstate, live)
-
-    def _restrict(self, sm, missed):
-        """Keep only the instances whose tuples were cache misses (§5.3).
-
-        Removed objects are remembered so that a function summary applied
-        later on this path cannot re-create state for them: their real
-        continuations are the cached ones, not whatever the callee did
-        while they were absent."""
-        gstate = sm.gstate
-        for inst in list(sm.live_instances()):
-            if inst.tuple_key(gstate) not in missed:
-                sm.restricted.add((inst.var_name, inst.obj_key))
-                sm.remove(inst)
 
     def _points_of(self, block):
         cached = self._points_cache.get(id(block))
@@ -689,8 +662,6 @@ class Analysis:
                     constraints.havoc([node.name])
             elif kind == "return":
                 self._apply_extension(sm, node, (id(block), item_idx))
-                if self.options.propagate_return_state and self._return_records:
-                    self._record_return_state(sm, node)
             else:
                 continuations = self._process_expr_point(
                     fctx, sm, constraints, block, node, item_idx
@@ -732,7 +703,7 @@ class Analysis:
                 keep = [new_synonym] if new_synonym is not None else []
                 kill_for_definition(sm, target, keep=keep)
             if self.options.false_path_pruning:
-                self._track_definition(constraints, point, target)
+                constraints.define(point)
 
         matched_call = self._apply_extension(sm, point, creation_site)
 
@@ -751,18 +722,6 @@ class Analysis:
             if callee and callee in self.callgraph.functions:
                 return self._follow_call(fctx, sm, constraints, point)
         return None
-
-    def _track_definition(self, constraints, point, target):
-        if isinstance(point, ast.Assign):
-            if point.op == "=":
-                constraints.assign(target, point.value)
-            else:
-                desugared = ast.Binary(point.op[:-1], target, point.value)
-                constraints.assign(target, desugared)
-        else:  # ++ / --
-            op = "+" if point.op == "++" else "-"
-            desugared = ast.Binary(op, target, ast.IntLit(1))
-            constraints.assign(target, desugared)
 
     # -- extension application (§5.1) ----------------------------------------------------
 
@@ -884,8 +843,6 @@ class Analysis:
                 else target.value
             )
             inst = VarInstance(var_name, obj, value)
-            # A real creation point re-tracks a cache-restricted object.
-            sm.restricted.discard((var_name, key))
             inst.created_at = creation_site
             inst.created_location = getattr(point, "location", None)
             inst.origin_location = inst.created_location
@@ -921,35 +878,40 @@ class Analysis:
             self._at_exit(fctx, sm, constraints, block, run, backtrace)
             return
         self._record_block_run(run, sm)
-        if block.branch_cond is not None and any(
-            e.label in (True, False) for e in block.edges
-        ):
-            self._branch_successors(fctx, sm, constraints, block, backtrace)
-            return
-        if block.switch_cond is not None and any(
-            isinstance(e.label, tuple) or e.label == "default" for e in block.edges
-        ):
-            self._switch_successors(fctx, sm, constraints, block, backtrace)
-            return
-        successors = [e.target for e in block.edges]
-        if not successors:
+        outcomes = block.outcomes()
+        if not outcomes:
             # A dead end that is not the exit block (e.g. an empty goto
             # target); treat as a path end.
             self.stats["paths_completed"] += 1
             relax(backtrace, self._table, fctx.local_edge_filter)
             return
-        if sm.pending_splits:
-            self._fork_pending_splits(fctx, sm, constraints, successors, backtrace)
-            return
-        for index, succ in enumerate(successors):
-            new_sm = sm if index == len(successors) - 1 else sm.copy()
-            new_constraints = (
-                constraints
-                if index == len(successors) - 1
-                else constraints.copy()
+        cond = block.branch_cond
+        if sm.pending_splits and cond is None and block.switch_cond is None:
+            self._fork_pending_splits(
+                fctx, sm, constraints, [edge.target for edge in block.edges],
+                backtrace,
             )
+            return
+        pruning = self.options.false_path_pruning
+        verdict = constraints.evaluate(cond) if pruning else None
+        last = len(outcomes) - 1
+        for index, (edge, facts) in enumerate(outcomes):
+            if verdict is not None and edge.label is not verdict:
+                continue  # pruned (§8 step 5)
+            new_constraints = constraints if index == last else constraints.copy()
+            if pruning and facts:
+                for fact, truth in facts:
+                    new_constraints.assume(fact, truth)
+                if new_constraints.infeasible:
+                    continue
+            new_sm = sm if index == last else sm.copy()
+            if cond is not None:
+                self._resolve_splits(new_sm, edge.label, cond)
+            if edge.label is not None:
+                for inst in new_sm.active_vars:
+                    inst.conditionals_crossed += 1
             try:
-                self._traverse(fctx, new_sm, new_constraints, succ, backtrace)
+                self._traverse(fctx, new_sm, new_constraints, edge.target, backtrace)
             except StopPath:
                 pass
 
@@ -966,61 +928,6 @@ class Analysis:
                     )
                 except StopPath:
                     pass
-
-    def _branch_successors(self, fctx, sm, constraints, block, backtrace):
-        cond = block.branch_cond
-        verdict = None
-        if self.options.false_path_pruning:
-            verdict = constraints.evaluate(cond)
-        for edge in block.edges:
-            if edge.label not in (True, False):
-                continue
-            if verdict is True and edge.label is False:
-                continue  # pruned (§8 step 5)
-            if verdict is False and edge.label is True:
-                continue
-            new_sm = sm.copy()
-            self._resolve_splits(new_sm, edge.label, cond)
-            new_constraints = constraints.copy()
-            if self.options.false_path_pruning:
-                new_constraints.assume(cond, edge.label)
-                if new_constraints.infeasible:
-                    continue
-            for inst in new_sm.active_vars:
-                inst.conditionals_crossed += 1
-            try:
-                self._traverse(fctx, new_sm, new_constraints, edge.target, backtrace)
-            except StopPath:
-                pass
-
-    def _switch_successors(self, fctx, sm, constraints, block, backtrace):
-        cond = block.switch_cond
-        known = None
-        if self.options.false_path_pruning:
-            key = constraints.term(cond)
-            if key is not None:
-                known = constraints.closure.const_of(key)
-        for edge in block.edges:
-            if isinstance(edge.label, tuple) and edge.label[0] == "case":
-                value = edge.label[1]
-                if known is not None and isinstance(value, int) and value != known:
-                    continue
-                new_constraints = constraints.copy()
-                if self.options.false_path_pruning and isinstance(value, int):
-                    new_constraints.assume(
-                        ast.Binary("==", cond, ast.IntLit(value)), True
-                    )
-                    if new_constraints.infeasible:
-                        continue
-            else:
-                new_constraints = constraints.copy()
-            new_sm = sm.copy()
-            for inst in new_sm.active_vars:
-                inst.conditionals_crossed += 1
-            try:
-                self._traverse(fctx, new_sm, new_constraints, edge.target, backtrace)
-            except StopPath:
-                pass
 
     def _resolve_splits(self, sm, branch_label, cond):
         for inst, split, matched_point in sm.pending_splits:
@@ -1119,13 +1026,6 @@ class Analysis:
                 )
                 break
 
-    def _record_return_state(self, sm, marker):
-        if marker.expr is None:
-            return
-        inst = sm.find(ast.structural_key(marker.expr))
-        if inst is not None:
-            self._return_records[-1].append(inst.copy())
-
     # -- interprocedural (§6) ----------------------------------------------------------------
 
     def _follow_call(self, fctx, sm, constraints, call):
@@ -1151,7 +1051,6 @@ class Analysis:
             for t in tuples
         ) and self._creations_covered(entry_summary, refined)
 
-        return_states = []
         if hit:
             self.stats["function_cache_hits"] += 1
         elif callee_name in self._call_stack:
@@ -1161,8 +1060,6 @@ class Analysis:
         else:
             self.stats["calls_followed"] += 1
             self._call_stack.append(callee_name)
-            if self.options.propagate_return_state:
-                self._return_records.append([])
             callee_constraints = self._refine_constraints(constraints, argmap)
             try:
                 self._traverse(
@@ -1174,8 +1071,6 @@ class Analysis:
                 )
             except StopPath:
                 pass
-            if self.options.propagate_return_state:
-                return_states = self._return_records.pop()
             self._call_stack.pop()
 
         assignments, add_edges, global_edges, __ = collect_applicable_edges(
@@ -1196,15 +1091,6 @@ class Analysis:
 
         restored = restore(partitions, saved, argmap, sm, callee_fctx.local_names)
 
-        # Cache-restricted objects stay owned by the cache across the call:
-        # drop any state the summary application resurrected for them.
-        if sm.restricted:
-            for new_sm in restored:
-                new_sm.restricted |= sm.restricted
-                for inst in list(new_sm.active_vars):
-                    if (inst.var_name, inst.obj_key) in sm.restricted:
-                        new_sm.remove(inst)
-
         # File-scope variables re-enter scope when the analysis is back in
         # their file (and leave it again otherwise) -- §6.1.
         for new_sm in restored:
@@ -1214,8 +1100,6 @@ class Analysis:
 
         if self.options.by_value_params:
             self._revert_by_value(restored, saved, sm, argmap)
-        if self.options.propagate_return_state and return_states:
-            self._attach_return_state(restored, return_states, call)
 
         if self.options.false_path_pruning:
             self._havoc_after_call(constraints, argmap)
@@ -1273,18 +1157,6 @@ class Analysis:
                         new_sm.add(original.copy())
                 elif inst is not None:
                     new_sm.remove(inst)
-
-    def _attach_return_state(self, restored, return_states, call):
-        """Extension beyond the paper (option-gated): state attached to the
-        callee's return expression transfers to the call expression."""
-        snapshot = return_states[0]
-        for new_sm in restored:
-            if new_sm.find(ast.structural_key(call)) is None:
-                clone = snapshot.copy()
-                VarInstance._next_uid[0] += 1
-                clone.uid = VarInstance._next_uid[0]
-                clone.retarget(call)
-                new_sm.add(clone)
 
 
 class _EndOfPathPoint:

@@ -261,47 +261,46 @@ class PathConstraints:
                 # base; cheapest correct move is a fresh version.
                 self.versions[base] = self.versions.get(base, 0) + 1
 
+    def define(self, point):
+        """Track the definition at ``point``: ``x = v``, a compound
+        assignment (``x op= v`` is ``x = x op v``) or ``++``/``--``
+        (``x = x +/- 1``).  Any other point defines nothing."""
+        if isinstance(point, ast.Assign):
+            target = point.target
+            value = point.value
+            if point.op != "=":
+                value = ast.Binary(point.op[:-1], target, value)
+        elif isinstance(point, ast.Unary) and point.op in ("++", "--"):
+            target = point.operand
+            value = ast.Binary("+" if point.op == "++" else "-", target,
+                               ast.IntLit(1))
+        else:
+            return
+        self.assign(target, value)
+
     def havoc(self, names):
         """Forget everything about the named variables (step 3)."""
         for name in names:
             self.versions[name] = self.versions.get(name, 0) + 1
 
     def assume(self, cond, truth):
-        """Record a branch outcome (steps 1 and 4)."""
-        if cond is None:
-            return
-        if isinstance(cond, ast.Unary) and cond.op == "!" and not cond.postfix:
-            self.assume(cond.operand, not truth)
-            return
-        if isinstance(cond, ast.Binary) and cond.op == "&&" and truth:
-            self.assume(cond.left, True)
-            self.assume(cond.right, True)
-            return
-        if isinstance(cond, ast.Binary) and cond.op == "||" and not truth:
-            self.assume(cond.left, False)
-            self.assume(cond.right, False)
-            return
-        if isinstance(cond, ast.Binary) and cond.op in _RELOPS:
-            op = cond.op if truth else _NEGATE[cond.op]
-            left = self.term(cond.left)
-            right = self.term(cond.right)
-            if left is None or right is None:
-                return
-            self._assume_relation(op, left, right)
-            return
-        if isinstance(cond, ast.Assign):
-            # "if ((p = f(...)))": the assignment was already tracked; the
-            # truth applies to the assigned variable.
-            self.assume(cond.target, truth)
-            return
-        key = self.term(cond)
-        if key is None:
-            return
-        zero = self.closure.const_key(0)
-        if truth:
-            self.closure.assert_diseq(key, zero)
-        else:
-            self.closure.union(key, zero)
+        """Record a branch outcome (steps 1 and 4), one atom at a time."""
+        for atom, atom_truth in atoms(cond, truth):
+            if isinstance(atom, ast.Binary) and atom.op in _RELOPS:
+                op = atom.op if atom_truth else _NEGATE[atom.op]
+                left = self.term(atom.left)
+                right = self.term(atom.right)
+                if left is not None and right is not None:
+                    self._assume_relation(op, left, right)
+                continue
+            key = self.term(atom)
+            if key is None:
+                continue
+            zero = self.closure.const_key(0)
+            if atom_truth:
+                self.closure.assert_diseq(key, zero)
+            else:
+                self.closure.union(key, zero)
 
     def _assume_relation(self, op, left, right):
         if op == "==":
@@ -449,6 +448,35 @@ class PathConstraints:
 
     def _less_equal(self, a, b):
         return self._search(a, b, need_strict=False)
+
+
+def atoms(cond, truth):
+    """The atomic ``(cond, truth)`` facts a branch outcome asserts.
+
+    ``!`` flips the truth, a true ``&&`` and a false ``||`` assert both
+    operands, and an assignment used as a condition (``if ((p = f()))``)
+    asserts its target -- the assignment itself is tracked as a
+    definition.  Anything else is one atom.  Atoms come in left-to-right
+    source order; a ``None`` condition asserts nothing.
+    """
+    out = []
+    stack = [(cond, truth)]
+    while stack:
+        cond, truth = stack.pop()
+        if cond is None:
+            continue
+        if isinstance(cond, ast.Unary) and cond.op == "!" and not cond.postfix:
+            stack.append((cond.operand, not truth))
+        elif isinstance(cond, ast.Binary) and (
+            (cond.op == "&&" and truth) or (cond.op == "||" and not truth)
+        ):
+            stack.append((cond.right, truth))
+            stack.append((cond.left, truth))
+        elif isinstance(cond, ast.Assign):
+            stack.append((cond.target, truth))
+        else:
+            out.append((cond, truth))
+    return out
 
 
 def _base_variable(expr):

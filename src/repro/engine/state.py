@@ -125,7 +125,7 @@ class SMInstance:
     """The state of one extension along the current path (Fig. 4)."""
 
     __slots__ = ("extension", "gstate", "active_vars", "pending_splits",
-                 "path_data", "restricted")
+                 "path_data")
 
     def __init__(self, extension, gstate=None, active_vars=None):
         self.extension = extension
@@ -137,16 +137,10 @@ class SMInstance:
         # Path-specific transitions deferred until a branch direction is
         # chosen: list of (instance-or-None, PathSplit, matched point).
         self.pending_splits = []
-        # ``(var_name, obj_key)`` pairs dropped by the §5.3 partial-cache
-        # restriction on this path: the cache already owns these objects'
-        # continuations, so summary application must not resurrect them
-        # (a creation point re-tracking the object clears its entry).
-        self.restricted = set()
 
     def copy(self):
         clone = SMInstance(self.extension, self.gstate)
         clone.path_data = dict(self.path_data)
-        clone.restricted = set(self.restricted)
         clone.active_vars = [inst.copy() for inst in self.active_vars]
         clone.pending_splits = []
         for inst, split, point in self.pending_splits:

@@ -27,7 +27,7 @@ ADD = "add"
 #: engine's observable behaviour changes (report fields, traversal
 #: semantics, edge encoding): persisted frames from other versions stop
 #: matching and are re-derived.
-SUMMARY_VERSION = "3"
+SUMMARY_VERSION = "4"
 
 
 class Edge:

@@ -19,9 +19,12 @@ from repro.cfront import astnodes as ast
 from repro.engine.falsepath import (
     _NEGATE,
     _RELOPS,
+    _SWAP,
     PathConstraints,
     _base_variable,
+    atoms,
 )
+from repro.engine.kills import definition_target
 
 
 class Interval:
@@ -114,27 +117,13 @@ class RefineState:
         if self._tracks(name):
             self.pc.havoc([name])
 
-    def assign_node(self, node):
-        """Apply one ``Assign`` tree (desugaring compound operators the
-        way the engine's value tracking does)."""
-        target = node.target
-        base = _base_variable(target)
-        if base is None or not self._tracks(base):
-            return
-        if node.op == "=":
-            self.pc.assign(target, node.value)
-            return
-        desugared = ast.Binary(node.op[:-1], target, node.value)
-        self.pc.assign(target, desugared)
-
-    def incdec_node(self, node):
-        """Apply one ``++``/``--`` tree."""
-        base = _base_variable(node.operand)
-        if base is None or not self._tracks(base):
-            return
-        op = "+" if node.op == "++" else "-"
-        self.pc.assign(node.operand,
-                       ast.Binary(op, node.operand, ast.IntLit(1)))
+    def define(self, point):
+        """Track the definition at ``point``
+        (:meth:`PathConstraints.define`) unless the slice drops the
+        variable it defines."""
+        target = definition_target(point)
+        if target is not None and self._tracks(_base_variable(target)):
+            self.pc.define(point)
 
     def call_effects(self, call, local_names):
         """Havoc what an opaque call may clobber: variables whose
@@ -161,39 +150,21 @@ class RefineState:
         self._refresh()
 
     def _assume_interval(self, cond, truth):
-        if cond is None:
-            return
-        if isinstance(cond, ast.Unary) and cond.op == "!" \
-                and not cond.postfix:
-            self._assume_interval(cond.operand, not truth)
-            return
-        if isinstance(cond, ast.Binary) and cond.op == "&&" and truth:
-            self._assume_interval(cond.left, True)
-            self._assume_interval(cond.right, True)
-            return
-        if isinstance(cond, ast.Binary) and cond.op == "||" and not truth:
-            self._assume_interval(cond.left, False)
-            self._assume_interval(cond.right, False)
-            return
-        if isinstance(cond, ast.Assign):
-            self._assume_interval(cond.target, truth)
-            return
-        if not isinstance(cond, ast.Binary) or cond.op not in _RELOPS:
-            return
-        op = cond.op if truth else _NEGATE[cond.op]
-        left = self.pc.term(cond.left)
-        right = self.pc.term(cond.right)
-        if left is None or right is None:
-            return
         closure = self.pc.closure
-        left_const = closure.const_of(left)
-        right_const = closure.const_of(right)
-        if right_const is not None:
-            self._constrain(left, op, right_const)
-        if left_const is not None:
-            swapped = {"<": ">", ">": "<", "<=": ">=", ">=": "<=",
-                       "==": "==", "!=": "!="}[op]
-            self._constrain(right, swapped, left_const)
+        for atom, atom_truth in atoms(cond, truth):
+            if not isinstance(atom, ast.Binary) or atom.op not in _RELOPS:
+                continue
+            op = atom.op if atom_truth else _NEGATE[atom.op]
+            left = self.pc.term(atom.left)
+            right = self.pc.term(atom.right)
+            if left is None or right is None:
+                continue
+            left_const = closure.const_of(left)
+            right_const = closure.const_of(right)
+            if right_const is not None:
+                self._constrain(left, op, right_const)
+            if left_const is not None:
+                self._constrain(right, _SWAP[op], left_const)
 
     def _constrain(self, key, op, value):
         implied = _interval_for(op, value)

@@ -19,7 +19,9 @@ For one local :class:`repro.reports.model.Report` the pipeline is:
    covered by some family, which is what makes ``infeasible`` claims
    sound.  Shapes outside the scheme (do-while revisits, a fourth
    arrival from nested loops, goto cycles) mark the enumeration
-   non-exhaustive and the verdict degrades to ``unknown``.
+   non-exhaustive and the verdict degrades to ``unknown``.  Paths
+   fork over :meth:`repro.cfg.blocks.BasicBlock.outcomes`, the edge
+   facts the engine's DFS assumes too.
 4. **Evaluate** -- each path runs through a
    :class:`repro.refine.domain.RefineState`.  A contradictory state
    keeps walking *syntactically* (constraint updates stop) so the
@@ -84,13 +86,11 @@ class RefineOptions:
     """
 
     def __init__(self, max_paths=256, max_steps=20000,
-                 max_block_visits=8, max_seconds_per_report=5.0,
-                 cache=True):
+                 max_block_visits=8, max_seconds_per_report=5.0):
         self.max_paths = max_paths
         self.max_steps = max_steps
         self.max_block_visits = max_block_visits
         self.max_seconds_per_report = max_seconds_per_report
-        self.cache = cache
 
 
 class _Budget:
@@ -165,12 +165,10 @@ def _apply_items(block, state, anchors, anchor_index, contradicted,
         if isinstance(item, ReturnMarker):
             continue
         for node in ast.execution_order(item):
-            if isinstance(node, ast.Assign):
-                state.assign_node(node)
-            elif isinstance(node, ast.Unary) and node.op in ("++", "--"):
-                state.incdec_node(node)
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 state.call_effects(node, local_names)
+            else:
+                state.define(node)
     return anchor_index
 
 
@@ -199,7 +197,7 @@ class _Enumeration:
             visits[block.index] = count
             is_head = bool(block.havoc_vars)
             if is_head:
-                if block.branch_cond is None or not self._has_branch(block):
+                if block.branch_cond is None:
                     if count >= 2:
                         # do-while / goto revisit without a guarded head
                         self.non_exhaustive = "loop-structure"
@@ -233,74 +231,27 @@ class _Enumeration:
             self._push_successors(stack, block, state, visits, anchor_index,
                                   contradicted, count, is_head)
 
-    def _has_branch(self, block):
-        labels = {e.label for e in block.edges}
-        return True in labels and False in labels
-
     def _push_successors(self, stack, block, state, visits, anchor_index,
                          contradicted, count, is_head):
-        """Push successor frames in deterministic (source-edge) order."""
-        if block.branch_cond is not None and self._has_branch(block):
-            forced = None
-            if is_head and count == 2:
-                forced = True
-            elif is_head and count == 3:
-                forced = False
-            edges = [
-                e for e in block.edges
-                if e.label in (True, False)
-                and (forced is None or e.label is forced)
-            ]
-            branches = []
-            for edge in edges:
-                new_state = state.copy()
-                new_contradicted = contradicted
-                if not contradicted:
-                    new_state.assume(block.branch_cond, edge.label)
-                    if new_state.infeasible:
-                        new_contradicted = True
-                branches.append(
-                    (edge.target, new_state, visits, anchor_index,
-                     new_contradicted)
-                )
-            stack.extend(reversed(branches))
-            return
-        if block.switch_cond is not None:
-            case_values = [
-                e.label[1] for e in block.edges
-                if isinstance(e.label, tuple) and isinstance(e.label[1], int)
-            ]
-            branches = []
-            for edge in block.edges:
-                new_state = state.copy()
-                new_contradicted = contradicted
-                if not contradicted:
-                    if isinstance(edge.label, tuple) and \
-                            isinstance(edge.label[1], int):
-                        new_state.assume(
-                            ast.Binary("==", block.switch_cond,
-                                       ast.IntLit(edge.label[1])),
-                            True,
-                        )
-                    elif edge.label == "default":
-                        for value in case_values:
-                            new_state.assume(
-                                ast.Binary("==", block.switch_cond,
-                                           ast.IntLit(value)),
-                                False,
-                            )
-                    if new_state.infeasible:
-                        new_contradicted = True
-                branches.append(
-                    (edge.target, new_state, visits, anchor_index,
-                     new_contradicted)
-                )
-            stack.extend(reversed(branches))
-            return
-        branches = [
-            (edge.target, state.copy(), visits, anchor_index, contradicted)
-            for edge in block.edges
-        ]
+        """Push successor frames in deterministic (source-edge) order.
+        A loop head's second arrival forces the body edge, its third the
+        exit edge."""
+        forced = None
+        if is_head and block.branch_cond is not None:
+            forced = {2: True, 3: False}.get(count)
+        branches = []
+        for edge, facts in block.outcomes():
+            if forced is not None and edge.label is not forced:
+                continue
+            new_state = state.copy()
+            new_contradicted = contradicted
+            if not contradicted and facts:
+                for cond, truth in facts:
+                    new_state.assume(cond, truth)
+                new_contradicted = new_state.infeasible
+            branches.append(
+                (edge.target, new_state, visits, anchor_index, new_contradicted)
+            )
         stack.extend(reversed(branches))
 
 
@@ -423,9 +374,9 @@ def refine_reports(reports, callgraph, options=None, stats=None,
                    backend=None, fingerprints=None, pin=None):
     """Annotate every report with a feasibility verdict.
 
-    Verdicts land in ``report.annotations["feasibility"]``.  With
-    ``options.cache`` on, every :func:`cacheable` verdict is served
-    from and written back to ``backend`` under :func:`_cache_key` keys.
+    Verdicts land in ``report.annotations["feasibility"]``.  Every
+    :func:`cacheable` verdict is served from and written back to
+    ``backend`` (when one is given) under :func:`_cache_key` keys.
     ``pin`` is an optional in-memory ``{key: verdict}`` mapping (the
     daemon's): it is read before the store, and every verdict served or
     evaluated is pinned, so a warm caller reads no store frames for
@@ -438,15 +389,13 @@ def refine_reports(reports, callgraph, options=None, stats=None,
             stats.add(name, amount)
 
     keys = {}
-    if options.cache:
-        for report in reports:
-            key = _cache_key(report, fingerprints, options)
-            if key is not None:
-                keys[id(report)] = key
+    for report in reports:
+        key = _cache_key(report, fingerprints, options)
+        if key is not None:
+            keys[id(report)] = key
     pin = {} if pin is None else pin
-    cached = (_load_cached(backend, {key for key in keys.values()
-                                     if key not in pin})
-              if options.cache else {})
+    cached = _load_cached(backend, {key for key in keys.values()
+                                    if key not in pin})
     fresh = {}
     for report in reports:
         key = keys.get(id(report))
@@ -466,8 +415,7 @@ def refine_reports(reports, callgraph, options=None, stats=None,
         if verdict["reason"] in ("budget-steps", "budget-paths",
                                  "budget-time", "budget-injected"):
             count("refine_budget_hits")
-    if options.cache:
-        _store_cached(backend, fresh)
+    _store_cached(backend, fresh)
     return reports
 
 

@@ -9,7 +9,7 @@ assigns a relevant variable, everything its right-hand side reads
 becomes relevant too.
 
 The evaluator then *skips* assignments whose target is irrelevant
-(:meth:`repro.refine.domain.RefineState.assign_node`), which is sound
+(:meth:`repro.refine.domain.RefineState.define`), which is sound
 because an irrelevant variable is, by construction, never read by any
 condition or anchor the verdict depends on.
 """

@@ -2,6 +2,7 @@
 
 from repro.cfront import astnodes as ast
 from repro.cfront.parser import parse
+from repro.cfront.unparse import unparse
 from repro.cfg import CallGraph, build_cfg, build_supergraph
 from repro.cfg.blocks import ReturnMarker
 
@@ -160,6 +161,67 @@ class TestSwitch:
         case1 = next(e.target for e in dispatch.edges if e.label == ("case", 1))
         case2 = next(e.target for e in dispatch.edges if e.label == ("case", 2))
         assert any(e.target is case2 for e in case1.edges)
+
+
+class TestOutcomes:
+    """BasicBlock.outcomes(): the facts each edge lets a path assume."""
+
+    @staticmethod
+    def facts_text(facts):
+        return [(unparse(cond), truth) for cond, truth in facts]
+
+    def test_branch_edges_assert_the_condition(self):
+        cfg = cfg_of("int f(int x) { if (x > 1) return 1; return 0; }")
+        branch = next(b for b in cfg.blocks if b.branch_cond is not None)
+        outcomes = branch.outcomes()
+        assert [edge.label for edge, __ in outcomes] == [True, False]
+        for edge, facts in outcomes:
+            assert facts == ((branch.branch_cond, edge.label),)
+
+    def test_case_and_default_edges(self):
+        cfg = cfg_of(
+            "int f(int x) { switch (x) { case 1: return 1; case 2: return 2;"
+            " default: return 0; } }"
+        )
+        dispatch = next(b for b in cfg.blocks if b.switch_cond is not None)
+        by_label = {edge.label: self.facts_text(facts)
+                    for edge, facts in dispatch.outcomes()}
+        assert by_label == {
+            ("case", 1): [("x == 1", True)],
+            ("case", 2): [("x == 2", True)],
+            "default": [("x == 1", False), ("x == 2", False)],
+        }
+
+    def test_non_integer_case_asserts_nothing(self):
+        cfg = cfg_of(
+            "enum color { RED, BLUE };\n"
+            "int f(int x) { switch (x) { case RED: return 1; case 3: return 3;"
+            " default: return 0; } }"
+        )
+        dispatch = next(b for b in cfg.blocks if b.switch_cond is not None)
+        by_label = {edge.label: self.facts_text(facts)
+                    for edge, facts in dispatch.outcomes()}
+        assert by_label == {
+            ("case", "RED"): [],
+            ("case", 3): [("x == 3", True)],
+            "default": [("x == 3", False)],
+        }
+
+    def test_implicit_default(self):
+        cfg = cfg_of("int f(int x) { switch (x) { case 1: x = 2; } return x; }")
+        dispatch = next(b for b in cfg.blocks if b.switch_cond is not None)
+        default = [self.facts_text(facts) for edge, facts in dispatch.outcomes()
+                   if edge.label == "default"]
+        assert default == [[("x == 1", False)]]
+
+    def test_plain_edge_asserts_nothing(self):
+        cfg = cfg_of("int f(int a) { a = a + 1; return a; }")
+        assert [(edge.target, facts) for edge, facts in cfg.entry.outcomes()] \
+            == [(cfg.exit, ())]
+
+    def test_exit_block_has_no_outcomes(self):
+        cfg = cfg_of("int f(int a) { return a; }")
+        assert cfg.exit.outcomes() == []
 
 
 class TestGoto:

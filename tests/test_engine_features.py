@@ -1,6 +1,7 @@
 """Integration tests for the engine's less-travelled features: file-scope
-inactivation (§6.1), return-state propagation (option), analysis budgets,
-switch-carried state, and goto paths."""
+inactivation (§6.1), state on a callee's return value (not propagated,
+as in the paper), analysis budgets, switch-carried state, and goto
+paths."""
 
 from conftest import messages, run_checker
 
@@ -89,14 +90,6 @@ class TestReturnStatePropagation:
     def test_default_paper_behaviour_misses_it(self):
         result = run_checker(self.CODE, free_checker())
         assert messages(result) == []
-
-    def test_option_propagates(self):
-        result = run_checker(
-            self.CODE,
-            free_checker(),
-            options=AnalysisOptions(propagate_return_state=True),
-        )
-        assert messages(result) == ["using q after free!"]
 
 
 class TestBudget:

@@ -5,6 +5,9 @@ union-find closure."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import messages, run_checker
+
+from repro.checkers import free_checker
 from repro.cfront.parser import parse_expression
 from repro.engine.falsepath import PathConstraints, _Closure
 
@@ -319,3 +322,43 @@ class TestHypothesisStraightLine:
                     parse_expression("%s == %d" % (name, env[name] + 1))
                 )
                 assert verdict is False
+
+
+class TestSwitchDefaultPruning:
+    """The engine's ``default`` edge asserts the discriminant equals no
+    integer case constant (BasicBlock.outcomes), as refine's does."""
+
+    def test_known_discriminant_never_takes_default(self):
+        code = (
+            "int f(int *p) {\n"
+            "    int x = 1;\n"
+            "    kfree(p);\n"
+            "    switch (x) {\n"
+            "    case 1:\n"
+            "        return 0;\n"
+            "    default:\n"
+            "        return *p;\n"
+            "    }\n"
+            "}\n"
+        )
+        assert messages(run_checker(code, free_checker())) == []
+
+    def test_default_refutes_a_case_constant(self):
+        code = (
+            "int f(int *p, int y) {\n"
+            "    kfree(p);\n"
+            "    switch (y) {\n"
+            "    case 1:\n"
+            "        return 0;\n"
+            "    default:\n"
+            "        if (y == %d)\n"
+            "            return *p;\n"
+            "        return 0;\n"
+            "    }\n"
+            "}\n"
+        )
+        assert messages(run_checker(code % 1, free_checker())) == []
+        # Any other value stays possible under default.
+        assert messages(run_checker(code % 2, free_checker())) == [
+            "using p after free!"
+        ]

@@ -5,9 +5,8 @@ recursion), dirty-cone computation, the seeded edit simulator, tier-2
 summary frames (roundtrip, corruption self-heal, manifest), differential
 cold-vs-incremental byte-identity after k edits, cone-bound scheduling,
 coupled-extension delta scheduling (the old blanket fallback is gone --
-tests/test_global_incremental.py covers it in depth), the
-restrict_partial_hits fallback, degraded-root non-persistence, and the
-CLI ``--incremental`` flag.
+tests/test_global_incremental.py covers it in depth), degraded-root
+non-persistence, and the CLI ``--incremental`` flag.
 """
 
 import json
@@ -513,22 +512,6 @@ class TestIncrementalDifferential:
         assert warm.stats.count("incremental_fallbacks") == 0
         assert warm.stats.count("incremental_roots_analyzed") == 0
         assert warm.stats.count("incremental_coupled_runs") == 1
-
-    def test_restrict_partial_hits_falls_back(self, tmp_path):
-        gen = generate_project(seed=5, n_modules=2, functions_per_module=4)
-        cache = tmp_path / "cache"
-        paths = write_tree(tmp_path, gen)
-        options = AnalysisOptions(restrict_partial_hits=True)
-        project = compiled_project(tmp_path, paths, cache)
-        result = project.run(
-            incr_checkers(), options,
-            incremental=make_session(cache, options),
-        )
-        assert project.stats.count("incremental_fallbacks") == 1
-        reference = compiled_project(tmp_path, paths).run(
-            incr_checkers(), AnalysisOptions(restrict_partial_hits=True)
-        )
-        assert report_keys(result) == report_keys(reference)
 
     def test_signature_change_invalidates_cache(self, tmp_path):
         gen = generate_project(seed=5, n_modules=2, functions_per_module=4)
