@@ -4,7 +4,9 @@ Functions with no callers are roots; recursive call chains are broken
 arbitrarily so that every function is reachable from some root.
 """
 
+import functools
 import hashlib
+from collections.abc import Mapping
 
 from repro.cfront import astnodes as ast
 
@@ -21,11 +23,54 @@ def direct_callees(decl):
     return tuple(sorted(names))
 
 
+class FunctionTable(Mapping):
+    """``{name: FunctionDecl}`` over a call graph's definitions.
+
+    A definition registered from a pass-1 decl index (see
+    :meth:`CallGraph.add_function`) resolves to its decl -- loading its
+    unit's body -- on its first lookup.  Membership, iteration and
+    length read the graph's :attr:`CallGraph.index` alone and never load
+    a body.
+    """
+
+    def __init__(self, index):
+        self._index = index
+        self._decls = {}
+        self._loaders = {}
+
+    def _add(self, name, decl, load):
+        if load is None:
+            self._decls[name] = decl
+            self._loaders.pop(name, None)
+        else:
+            self._decls.pop(name, None)
+            self._loaders[name] = load
+
+    def __getitem__(self, name):
+        decl = self._decls.get(name)
+        if decl is None:
+            decl = self._decls[name] = self._loaders.pop(name)()
+        return decl
+
+    def __contains__(self, name):
+        return name in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+
 class CallGraph:
     """Direct-call graph over a set of function definitions."""
 
     def __init__(self):
-        self.functions = {}  # name -> FunctionDecl (definitions only)
+        #: name -> what scheduling reads of a definition (``name``,
+        #: ``location``, ``token_hash``, ``direct_callees``): its decl,
+        #: or the decl-index entry of a unit whose body is not loaded.
+        self.index = {}
+        self.functions = FunctionTable(self.index)  # name -> FunctionDecl
         self.callees = {}  # name -> frozenset of called names (defined or not)
         self.callers = {}  # name -> set of defined caller names
         #: ``{salt: (local_hashes, fingerprints)}`` memo of
@@ -41,16 +86,28 @@ class CallGraph:
 
     @classmethod
     def from_units(cls, units):
-        """Build from an iterable of TranslationUnits."""
+        """Build from an iterable of TranslationUnits or of pass-1
+        :class:`repro.driver.project.CompiledUnit`s, whose unloaded
+        bodies stay unloaded: their definitions register from the decl
+        index."""
         graph = cls()
         for unit in units:
-            for decl in unit.functions():
-                graph.add_function(decl)
+            if isinstance(unit, ast.TranslationUnit):
+                for decl in unit.functions():
+                    graph.add_function(decl)
+                continue
+            lazy = not unit.loaded
+            for position, entry in enumerate(unit.function_entries()):
+                graph.add_function(entry, functools.partial(
+                    unit.function_decl, position) if lazy else None)
         graph.link()
         return graph
 
-    def add_function(self, decl):
-        self.functions[decl.name] = decl
+    def add_function(self, decl, load=None):
+        """Register a definition: its decl, or with ``load`` a decl-index
+        entry whose decl ``load()`` returns on first lookup."""
+        self.index[decl.name] = decl
+        self.functions._add(decl.name, decl, load)
         self.fingerprint_memo = {}
         self.live_memo = {}
         self.label_memo = None
@@ -62,11 +119,11 @@ class CallGraph:
         self.live_memo = {}
         self.label_memo = None
         self.callees = {}
-        self.callers = {name: set() for name in self.functions}
-        for name, decl in self.functions.items():
-            callees = decl.direct_callees
+        self.callers = {name: set() for name in self.index}
+        for name, entry in self.index.items():
+            callees = entry.direct_callees
             if callees is None:
-                callees = direct_callees(decl)
+                callees = direct_callees(self.functions[name])
             self.callees[name] = frozenset(callees)
         for name, callees in self.callees.items():
             for callee in callees:
@@ -76,16 +133,16 @@ class CallGraph:
     def roots(self):
         """Entry points: functions with no callers, plus one arbitrary
         function per otherwise-unreachable recursive component."""
-        roots = [name for name in self.functions if not self.callers[name]]
+        roots = [name for name in self.index if not self.callers[name]]
         reachable = self._reachable_from(roots)
         # Break recursion: repeatedly promote the lexicographically first
         # unreached function to a root ("broken arbitrarily", §6).
-        remaining = sorted(set(self.functions) - reachable)
+        remaining = sorted(set(self.index) - reachable)
         while remaining:
             root = remaining[0]
             roots.append(root)
             reachable |= self._reachable_from([root])
-            remaining = sorted(set(self.functions) - reachable)
+            remaining = sorted(set(self.index) - reachable)
         return sorted(roots)
 
     def live_functions(self, names, interprocedural=True):
@@ -118,12 +175,13 @@ class CallGraph:
         (two functions share one when one transitively calls the other
         in either direction; calls to undefined externals connect
         nothing), found by a walk over those components only."""
-        found = {name for name in names if name in self.functions}
+        functions = self.index
+        found = {name for name in names if name in functions}
         stack = list(found)
         while stack:
             name = stack.pop()
             for other in self.callers[name] | self.callees[name]:
-                if other in self.functions and other not in found:
+                if other in functions and other not in found:
                     found.add(other)
                     stack.append(other)
         return found
@@ -137,7 +195,7 @@ class CallGraph:
         when its component holds the same functions in both.  Memoized."""
         if self.label_memo is not None:
             return self.label_memo
-        functions = self.functions
+        functions = self.index
         labels = {}
         for name in functions:
             if name in labels:
@@ -159,7 +217,7 @@ class CallGraph:
         stack = list(names)
         while stack:
             name = stack.pop()
-            if name in seen or name not in self.functions:
+            if name in seen or name not in self.index:
                 continue
             seen.add(name)
             stack.extend(self.callees.get(name, ()))
@@ -176,17 +234,17 @@ class CallGraph:
                 return
             visited[name] = "visiting"
             for callee in sorted(self.callees.get(name, ())):
-                if callee in self.functions and visited.get(callee) != "visiting":
+                if callee in self.index and visited.get(callee) != "visiting":
                     visit(callee)
             visited[name] = "done"
             order.append(name)
 
-        for name in sorted(self.functions):
+        for name in sorted(self.index):
             visit(name)
         return order
 
     def __contains__(self, name):
-        return name in self.functions
+        return name in self.index
 
     def __len__(self):
-        return len(self.functions)
+        return len(self.index)

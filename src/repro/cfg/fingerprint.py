@@ -50,7 +50,8 @@ def stamp_unit(unit):
 
 def function_token_hash(decl):
     """The local content hash of one function definition: the value
-    pass 1 carried on the decl, or computed now when it is absent."""
+    pass 1 carried on the decl (or its decl-index entry), or computed
+    now when it is absent."""
     if decl.token_hash is not None:
         return decl.token_hash
     return _local_hash(decl)
@@ -75,7 +76,7 @@ def strongly_connected_components(graph, names=None):
     lists in reverse-topological order: callees before callers.  With
     ``names`` (a set closed under callers, so each SCC lies wholly in or
     out of it) only the SCCs inside it are returned."""
-    nodes = graph.functions if names is None else names
+    nodes = graph.index if names is None else names
     index_of = {}
     lowlink = {}
     on_stack = set()
@@ -161,15 +162,15 @@ def fingerprint_tables(graph, salt="", previous=None):
 
 
 def _fingerprint_tables(graph, salt, previous):
-    local = {name: function_token_hash(decl)
-             for name, decl in graph.functions.items()}
+    local = {name: function_token_hash(entry)
+             for name, entry in graph.index.items()}
     if previous is None or previous[1].keys() != local.keys():
         fingerprints = {}
         components = strongly_connected_components(graph)
     else:
         old_callees, old_local, old_fingerprints = previous
         cone = dirty_cone(graph, [
-            name for name in graph.functions
+            name for name in graph.index
             if local[name] != old_local[name]
             or graph.callees[name] != old_callees[name]
         ])
@@ -193,7 +194,7 @@ def _fingerprint_tables(graph, salt, previous):
             for callee in graph.callees.get(name, ()):
                 if callee in members:
                     continue
-                if callee in graph.functions:
+                if callee in graph.index:
                     # SCCs arrive callees-first, so this is always ready.
                     external.add(("fp", callee, fingerprints[callee]))
                 else:
@@ -220,7 +221,7 @@ def dirty_cone(graph, dirty_functions):
     their summaries are still valid).
     """
     cone = set()
-    stack = [name for name in dirty_functions if name in graph.functions]
+    stack = [name for name in dirty_functions if name in graph.index]
     while stack:
         name = stack.pop()
         if name in cone:

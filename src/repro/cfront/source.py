@@ -37,3 +37,25 @@ class PreprocessorError(SourceError):
 
 class ParseError(SourceError):
     """A parse failure."""
+
+
+def read_source(path):
+    """The text of the source file at ``path``; raises a located
+    :class:`LexError` when it does not decode."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode(err.encoding)
+            start = 0
+        except UnicodeDecodeError as located:
+            start = located.start
+        line_start = data.rfind(b"\n", 0, start) + 1
+        column = len(data[line_start:start].decode(err.encoding)) + 1
+        raise LexError(
+            "invalid %s byte 0x%02x" % (err.encoding.upper(), data[start]),
+            Location(path, data.count(b"\n", 0, start) + 1, column),
+        )

@@ -35,13 +35,22 @@ tagged with the root's Merkle *function fingerprint*
 roots instead of re-traversing them (docs/DRIVER.md, "Tier-2 summary
 packs").
 
-Both tiers share one frame format: a pickle preceded by a magic marker
-and a SHA-256 checksum of the pickle.  The checksum is verified on every
+Both tiers share one frame format: a payload preceded by a magic marker
+and a SHA-256 checksum of the payload.  The checksum is verified on every
 read: a truncated, garbled, or version-skewed entry raises
 :class:`CacheCorruption` instead of crashing (or silently poisoning) the
 run, and the driver evicts it and re-derives the content (re-parse for
-tier 1, re-analyze for tier 2).  Bare-unit pickles from older emit dirs
-still load -- they just have no checksum to verify.
+tier 1, re-analyze for tier 2).
+
+Both frames are laid out so a warm run decodes only what it uses.  An
+AST frame's payload leads with the file's *decl index*
+(:class:`UnitIndex`: every definition's name, location, local hash and
+direct callees, plus the file-scope statics), which registers the file
+with the call graph, fingerprints and scheduling; the unit body after it
+is unpickled only when something asks for a decl (:func:`unpack`).  A
+summary pack frame keeps the empty artifacts in a blob of their own,
+decoded only when the pack is rewritten or a coupled run needs them
+(:class:`SummaryPack`).
 
 Where the bytes live is a separate concern: both caches speak to an
 artifact-store *backend* (:mod:`repro.driver.store` -- LocalStore /
@@ -61,12 +70,14 @@ per-signature :func:`_file_lock`, so each round commits exactly one
 writer and N contenders converge in at most N rounds.
 """
 
+import collections
 import contextlib
 import hashlib
 import json
 import os
 import pickle
 import time
+from collections.abc import Mapping
 
 try:
     import fcntl
@@ -74,6 +85,9 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro import faults
+from repro.cfg.callgraph import direct_callees
+from repro.cfg.fingerprint import function_token_hash
+from repro.cfront import astnodes as ast
 from repro.driver import store as storemod
 from repro.driver.store import StoreError  # noqa: F401  (re-exported)
 from repro.engine.summaries import SUMMARY_VERSION
@@ -87,35 +101,42 @@ from repro.engine.summaries import SUMMARY_VERSION
 PARSER_VERSION = "2"
 
 #: Version of the tier-1 key scheme.  2: token positions are hashed and
-#: source-level dependency records front the token key.
-AST_KEY_VERSION = "2"
+#: source-level dependency records front the token key.  3: AST frames
+#: lead with a decl index, so every key moves and a cache of the older
+#: layout reads as plain misses.
+AST_KEY_VERSION = "3"
 
 #: Key prefix of dependency records in the AST tier.
 RECORD_PREFIX = "src"
 
-#: Payload format marker for emitted .ast files.
-AST_FORMAT_VERSION = 2
+#: Payload format marker for emitted .ast files.  3: the payload is a
+#: length-prefixed decl index followed by the unit body.
+AST_FORMAT_VERSION = 3
 
 #: Payload format marker for summary (.sum) frames and manifests.  2:
 #: RootArtifact carries an annotation/user-global delta; manifests record
 #: the frame and AST keys the run used (cache GC liveness).  3: one pack
 #: frame per source file, no function-summary snapshot; manifests map
-#: each file to its current pack key and AST keys.
-SUMMARY_FORMAT_VERSION = 3
+#: each file to its current pack key and AST keys.  4: empty artifacts
+#: ride in a separately pickled blob (:class:`SummaryPack`), and pack keys
+#: fold in this version, so packs and manifests of format 3 read as
+#: misses.
+SUMMARY_FORMAT_VERSION = 4
 
 #: Leading magic of a framed payload: marker + 32-byte SHA-256 of the
-#: pickle that follows.
-FRAME_MAGIC = b"XGCCAST\x02"
+#: payload that follows.
+FRAME_MAGIC = b"XGCCAST\x03"
 _FRAME_HEADER = len(FRAME_MAGIC) + 32
+
+#: Byte width of the AST payload's decl-index length prefix.
+_INDEX_PREFIX = 4
 
 #: Frame magic for tier-2 summary frames (same layout, distinct marker so
 #: the tiers can never be confused for one another).
 SUMMARY_MAGIC = b"XGCCSUM\x01"
-_SUMMARY_HEADER = len(SUMMARY_MAGIC) + 32
 
 #: Frame magic for dependency records (same layout again).
 RECORD_MAGIC = b"XGCCSRC\x01"
-_RECORD_HEADER = len(RECORD_MAGIC) + 32
 
 
 class CacheCorruption(Exception):
@@ -204,56 +225,142 @@ def pack_frame(magic, payload_obj):
     return magic + hashlib.sha256(payload).digest() + payload
 
 
-def unpack_frame(magic, data):
-    """The verified payload object of a frame written by
-    :func:`pack_frame`; raises :class:`CacheCorruption` on a wrong
-    marker, checksum mismatch, or unreadable pickle."""
+def _verified_payload(magic, data):
+    """The checksummed payload of a frame (a memoryview, no copy);
+    raises :class:`CacheCorruption` on a wrong marker or a checksum
+    mismatch."""
     header = len(magic) + 32
     if data[: len(magic)] != magic:
         raise CacheCorruption("bad frame magic (wrong tier or not a frame)")
-    digest = data[len(magic):header]
-    payload = data[header:]
-    if len(data) < header or hashlib.sha256(payload).digest() != digest:
+    payload = memoryview(data)[header:]
+    if len(data) < header or hashlib.sha256(payload).digest() != data[
+            len(magic):header]:
         raise CacheCorruption(
             "checksum mismatch (truncated or garbled payload)"
         )
+    return payload
+
+
+def _loads(payload):
     try:
         return pickle.loads(payload)
     except Exception as err:
         raise CacheCorruption("unreadable payload: %r" % err)
 
 
+def unpack_frame(magic, data):
+    """The verified payload object of a frame written by
+    :func:`pack_frame`; raises :class:`CacheCorruption` on a wrong
+    marker, checksum mismatch, or unreadable pickle."""
+    return _loads(_verified_payload(magic, data))
+
+
+#: One function definition as an AST frame's decl index records it.
+FunctionEntry = collections.namedtuple(
+    "FunctionEntry", "name location token_hash direct_callees")
+
+
+class UnitIndex:
+    """The decl index at the head of an AST frame: what the call graph,
+    fingerprints, scheduling and the static map read from one file
+    without its body.  ``functions`` lists a :class:`FunctionEntry` per
+    definition, in ``unit.functions()`` order; ``statics`` names the
+    file-scope ``static`` variables in declaration order."""
+
+    __slots__ = ("filename", "source_bytes", "functions", "statics")
+
+    def __init__(self, filename, source_bytes, functions, statics):
+        self.filename = filename
+        self.source_bytes = source_bytes
+        self.functions = functions
+        self.statics = statics
+
+
+def _frame_unit(index, body):
+    """An AST frame: the ``index`` dict, pickled, ahead of the pickled
+    unit ``body``."""
+    head = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = b"".join(
+        (len(head).to_bytes(_INDEX_PREFIX, "big"), head, body))
+    return FRAME_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+def _split_unit(payload):
+    """``(index, body)`` views of a verified AST payload."""
+    if len(payload) < _INDEX_PREFIX:
+        raise CacheCorruption("frame holds no decl index")
+    end = _INDEX_PREFIX + int.from_bytes(payload[:_INDEX_PREFIX], "big")
+    if end > len(payload):
+        raise CacheCorruption("frame holds no decl index")
+    return payload[_INDEX_PREFIX:end], payload[end:]
+
+
 def pack_unit(unit, source_bytes):
-    """Serialize a translation unit into the emitted .ast payload."""
-    return pack_frame(
-        FRAME_MAGIC,
-        {
-            "format": AST_FORMAT_VERSION,
-            "parser_version": PARSER_VERSION,
-            "filename": unit.filename,
-            "source_bytes": source_bytes,
-            "unit": unit,
-        },
-    )
+    """Serialize a translation unit into the emitted .ast payload: its
+    decl index, then the unit itself."""
+    index = {
+        "format": AST_FORMAT_VERSION,
+        "parser_version": PARSER_VERSION,
+        "filename": unit.filename,
+        "source_bytes": source_bytes,
+        "functions": [
+            (decl.name, decl.location, function_token_hash(decl),
+             decl.direct_callees if decl.direct_callees is not None
+             else direct_callees(decl))
+            for decl in unit.functions()
+        ],
+        "statics": [
+            decl.name for decl in unit.decls
+            if isinstance(decl, ast.VarDecl) and decl.storage == "static"
+        ],
+    }
+    return _frame_unit(
+        index, pickle.dumps(unit, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def unpack(data):
-    """``(unit, source_bytes)`` from a payload written by :func:`pack_unit`.
-
-    Verifies the frame marker and checksum and the recorded parser
-    version; raises :class:`CacheCorruption` on anything untrustworthy,
-    a bare unframed pickle included, so the caller evicts and re-parses.
-    """
-    obj = unpack_frame(FRAME_MAGIC, data)
-    if not isinstance(obj, dict) or not hasattr(obj.get("unit"), "decls"):
-        raise CacheCorruption("frame does not hold a translation unit")
+def _decode_index(payload):
+    """``(UnitIndex, body view)`` of a verified AST payload."""
+    head, body = _split_unit(payload)
+    obj = _loads(head)
+    if not isinstance(obj, dict) or obj.get("format") != AST_FORMAT_VERSION:
+        raise CacheCorruption("frame does not hold a decl index")
     version = obj.get("parser_version")
     if version != PARSER_VERSION:
         raise CacheCorruption(
             "parser version skew: entry says %r, this build is %r"
             % (version, PARSER_VERSION)
         )
-    return obj["unit"], int(obj.get("source_bytes") or 0)
+    index = UnitIndex(
+        obj["filename"], int(obj.get("source_bytes") or 0),
+        [FunctionEntry(*entry) for entry in obj["functions"]],
+        obj["statics"],
+    )
+    return index, body
+
+
+def unpack_index(data):
+    """The :class:`UnitIndex` of a payload written by :func:`pack_unit`.
+
+    Verifies the marker and the checksum of the whole frame and the
+    recorded format and parser version, but unpickles only the index;
+    raises :class:`CacheCorruption` on anything untrustworthy, a bare
+    unframed pickle included, so the caller evicts and re-parses.
+    """
+    return _decode_index(_verified_payload(FRAME_MAGIC, data))[0]
+
+
+def unpack(data):
+    """``(unit, source_bytes)`` from a payload written by :func:`pack_unit`.
+
+    The same checks as :func:`unpack_index`, then the unit body is
+    unpickled; raises :class:`CacheCorruption` on anything
+    untrustworthy.
+    """
+    index, body = _decode_index(_verified_payload(FRAME_MAGIC, data))
+    unit = _loads(body)
+    if not hasattr(unit, "decls"):
+        raise CacheCorruption("frame does not hold a translation unit")
+    return unit, index.source_bytes
 
 
 class AstCache:
@@ -373,23 +480,77 @@ class AstCache:
         return self.backend.delete_many("ast", [key]) > 0
 
 
+class SummaryPack(Mapping):
+    """One source file's summary pack as a warm run reads it: a mapping
+    ``{(ext_index, root): (fingerprint, RootArtifact)}``.
+
+    ``entries`` holds every pair's fingerprint and its non-empty
+    artifact; an empty artifact is None there until the pack's blob of
+    empty artifacts is decoded, once, by the first lookup that needs
+    one.  A replay never needs one (empty artifacts add nothing to a
+    merge), so a warm run decodes the blob only for a pack it rewrites
+    or on the coupled path.
+    """
+
+    __slots__ = ("entries", "_blob")
+
+    def __init__(self, entries, blob=None):
+        self.entries = entries
+        self._blob = blob
+
+    def _decode(self):
+        if self._blob is not None:
+            empty = _loads(self._blob)
+            self._blob = None
+            for pair, artifact in empty.items():
+                self.entries[pair] = (self.entries[pair][0], artifact)
+
+    def __getitem__(self, pair):
+        entry = self.entries[pair]
+        if entry[1] is None:
+            self._decode()
+            entry = self.entries[pair]
+        return entry
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+
 def pack_summary(pack):
     """Serialize one source file's summary pack -- ``{(ext_index, root):
-    (fingerprint, RootArtifact)}`` -- into a framed .sum payload."""
+    (fingerprint, RootArtifact)}`` -- into a framed .sum payload, the
+    empty artifacts pickled apart (:class:`SummaryPack`).  Any other
+    payload is framed whole."""
+    blob = None
+    if isinstance(pack, Mapping):
+        eager, empty = {}, {}
+        for pair, (fingerprint, artifact) in pack.items():
+            if artifact.empty:
+                empty[pair] = artifact
+                artifact = None
+            eager[pair] = (fingerprint, artifact)
+        pack = eager
+        if empty:
+            blob = pickle.dumps(empty, protocol=pickle.HIGHEST_PROTOCOL)
     return pack_frame(
         SUMMARY_MAGIC,
         {
             "format": SUMMARY_FORMAT_VERSION,
             "summary_version": SUMMARY_VERSION,
             "pack": pack,
+            "empty": blob,
         },
     )
 
 
 def unpack_summary(data):
-    """The summary pack of a framed .sum payload; raises
-    :class:`CacheCorruption` on anything untrustworthy, including frames
-    written by a different summary format or engine summary version."""
+    """The :class:`SummaryPack` of a framed .sum payload (any other
+    framed payload as it was stored); raises :class:`CacheCorruption`
+    on anything untrustworthy, including frames written by a different
+    summary format or engine summary version."""
     obj = unpack_frame(SUMMARY_MAGIC, data)
     if not isinstance(obj, dict) or "pack" not in obj:
         raise CacheCorruption("summary frame has no pack")
@@ -403,6 +564,8 @@ def unpack_summary(data):
             "engine summary version skew: entry says %r, this build is %r"
             % (obj.get("summary_version"), SUMMARY_VERSION)
         )
+    if isinstance(obj["pack"], dict):
+        return SummaryPack(obj["pack"], obj.get("empty"))
     return obj["pack"]
 
 
@@ -834,22 +997,16 @@ def corrupt_bytes(data, mode="truncate"):
         junk = b"\xde\xad\xbe\xef" * 16
         return junk + data[len(junk):]
     if mode == "version":
-        if data[: len(SUMMARY_MAGIC)] == SUMMARY_MAGIC:
-            magic, payload = SUMMARY_MAGIC, data[_SUMMARY_HEADER:]
-        elif data[: len(RECORD_MAGIC)] == RECORD_MAGIC:
-            magic, payload = RECORD_MAGIC, data[_RECORD_HEADER:]
-        elif data[: len(FRAME_MAGIC)] == FRAME_MAGIC:
-            magic, payload = FRAME_MAGIC, data[_FRAME_HEADER:]
-        else:
-            magic, payload = FRAME_MAGIC, data
-        obj = pickle.loads(payload)
-        if magic == SUMMARY_MAGIC:
-            obj["summary_version"] = "0-skewed"
-        elif magic == RECORD_MAGIC:
-            obj["key_version"] = "0-skewed"
-        else:
-            obj["parser_version"] = "0-skewed"
-        return pack_frame(magic, obj)
+        for magic, field in ((SUMMARY_MAGIC, "summary_version"),
+                             (RECORD_MAGIC, "key_version")):
+            if data[: len(magic)] == magic:
+                obj = pickle.loads(data[len(magic) + 32:])
+                obj[field] = "0-skewed"
+                return pack_frame(magic, obj)
+        head, body = _split_unit(memoryview(data)[_FRAME_HEADER:])
+        index = pickle.loads(head)
+        index["parser_version"] = "0-skewed"
+        return _frame_unit(index, body)
     raise ValueError("unknown corruption mode: %r" % mode)
 
 

@@ -21,18 +21,15 @@ semantics"):
   pickling error, not a silent swallow) lands in the stats.
 """
 
+import itertools
 import os
 import pickle
 import time
 
 from repro import faults
+from repro.cfront.source import SourceError, read_source
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
-
-
-def _read_source(path):
-    with open(path) as handle:
-        return handle.read()
 
 
 # -- fault-tolerant pool scheduling -------------------------------------------
@@ -157,10 +154,11 @@ class Pass1Task:
     """
 
     __slots__ = ("index", "path", "include_paths", "defines", "cache_dir",
-                 "emit_dir", "file_reader", "store_url", "store")
+                 "emit_dir", "file_reader", "store_url", "store", "batch")
 
     def __init__(self, index, path, include_paths, defines, cache_dir,
-                 emit_dir, file_reader, store_url=None, store=None):
+                 emit_dir, file_reader, store_url=None, store=None,
+                 batch=None):
         self.index = index
         self.path = path
         self.include_paths = include_paths
@@ -170,6 +168,9 @@ class Pass1Task:
         self.file_reader = file_reader
         self.store_url = store_url
         self.store = store
+        #: The token of the :func:`compile_files_into` call this task
+        #: belongs to (see :func:`_batch_digests`).
+        self.batch = batch
 
     def __getstate__(self):
         state = {slot: getattr(self, slot) for slot in self.__slots__}
@@ -243,16 +244,41 @@ def _dep_paths(path, probes):
     ])
 
 
-def _unchanged(dependencies, read):
+#: ``(batch token, {path: digest or None})``: the dependency digests the
+#: current pass-1 batch has read in this process (a pooled worker keeps
+#: it across the tasks of one batch, as it keeps its store connection).
+_batch_memo = (None, {})
+
+#: Distinguishes the batches of one process.
+_BATCH_COUNTER = itertools.count()
+
+
+def _batch_digests(batch):
+    """The digest memo of one :func:`compile_files_into` call in this
+    process, empty when the call is new: files that many units include
+    are read and hashed once per call, and a later call (a daemon's
+    next burst) reads every file again, so it sees edits.  A task that
+    belongs to no call (``batch`` None) gets a memo of its own."""
+    global _batch_memo
+    token, digests = _batch_memo
+    if batch is None or token != batch:
+        digests = {}
+        _batch_memo = (batch, digests)
+    return digests
+
+
+def _unchanged(dependencies, read, digests):
     """True when every recorded path still reads to its recorded digest
     (or is still absent).  Stops at the first difference: up to there a
-    preprocess would have probed exactly the same paths."""
+    preprocess would have probed exactly the same paths.  ``digests``
+    memoizes each path's current digest."""
     for path, digest in dependencies:
-        try:
-            text = read(path)
-        except (OSError, KeyError):
-            text = None
-        if digest != (None if text is None else astcache.content_digest(text)):
+        if path not in digests:
+            try:
+                digests[path] = astcache.content_digest(read(path))
+            except (OSError, KeyError, ValueError, SourceError):
+                digests[path] = None
+        if digest != digests[path]:
             return False
     return True
 
@@ -295,7 +321,7 @@ def pass1_worker(task):
 
     faults.at_worker_entry("pass1.worker", key=task.path)
     timings = {}
-    read = task.file_reader or _read_source
+    read = task.file_reader or read_source
     start = time.perf_counter()
     text = read(task.path)
 
@@ -311,7 +337,8 @@ def pass1_worker(task):
         except astcache.CacheCorruption as err:
             store.evict(record_key)
             record, record_error = None, str(err)
-        fresh = record is not None and _unchanged(record[1], read)
+        fresh = record is not None and _unchanged(
+            record[1], read, _batch_digests(task.batch))
         timings["source_probe"] = time.perf_counter() - start
         if fresh:
             key, dependencies = record
@@ -385,15 +412,17 @@ def pass1_worker(task):
 def compile_files_into(project, paths, jobs=1, worker_timeout=None):
     """Run pass 1 for ``paths`` into ``project``; returns CompiledUnits."""
     paths = list(paths)
+    batch = "%d.%d" % (os.getpid(), next(_BATCH_COUNTER))
     tasks = [
         Pass1Task(
             index, path, project.include_paths, project.defines,
             project.cache_dir, project.emit_dir, project.file_reader,
-            store_url=getattr(project, "store_url", None),
+            store_url=getattr(project, "store_url", None), batch=batch,
         )
         for index, path in enumerate(paths)
     ]
     stats = project.stats
+    stats.add("ast_units_loaded", 0)  # an explicit zero on warm runs
     keep_going = getattr(project, "keep_going", False)
     use_pool = bool(jobs and jobs > 1 and len(tasks) > 1)
     if use_pool:
@@ -432,7 +461,6 @@ def compile_files_into(project, paths, jobs=1, worker_timeout=None):
                     "%s failed pass 1 (%r); unit skipped" % (task.path, err),
                 )
                 results[task.index] = None
-    stats.add_time("pass1_wall", time.perf_counter() - start)
 
     backend = getattr(project, "store_backend", None)
     if backend is not None and getattr(backend, "prefers_batch", False):
@@ -456,6 +484,7 @@ def compile_files_into(project, paths, jobs=1, worker_timeout=None):
         if result is None:
             continue
         compiled.append(_absorb(project, task, result))
+    stats.add_time("pass1_wall", time.perf_counter() - start)
     return compiled
 
 
@@ -490,7 +519,7 @@ def _absorb(project, task, result):
                 data = result.data
             else:
                 raise astcache.CacheCorruption("hit carried no payload")
-            unit, source_bytes = astcache.unpack(data)
+            compiled = CompiledUnit.from_frame(data, deps=result.deps)
         except (OSError, astcache.CacheCorruption) as err:
             stats.add("cache_evictions")
             stats.record_degradation(
@@ -515,10 +544,6 @@ def _absorb(project, task, result):
         stats.add("cache_hits")
         if result.cache_path is not None:
             astcache.touch_entry(result.cache_path)
-        compiled = CompiledUnit(
-            result.filename, unit, source_bytes, len(data), from_cache=True,
-            deps=result.deps,
-        )
     else:
         stats.add("parses")
         if project.cache_dir:
@@ -527,8 +552,7 @@ def _absorb(project, task, result):
             result.filename, result.unit, result.source_bytes,
             result.emitted_bytes, deps=result.deps,
         )
-    project.compiled.append(compiled)
-    project._register(compiled.unit, compiled.filename)
+    project._register(compiled)
     keys = [key for key in (result.record_key, result.key) if key]
     if result.record_key:
         stats.add("ast_fast_hits" if result.fast else "ast_fast_misses")

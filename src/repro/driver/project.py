@@ -25,6 +25,7 @@ Both passes scale out (docs/DRIVER.md):
 """
 
 import os
+import time
 
 from repro.cfront.parser import Parser
 from repro.cfront.preproc import Preprocessor
@@ -42,16 +43,75 @@ class CompiledUnit:
 
     ``deps`` are the absolute paths its preprocess read, the file itself
     included (the analysis daemon's include-dependency set).
+
+    A unit served from an AST frame (:meth:`from_frame`) holds the
+    frame's decl index and the verified frame bytes: the body is
+    unpickled, through :func:`repro.driver.cache.unpack`, the first time
+    :attr:`unit` or one of its decls is asked for, and kept from then on.
+    Function names, locations, hashes, callees and the file-scope
+    statics come from the index and never load it.  ``stats`` (the
+    registering project's) times each load as ``ast_load`` and counts it
+    in ``ast_units_loaded``.
     """
 
     def __init__(self, filename, unit, source_bytes, emitted_bytes,
-                 from_cache=False, deps=()):
+                 from_cache=False, deps=(), index=None, frame=None):
         self.filename = filename
-        self.unit = unit
+        self._unit = unit
         self.source_bytes = source_bytes
         self.emitted_bytes = emitted_bytes
         self.from_cache = from_cache
         self.deps = deps
+        self.index = index
+        self._frame = frame
+        self._functions = None
+        self.stats = None
+
+    @classmethod
+    def from_frame(cls, data, deps=()):
+        """A lazy unit over an AST frame; raises
+        :class:`repro.driver.cache.CacheCorruption` when the frame
+        cannot be trusted."""
+        index = astcache.unpack_index(data)
+        return cls(index.filename, None, index.source_bytes, len(data),
+                   from_cache=True, deps=deps, index=index, frame=data)
+
+    @property
+    def loaded(self):
+        """Whether the unit body is in memory."""
+        return self._frame is None
+
+    @property
+    def unit(self):
+        if self._frame is not None:
+            start = time.perf_counter()
+            self._unit, __ = astcache.unpack(self._frame)
+            self._frame = None
+            if self.stats is not None:
+                self.stats.add_time("ast_load", time.perf_counter() - start)
+                self.stats.add("ast_units_loaded")
+        return self._unit
+
+    def function_entries(self):
+        """The unit's function definitions in order: index entries while
+        the body is not loaded, else the decls themselves (both carry
+        ``name``, ``location``, ``token_hash`` and ``direct_callees``)."""
+        if self._frame is not None:
+            return self.index.functions
+        return self.unit.functions()
+
+    def function_decl(self, position):
+        """The decl of the ``position``-th definition (loads the body)."""
+        if self._functions is None:
+            self._functions = self.unit.functions()
+        return self._functions[position]
+
+    def static_names(self):
+        """The names of the unit's file-scope ``static`` variables."""
+        if self.index is not None:
+            return self.index.statics
+        return [decl.name for decl in self.unit.decls
+                if isinstance(decl, ast.VarDecl) and decl.storage == "static"]
 
     @property
     def expansion_ratio(self):
@@ -86,7 +146,6 @@ class Project:
         self.file_reader = file_reader
         #: Driver observability (timers / cache counters / worker tallies).
         self.stats = stats or DriverStats()
-        self.units = []
         self.compiled = []
         self.static_vars = {}
         self._callgraph = None
@@ -140,8 +199,7 @@ class Project:
                 with open(out, "wb") as handle:
                     handle.write(emitted)
         compiled = CompiledUnit(filename, unit, source_bytes, len(emitted))
-        self.compiled.append(compiled)
-        self._register(unit, filename)
+        self._register(compiled)
         return compiled
 
     def compile_file(self, path):
@@ -174,8 +232,7 @@ class Project:
         probe.  Registration order is the caller's responsibility (the
         daemon walks files in sorted order, matching a cold run).
         """
-        self.compiled.append(compiled)
-        self._register(compiled.unit, compiled.filename)
+        self._register(compiled)
         self.stats.add("units_adopted")
         return compiled
 
@@ -188,20 +245,22 @@ class Project:
         """
         with open(path, "rb") as handle:
             data = handle.read()
-        unit, source_bytes = astcache.unpack(data)
-        compiled = CompiledUnit(
-            unit.filename, unit, source_bytes, len(data), from_cache=True
-        )
-        self.compiled.append(compiled)
-        self._register(unit, unit.filename)
+        compiled = CompiledUnit.from_frame(data)
+        self._register(compiled)
         return compiled
 
-    def _register(self, unit, filename):
-        self.units.append(unit)
+    def _register(self, compiled):
+        self.compiled.append(compiled)
+        compiled.stats = self.stats
         self._callgraph = None
-        for decl in unit.decls:
-            if isinstance(decl, ast.VarDecl) and decl.storage == "static":
-                self.static_vars[decl.name] = filename
+        for name in compiled.static_names():
+            self.static_vars[name] = compiled.filename
+
+    @property
+    def units(self):
+        """Every registered translation unit, in registration order
+        (loading each body not loaded yet)."""
+        return [compiled.unit for compiled in self.compiled]
 
     # -- pass 2 ------------------------------------------------------------------
 
@@ -209,7 +268,7 @@ class Project:
     def callgraph(self):
         if self._callgraph is None:
             with self.stats.phase("callgraph"):
-                self._callgraph = CallGraph.from_units(self.units)
+                self._callgraph = CallGraph.from_units(self.compiled)
         return self._callgraph
 
     def analysis(self, options=None):
@@ -245,4 +304,4 @@ class Project:
         return sum(c.emitted_bytes for c in self.compiled)
 
     def total_functions(self):
-        return sum(len(c.unit.functions()) for c in self.compiled)
+        return sum(len(c.function_entries()) for c in self.compiled)

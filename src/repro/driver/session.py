@@ -111,10 +111,11 @@ def session_signature(checker_names=(), metal_texts=(), options=None,
 
 def pack_key(signature, filename, pack):
     """The tier-2 store key of one source file's summary pack: SHA-256
-    over the session signature, the file, and every entry's (extension
-    index, root, fingerprint)."""
+    over the pack format version, the session signature, the file, and
+    every entry's (extension index, root, fingerprint)."""
     digest = hashlib.sha256()
-    for part in (signature, str(filename)):
+    for part in (str(astcache.SUMMARY_FORMAT_VERSION), signature,
+                 str(filename)):
         digest.update(part.encode())
         digest.update(b"\x00")
     for (ext_index, root), (fingerprint, __) in sorted(pack.items()):
@@ -126,7 +127,7 @@ def pack_key(signature, filename, pack):
 
 def defining_file(graph, name):
     """The source file a function is defined in ("" when unknown)."""
-    location = getattr(graph.functions.get(name), "location", None)
+    location = getattr(graph.index.get(name), "location", None)
     return getattr(location, "filename", None) or ""
 
 
@@ -258,7 +259,7 @@ class IncrementalSession:
             return None
         if pack is None:
             return None
-        if not isinstance(pack, dict):
+        if not isinstance(pack, astcache.SummaryPack):
             raise astcache.CacheCorruption("summary frame holds no pack")
         stats.add("summary_pack_reads")
         self._pin_pack(key, pack)
@@ -413,6 +414,7 @@ class IncrementalSession:
            only cause extra analysis, never a stale replay.
         """
         stats.add("incremental_coupled_runs")
+        self._materialize(cached, packs, graph)
 
         old_deltas = {}
         old_packs = {name: pack for name, (__, pack) in packs.items()}
@@ -458,7 +460,7 @@ class IncrementalSession:
                 stack = [root]
                 while stack:
                     fn = stack.pop()
-                    if fn in seen or fn not in graph.functions:
+                    if fn in seen or fn not in graph.index:
                         continue
                     seen.add(fn)
                     stack.extend(graph.callees.get(fn, ()))
@@ -622,10 +624,11 @@ class IncrementalSession:
             by_file.setdefault(defining_file(graph, root), []).append(root)
         known = manifest["packs"] if manifest else {}
         keys = {name: known.get(name) for name in by_file}
-        self.store.prefetch(
-            key for key in keys.values()
-            if key and key not in self._pinned_packs
-        )
+        with stats.phase("summary_read"):
+            self.store.prefetch(
+                key for key in keys.values()
+                if key and key not in self._pinned_packs
+            )
         count = len(extensions)
         cached = {}
         touched = []
@@ -633,7 +636,8 @@ class IncrementalSession:
             key = keys[name]
             pinned = key in self._pinned_packs
             try:
-                pack = self._fetch_pack(key, stats) if key else None
+                with stats.phase("summary_read"):
+                    pack = self._fetch_pack(key, stats) if key else None
             except (OSError, astcache.CacheCorruption) as err:
                 stats.add("summary_evictions")
                 stats.record_degradation(
@@ -656,20 +660,23 @@ class IncrementalSession:
                 # stored pack's mtime (below, in one batch) so GC still
                 # sees it in use.
                 touched.append(key)
+            entries = pack.entries
             hits = 0
             for root in roots:
                 fingerprint = fingerprints[root]
                 found = []
                 for ext_index in range(count):
-                    entry = pack.get((ext_index, root))
+                    entry = entries.get((ext_index, root))
                     if entry is None or entry[0] != fingerprint:
                         break
                     found.append(entry[1])
                 else:
                     hits += 1
                     for ext_index, artifact in enumerate(found):
+                        # An empty artifact the pack has not decoded
+                        # stays None (see _materialize).
                         cached[(ext_index, root)] = artifact
-                        if not artifact.empty:
+                        if artifact is not None and not artifact.empty:
                             live.append((ext_index, root))
                     continue
                 reanalyze.add(root)
@@ -682,6 +689,15 @@ class IncrementalSession:
         if touched:
             self.store.touch_many(touched)
         return cached
+
+    @staticmethod
+    def _materialize(cached, packs, graph):
+        """Decode the empty artifacts ``cached`` holds as None, from
+        their files' packs (the coupled path reads every artifact's
+        read set)."""
+        for pair in [pair for pair, artifact in cached.items()
+                     if artifact is None]:
+            cached[pair] = packs[defining_file(graph, pair[1])][1][pair][1]
 
     def _merge(self, all_roots, fresh, cached, live):
         """Replay fresh + cached artifacts in serial (extension, root)
@@ -756,14 +772,15 @@ class IncrementalSession:
         for name, pack in rewrite.items():
             # Keep the old pack's entries this run replayed.
             for pair, entry in packs.get(name, (None, {}))[1].items():
-                if pair not in pack and cached.get(pair) is entry[1]:
+                if (pair not in pack and pair in cached
+                        and entry[0] == fingerprints.get(pair[1])):
                     pack[pair] = entry
             key = pack_key(self.signature, name, pack)
             if previous.get(name) not in (None, key):
                 self._pinned_packs.pop(previous[name], None)
             pack_keys[name] = key
             to_store[key] = pack
-            self._pin_pack(key, pack)
+            self._pin_pack(key, astcache.SummaryPack(pack))
         if to_store:
             # One batched put: a remote-backed session ships every
             # rewritten pack in a single round trip.

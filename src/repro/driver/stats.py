@@ -81,8 +81,14 @@ from contextlib import contextmanager
 #: persist) as well as its analysis.  16: one matcher, the interpreter
 #: behind the dispatch tables, so the engine's count of rules the
 #: compiled matcher handed back to the interpreter is removed, and
-#: ``matcher_compile_s`` times only the dispatch-table build.
-SCHEMA_VERSION = 16
+#: ``matcher_compile_s`` times only the dispatch-table build.  17: a warm
+#: run decodes only what it analyzes, so its reads are timed where they
+#: happen: ``pass1_wall`` also covers registering each worker result,
+#: ``ast_load`` times the unit bodies unpickled from AST frames (inside
+#: whichever wall timer asked for them), ``ast_units_loaded`` counts
+#: them, and ``summary_read`` times the summary-pack fetches and decodes
+#: inside ``pass2_wall``.
+SCHEMA_VERSION = 17
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other

@@ -383,7 +383,7 @@ class Analysis:
         capture = self.options.capture_root_artifacts
         live = _UNKNOWN
         for root in roots:
-            if root not in self.callgraph.functions:
+            if root not in self.callgraph.index:
                 continue
             resolved = self._replay.get((self._ext_index, root))
             if resolved is not None:
@@ -719,7 +719,7 @@ class Analysis:
             and not matched_call
         ):
             callee = point.callee_name()
-            if callee and callee in self.callgraph.functions:
+            if callee and callee in self.callgraph.index:
                 return self._follow_call(fctx, sm, constraints, point)
         return None
 

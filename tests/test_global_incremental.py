@@ -513,7 +513,7 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 16
+        assert stats["schema_version"] == 17
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
         assert store.lookup(key) is None
 

@@ -771,7 +771,7 @@ class TestIncrementalCLI:
         main(args + paths)
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
-        assert cold["schema_version"] == 16
+        assert cold["schema_version"] == 17
         assert cold["counters"]["incremental_cold_runs"] == 1
         assert cold["counters"]["summary_stores"] > 0
         main(args + paths)

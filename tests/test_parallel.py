@@ -223,6 +223,50 @@ def components(graph):
     return sorted(parts.values())
 
 
+class TestDependencyReads:
+    """The fast path checks every path a dependency record lists; a
+    header many units include is read and hashed once per pass-1 call,
+    and again by the next call."""
+
+    def test_a_shared_header_is_read_once_per_call(self, tmp_path):
+        header = str(tmp_path / "h.h")
+        sources = [str(tmp_path / ("m%d.c" % i)) for i in range(3)]
+        with open(header, "w") as handle:
+            handle.write("#define N 1\n")
+        for i, path in enumerate(sources):
+            with open(path, "w") as handle:
+                handle.write('#include "h.h"\nint f%d(void) { return N; }\n'
+                             % i)
+        reads = []
+
+        def counting_reader(path):
+            reads.append(path)
+            with open(path) as handle:
+                return handle.read()
+
+        cache = str(tmp_path / "cache")
+
+        def compile_once():
+            project = Project(include_paths=[str(tmp_path)],
+                              cache_dir=cache, file_reader=counting_reader)
+            project.compile_files(sources)
+            return project
+
+        compile_once()
+        del reads[:]
+        warm = compile_once()
+        assert warm.stats.count("ast_fast_hits") == len(sources)
+        assert reads.count(header) == 1
+        assert sorted(path for path in reads if path != header) == sources
+        # A new call reads it again: an edit between calls is seen.
+        with open(header, "w") as handle:
+            handle.write("#define N 2\n")
+        del reads[:]
+        edited = compile_once()
+        assert reads.count(header) >= 1
+        assert edited.stats.count("ast_fast_misses") == len(sources)
+
+
 class TestCallGraphComponents:
     def test_partition(self):
         from repro.cfront.parser import parse
@@ -442,7 +486,7 @@ class TestParallelCLI:
         capsys.readouterr()
         stats = json.load(open(stats_json))
         timers, counters = stats["timers_s"], stats["counters"]
-        assert stats["schema_version"] == 16
+        assert stats["schema_version"] == 17
         assert timers["pass2_wall"] > 0
         assert 0 < timers["lex"] <= timers["preprocess"]
         assert counters["tokens_lexed"] > counters["parses"]

@@ -1,5 +1,7 @@
 """Unit tests for the C parser."""
 
+import json
+
 import pytest
 
 from repro.cfront import astnodes as ast
@@ -396,6 +398,27 @@ class TestMalformedInputDiagnostics:
         err = capsys.readouterr().err
         assert "%s %s" % (where, message) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_utf8_is_a_located_diagnostic(self, tmp_path, capsys,
+                                                  monkeypatch, jobs):
+        from repro.driver.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.c").write_bytes(b"int g;\n\xff\n")
+        (tmp_path / "ok.c").write_text("int h;\n")
+        argv = ["--checker", "free", "--jobs", jobs, "bad.c", "ok.c"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "xgcc: bad.c:2:1: invalid UTF-8 byte 0xff" in err
+        assert "Traceback" not in err
+        stats = str(tmp_path / "stats.json")
+        assert main(argv + ["--keep-going", "--stats-json", stats]) == 0
+        with open(stats) as handle:
+            document = json.load(handle)
+        units = [entry for entry in document["degradations"]
+                 if entry["kind"] == "unit"]
+        assert len(units) == 1 and "bad.c" in units[0]["detail"]
 
     @pytest.mark.parametrize("text", [
         "int x = %s1%s;" % ("(" * DEEP, ")" * DEEP),
