@@ -60,9 +60,6 @@ class Supergraph:
         cfg = self.cfgs.get(name)
         return cfg.exit if cfg else None
 
-    def callsites_in(self, name):
-        return [cs for cs in self.callsites if cs.caller == name]
-
 
 def build_supergraph(callgraph, matched_call_filter=None):
     """Build the supergraph for a call graph.

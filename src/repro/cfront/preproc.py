@@ -32,7 +32,7 @@ from repro.cfront.lexer import (
     parse_int_constant,
 )
 from repro.cfront.parser import BINARY_LEVELS, MAX_NESTING
-from repro.cfront.source import PreprocessorError
+from repro.cfront.source import PreprocessorError, read_source
 
 
 class Macro:
@@ -55,7 +55,7 @@ class Preprocessor:
     def __init__(self, include_paths=(), defines=None, file_reader=None):
         self.include_paths = list(include_paths)
         self.macros = {}
-        self.file_reader = file_reader or _read_file
+        self.file_reader = file_reader or read_source
         self.included = set()
         #: path -> text (None when absent) for every include candidate
         #: probed, in probe order.
@@ -74,10 +74,6 @@ class Preprocessor:
         """Preprocess source text; returns the output token list (no EOF)."""
         lines = self._directive_lines(text, filename)
         return self._process_lines(lines, filename)
-
-    def preprocess_file(self, path):
-        text = self.file_reader(path)
-        return self.preprocess_text(text, path)
 
     # -- line splitting -------------------------------------------------------
 
@@ -250,12 +246,14 @@ class Preprocessor:
 
         Each path is read at most once per preprocessor; the outcome is
         kept in :attr:`dependencies`, in probe order, which is what the
-        AST cache's dependency records are built from.
+        AST cache's dependency records are built from.  A file that
+        exists but does not decode is not absent: the reader's located
+        diagnostic propagates.
         """
         if path not in self.dependencies:
             try:
                 self.dependencies[path] = self.file_reader(path)
-            except (OSError, KeyError, ValueError):
+            except (OSError, KeyError):
                 self.dependencies[path] = None
         return self.dependencies[path]
 
@@ -561,11 +559,6 @@ def _relocate(token, location):
 
 def _loc(tokens):
     return tokens[0].location if tokens else None
-
-
-def _read_file(path):
-    with open(path, "r") as handle:
-        return handle.read()
 
 
 def preprocess(text, filename="<string>", include_paths=(), defines=None, file_reader=None):

@@ -63,9 +63,6 @@ class KernelWorkload:
         self.seed = seed
         self.function_names = function_names
 
-    def bugs_of_kind(self, kind):
-        return [b for b in self.bugs if b.kind == kind]
-
     def __repr__(self):
         return "<KernelWorkload %d functions, %d bugs, seed=%d>" % (
             len(self.function_names),

@@ -52,13 +52,12 @@ summary pack frame keeps the empty artifacts in a blob of their own,
 decoded only when the pack is rewritten or a coupled run needs them
 (:class:`SummaryPack`).
 
-Where the bytes live is a separate concern: both caches speak to an
+Where the bytes live is a separate concern: both caches take only an
 artifact-store *backend* (:mod:`repro.driver.store` -- LocalStore /
 RemoteStore / TieredStore), so the same verification, eviction, and
 manifest-merge discipline runs against a local directory, a shared
-remote store, or a write-through overlay of both.  The directory-path
-constructors (``AstCache(dir)`` / ``SummaryCache(dir)``) keep the
-original on-disk layout bit for bit.
+remote store, or a write-through overlay of both.  Garbage collection
+is the backend's too (``backend.gc``).
 
 Manifest writes use ETag compare-and-swap with bounded retry
 (:data:`repro.driver.store.MANIFEST_CAS_RETRIES`): the read-merge-write
@@ -89,7 +88,6 @@ from repro.cfg.callgraph import direct_callees
 from repro.cfg.fingerprint import function_token_hash
 from repro.cfront import astnodes as ast
 from repro.driver import store as storemod
-from repro.driver.store import StoreError  # noqa: F401  (re-exported)
 from repro.engine.summaries import SUMMARY_VERSION
 
 #: Bump when parser/astnodes change shape: old cache entries stop matching.
@@ -364,34 +362,11 @@ def unpack(data):
 
 
 class AstCache:
-    """Content-addressed store of emitted ASTs behind one backend.
+    """Content-addressed store of emitted ASTs behind one
+    :mod:`repro.driver.store` backend (local, remote, tiered)."""
 
-    ``AstCache(directory)`` keeps the original filesystem layout;
-    ``AstCache(backend=...)`` runs the same cache against any
-    :mod:`repro.driver.store` backend (remote, tiered).
-    """
-
-    def __init__(self, root=None, backend=None):
-        self.root = root
-        self.backend = (
-            backend if backend is not None
-            else storemod.LocalStore(ast_dir=root)
-        )
-
-    def path_for(self, key):
-        """The local on-disk path for ``key`` (None for a backend with
-        no local tier)."""
-        return self.backend.local_path("ast", key)
-
-    def lookup(self, key):
-        """The on-disk path for ``key`` when it is local, a placeholder
-        token when it exists only remotely, or None on a miss."""
-        path = self.backend.local_path("ast", key)
-        if path is not None and os.path.exists(path):
-            return path
-        if self.backend.head_many("ast", [key]):
-            return path if path else "remote:%s" % key
-        return None
+    def __init__(self, backend):
+        self.backend = backend
 
     def fetch(self, key):
         """``(data, path)`` for a cached key, without verifying it.
@@ -416,21 +391,6 @@ class AstCache:
             return None, path  # write-through overlay landed it
         return data, None
 
-    def load(self, key):
-        """``(unit, source_bytes, emitted_bytes)`` for a cached key.
-
-        Raises :class:`CacheCorruption` for untrustworthy entries and
-        ``FileNotFoundError`` on a miss.  A successful read refreshes
-        the entry's liveness (mtime locally, server-side for remotes),
-        so frames a warm session keeps replaying never age past the GC
-        cutoff.
-        """
-        data = self.backend.get_many("ast", [key]).get(key)
-        if data is None:
-            raise FileNotFoundError(key)
-        unit, source_bytes = unpack(data)
-        return unit, source_bytes, len(data)
-
     def fetch_record(self, key):
         """``(token_key, dependencies)`` of the dependency record at a
         :func:`source_key`, or None on a miss.  Raises
@@ -453,18 +413,6 @@ class AstCache:
             self.corrupt(key, spec.get("mode", "truncate"))
         path = self.backend.local_path("ast", key)
         return path if path else key
-
-    def touch(self, key):
-        """Refresh an entry's liveness without reading it."""
-        self.backend.touch_many("ast", [key])
-
-    def entry_mtime(self, key):
-        """The entry's mtime (local or remote), or None when absent."""
-        return self.backend.entry_mtime("ast", key)
-
-    def set_entry_mtime(self, key, ts):
-        """Backdate an entry (GC aging in tests) through the backend."""
-        self.backend.touch_many("ast", [key], ts=ts)
 
     def corrupt(self, key, mode="truncate"):
         """Damage a stored entry *through the backend* (fault injection:
@@ -580,44 +528,11 @@ class SummaryCache:
     run that produced it.
     """
 
-    def __init__(self, root=None, backend=None):
-        self.root = root
-        self.backend = (
-            backend if backend is not None
-            else storemod.LocalStore(sum_dir=root)
-        )
+    def __init__(self, backend):
+        self.backend = backend
         #: Batched-read stash: frames fetched ahead of time by
         #: :meth:`prefetch`, consumed by :meth:`get`.
         self._prefetched = {}
-
-    def path_for(self, key):
-        """The local on-disk path for ``key`` (None for a backend with
-        no local tier)."""
-        return self.backend.local_path("sum", key)
-
-    def lookup(self, key):
-        """The on-disk path for ``key`` when it is local, a placeholder
-        token when it exists only remotely, or None on a miss."""
-        path = self.backend.local_path("sum", key)
-        if path is not None and os.path.exists(path):
-            return path
-        if self.backend.head_many("sum", [key]):
-            return path if path else "remote:%s" % key
-        return None
-
-    def load(self, key):
-        """The cached pack for ``key``.
-
-        Raises :class:`CacheCorruption` for untrustworthy entries and
-        ``FileNotFoundError`` on a miss.  A successful read refreshes
-        the frame's liveness: a pack a warm session (or daemon) replays
-        daily must read as *in use* to the GC's ``mtime >= cutoff`` keep
-        rule, not as untouched since the run that stored it.
-        """
-        data = self.backend.get_many("sum", [key]).get(key)
-        if data is None:
-            raise FileNotFoundError(key)
-        return unpack_summary(data)
 
     def get(self, key):
         """The cached pack, or None on a miss (one probe, no separate
@@ -648,14 +563,6 @@ class SummaryCache:
         """Refresh frames' liveness without reading them (in-memory
         warm hits still count as GC liveness)."""
         self.backend.touch_many("sum", keys)
-
-    def entry_mtime(self, key):
-        """The frame's mtime (local or remote), or None when absent."""
-        return self.backend.entry_mtime("sum", key)
-
-    def set_entry_mtime(self, key, ts):
-        """Backdate a frame (GC aging in tests) through the backend."""
-        self.backend.touch_many("sum", [key], ts=ts)
 
     def store(self, key, pack):
         """Atomically persist one pack."""
@@ -931,47 +838,6 @@ def _file_lock(path, stats=None):
             os.remove(excl)
         except OSError:
             pass
-
-
-#: Sorted manifest paths under a summaries dir (lives with the backends
-#: now; kept here for callers that imported it from this module).
-_manifest_files = storemod._manifest_files
-
-
-def collect_cache_garbage(cache_dir, summaries_subdir="summaries",
-                          cutoff_days=30.0, now=None, stats=None,
-                          extra_live_sum=(), extra_live_ast=(),
-                          _after_scan=None, backend=None):
-    """Sweep stale content-addressed entries from an artifact store.
-
-    The sweep semantics (manifest pins, mtime cutoff, extra-live keys,
-    the locked pin-read + sweep critical section, the ``_after_scan``
-    test hook) live in :meth:`repro.driver.store.LocalStore.gc`; this
-    wrapper keeps the long-standing directory-path call shape, builds
-    the matching local backend when none is given, and folds the
-    eviction counters into ``stats``.  With ``backend`` set (a tiered
-    or remote store) the sweep runs wherever the frames live --
-    server-side GC receives the same extra-live pins, so a daemon's
-    warm state protects remote frames exactly like local ones.
-    """
-    if backend is None:
-        backend = storemod.LocalStore(
-            root=cache_dir,
-            sum_dir=(
-                os.path.join(cache_dir, summaries_subdir)
-                if cache_dir is not None else None
-            ),
-        )
-    counters = backend.gc(
-        cutoff_days=cutoff_days, now=now, stats=stats,
-        extra_live_sum=extra_live_sum, extra_live_ast=extra_live_ast,
-        _after_scan=_after_scan,
-    )
-    if stats is not None:
-        for name, value in counters.items():
-            if value:
-                stats.add(name, value)
-    return counters
 
 
 def touch_entry(path):

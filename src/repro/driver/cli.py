@@ -71,12 +71,12 @@ def build_parser():
         default="severity",
         help="error ranking mode (default: severity + generic)",
     )
-    parser.add_argument("--history", help="history DB for false-positive suppression")
     parser.add_argument(
         "--triage", metavar="FILE",
         help="triage file (docs/REPORTS.md): suppressions, severity "
         "overrides, and false-positive marks applied to this run's "
-        "reports; merged over any shared triage state in the store",
+        "reports; merged over any shared triage state in the store; a "
+        "§8 history file is a triage file too",
     )
     parser.add_argument(
         "--triage-suppress", metavar="KEY",
@@ -249,20 +249,12 @@ def build_parser():
         help="report output format",
     )
     parser.add_argument(
-        "--dump-cfg", action="store_true",
-        help="dump every function's CFG instead of analyzing",
-    )
-    parser.add_argument(
-        "--dump-dot", action="store_true",
-        help="dump CFGs in Graphviz DOT syntax",
-    )
-    parser.add_argument(
-        "--dump-callgraph", action="store_true",
-        help="dump the call graph (roots marked with *)",
-    )
-    parser.add_argument(
-        "--dump-summaries", action="store_true",
-        help="after analyzing, dump Figure-5-style block/suffix summaries",
+        "--dump", action="append", default=[],
+        choices=["cfg", "dot", "callgraph", "summaries"],
+        help="dump instead of analyzing (repeatable): 'callgraph' the "
+        "call graph (roots marked with *), then 'cfg' every function's "
+        "CFG or 'dot' the CFGs in Graphviz DOT syntax; 'summaries' "
+        "analyzes and then dumps Figure-5-style block/suffix summaries",
     )
     return parser
 
@@ -342,8 +334,7 @@ def _warn(message):
 
 def _pipeline_config(args):
     return PipelineConfig(rank=args.rank, refine=args.refine,
-                          history=args.history, triage=args.triage,
-                          prune_keep=args.prune_runs)
+                          triage=args.triage, prune_keep=args.prune_runs)
 
 
 def _parse_triage_key(token):
@@ -482,12 +473,12 @@ def _dump_mode(args, resources):
     from repro.driver.dump import dump_callgraph, dump_cfg, dump_cfg_dot
 
     project = _make_project(args, resources)
-    if args.dump_callgraph:
+    if "callgraph" in args.dump:
         print(dump_callgraph(project.callgraph))
-    if args.dump_cfg or args.dump_dot:
+    if "cfg" in args.dump or "dot" in args.dump:
         for name in sorted(project.callgraph.functions):
             cfg = build_cfg(project.callgraph.functions[name])
-            print(dump_cfg_dot(cfg) if args.dump_dot else dump_cfg(cfg))
+            print(dump_cfg_dot(cfg) if "dot" in args.dump else dump_cfg(cfg))
             print()
     return 0
 
@@ -675,30 +666,21 @@ def _run(parser, args, resources, started):
                          ("--prune-runs", args.prune_runs is not None)):
         if wanted and not args.cache_dir and not args.store_url:
             parser.error("%s requires --cache-dir or --store-url" % flag)
-    if args.incremental and args.dump_summaries:
+    if args.incremental and "summaries" in args.dump:
         # Figure-5 summary dumps need the live per-block tables of a full
         # serial run; replayed roots have none.
-        parser.error("--dump-summaries is incompatible with --incremental")
+        parser.error("--dump summaries is incompatible with --incremental")
 
     gc_counters = None
     if args.cache_gc:
-        from repro.driver.cache import collect_cache_garbage
-
-        gc_backend = None
-        if args.store_url:
-            gc_backend = _open_backend(args, resources)
-        gc_counters = collect_cache_garbage(
-            args.cache_dir, cutoff_days=args.cache_gc_days,
-            backend=gc_backend,
-        )
+        gc_counters = _open_backend(args, resources).gc(
+            cutoff_days=args.cache_gc_days)
         if not args.files:
             # GC-only invocation: sweep, report, done.
             from repro.driver.stats import DriverStats
 
             stats = DriverStats()
-            for name, value in gc_counters.items():
-                if value:
-                    stats.add(name, value)
+            stats.add_counters(gc_counters)
             if args.stats:
                 for line in stats.format_lines():
                     print("# %s" % line, file=sys.stderr)
@@ -706,7 +688,7 @@ def _run(parser, args, resources, started):
                 stats.dump_json(args.stats_json)
             return 0
 
-    if args.dump_cfg or args.dump_dot or args.dump_callgraph:
+    if set(args.dump) - {"summaries"}:
         return _dump_mode(args, resources)
 
     metal_sources = _read_metal_sources(args)
@@ -724,9 +706,7 @@ def _run(parser, args, resources, started):
 
     project = _make_project(args, resources)
     if gc_counters:
-        for name, value in gc_counters.items():
-            if value:
-                project.stats.add(name, value)
+        project.stats.add_counters(gc_counters)
 
     options = _make_options(args)
 
@@ -741,12 +721,12 @@ def _run(parser, args, resources, started):
                                          backend=project.store_backend)
             result = project.run(extensions, options, incremental=session)
         else:
-            # Built here, not in Project.run: --dump-summaries reads the
+            # Built here, not in Project.run: --dump summaries reads the
             # summary tables through this analysis's CFGs.
             analysis = project.analysis(options)
             with project.stats.phase("pass2_wall"):
                 result = analysis.run(extensions)
-            if args.dump_summaries:
+            if "summaries" in args.dump:
                 from repro.driver.dump import dump_summaries
 
                 for ext_name, table in result.tables.items():

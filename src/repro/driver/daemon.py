@@ -46,7 +46,6 @@ import threading
 import time
 
 from repro import faults
-from repro.driver import cache as astcache
 from repro.driver import dump
 from repro.driver.stats import DriverStats
 from repro.driver.watch import TreeWatcher, WatcherError, fingerprint_file
@@ -122,10 +121,10 @@ class XgccDaemon:
         #: Content-changed paths not yet folded into an analysis.
         self._dirty = set()
         #: Cached response of the last completed analysis (served to
-        #: ``analyze`` when nothing changed since), and the fingerprints
-        #: of the pipeline's files it was rendered under.
+        #: ``analyze`` when nothing changed since), and the fingerprint
+        #: of the triage file it was rendered under.
         self._last_response = None
-        self._last_pipeline_files = None
+        self._last_triage_file = None
         #: ``{filename: [tier-1 keys]}`` of each file's latest compile:
         #: the extra live AST set for ``gc``.
         self._ast_keys_seen = {}
@@ -264,15 +263,14 @@ class XgccDaemon:
         start = time.perf_counter()
         self.stats.add("daemon_analyze_requests")
         polled = self._poll()
-        # An edit to the --triage or --history file changes the text.
-        pipeline_files = [fingerprint_file(path) for path in
-                          (self.pipeline.triage, self.pipeline.history)
-                          if path]
+        # An edit to the --triage file changes the text.
+        triage_file = (fingerprint_file(self.pipeline.triage)
+                       if self.pipeline.triage else None)
         if (
             self._last_response is not None
             and not self._dirty
             and polled
-            and pipeline_files == self._last_pipeline_files
+            and triage_file == self._last_triage_file
             and not force
         ):
             self.stats.add("daemon_analyze_warm_hits")
@@ -323,7 +321,7 @@ class XgccDaemon:
                 "served_from": "analysis",
             }
         self._last_response = dict(response)
-        self._last_pipeline_files = pipeline_files
+        self._last_triage_file = triage_file
         response["latency_s"] = round(time.perf_counter() - start, 6)
         self.stats.add_time(
             "daemon_request_wall", time.perf_counter() - start
@@ -371,8 +369,7 @@ class XgccDaemon:
                 if not self.cache_dir and not self.store_url:
                     return {"ok": False, "protocol": PROTOCOL_VERSION,
                             "error": "daemon has no cache_dir or store"}
-                counters = astcache.collect_cache_garbage(
-                    self.cache_dir,
+                counters = self.session.backend.gc(
                     cutoff_days=float(obj.get("days", 30.0)),
                     stats=self.stats,
                     extra_live_sum=self.session.pinned_frame_keys(),
@@ -380,8 +377,8 @@ class XgccDaemon:
                         key for keys in self._ast_keys_seen.values()
                         for key in keys
                     ),
-                    backend=getattr(self.session, "backend", None),
                 )
+                self.stats.add_counters(counters)
                 return {"ok": True, "protocol": PROTOCOL_VERSION,
                         "gc": counters}
             if op == "shutdown":

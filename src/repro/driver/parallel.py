@@ -328,7 +328,7 @@ def pass1_worker(task):
     store = record_key = record_error = None
     if task.cache_dir or task.store_url:
         backend = task.store or _worker_store(task.cache_dir, task.store_url)
-        store = astcache.AstCache(backend=backend)
+        store = astcache.AstCache(backend)
         record_key = astcache.source_key(
             task.path, text, task.include_paths, task.defines
         )
@@ -529,9 +529,7 @@ def _absorb(project, task, result):
             )
             backend = getattr(project, "store_backend", None)
             if backend is not None:
-                astcache.AstCache(backend=backend).evict(result.key)
-            elif task.cache_dir:
-                astcache.AstCache(task.cache_dir).evict(result.key)
+                astcache.AstCache(backend).evict(result.key)
             # The entry is gone, so this re-run parses (and re-stores a
             # good entry): recursion depth is bounded at one.  The
             # re-run happens in-process, so hand it the live backend.

@@ -300,8 +300,5 @@ class Project:
     def total_source_bytes(self):
         return sum(c.source_bytes for c in self.compiled)
 
-    def total_emitted_bytes(self):
-        return sum(c.emitted_bytes for c in self.compiled)
-
     def total_functions(self):
         return sum(len(c.function_entries()) for c in self.compiled)

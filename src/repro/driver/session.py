@@ -169,7 +169,7 @@ class IncrementalSession:
         #: The artifact-store backend (local, remote, or tiered); shared
         #: with the project's AST cache when the daemon builds both.
         self.backend = backend
-        self.store = astcache.SummaryCache(backend=backend)
+        self.store = astcache.SummaryCache(backend)
         self.signature = signature
         #: Optional DriverStats override; defaults to the project's.
         self.stats = stats
@@ -240,8 +240,8 @@ class IncrementalSession:
 
     def pinned_frame_keys(self):
         """Pack keys the in-memory pin currently holds (a daemon's `gc`
-        request passes them to :func:`repro.driver.cache.
-        collect_cache_garbage` as extra live keys, so on-disk GC never
+        request passes them to the backend's ``gc`` as extra live
+        keys, so on-disk GC never
         collects what this process still replays)."""
         return sorted(self._pinned_packs)
 

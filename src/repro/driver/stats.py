@@ -87,15 +87,17 @@ from contextlib import contextmanager
 #: ``ast_load`` times the unit bodies unpickled from AST frames (inside
 #: whichever wall timer asked for them), ``ast_units_loaded`` counts
 #: them, and ``summary_read`` times the summary-pack fetches and decodes
-#: inside ``pass2_wall``.
-SCHEMA_VERSION = 17
+#: inside ``pass2_wall``.  18: a §8 history file is passed as
+#: ``--triage``, so the ``history`` timer is removed and
+#: ``triage_suppressed`` counts history suppressions too.
+SCHEMA_VERSION = 18
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other
 #: timer nests inside one of them (``preprocess`` in ``pass1_wall``,
 #: ``traverse`` in ``pass2_wall``) or is summed across workers.
 WALL_TIMERS = (
-    "pass1_wall", "callgraph", "pass2_wall", "history", "triage",
+    "pass1_wall", "callgraph", "pass2_wall", "triage",
     "refine", "rank", "record", "prune", "report_json", "render",
 )
 
@@ -120,6 +122,13 @@ class DriverStats:
 
     def count(self, name):
         return self.counters.get(name, 0)
+
+    def add_counters(self, counters):
+        """Fold a counter dict (a ``backend.gc`` result) in, zeros
+        left out."""
+        for name, value in counters.items():
+            if value:
+                self.add(name, value)
 
     # -- timers -------------------------------------------------------------
 

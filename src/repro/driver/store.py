@@ -1,17 +1,18 @@
 """Artifact-store backends: where cache frames and manifests live.
 
-PR 1/PR 3 gave the driver a two-tier content-addressed cache (tier-1
-``XGCCAST`` AST frames, tier-2 ``XGCCSUM`` summary packs plus session
-manifests).  This module abstracts *where those bytes live* behind one
-backend interface, so :class:`repro.driver.cache.AstCache`,
+The driver's two-tier content-addressed cache (tier-1 ``XGCCAST`` AST
+frames, tier-2 ``XGCCSUM`` summary packs plus session manifests) keeps
+its bytes behind one backend interface, so
+:class:`repro.driver.cache.AstCache`,
 :class:`repro.driver.cache.SummaryCache`, the incremental session, the
-daemon's pinned warm state, and ``--cache-gc`` all speak to storage the
-same way:
+daemon's pinned warm state, and ``--cache-gc`` (:meth:`LocalStore.gc`
+and its remote and tiered twins) all speak to storage the same way.
+The backend is the only way in: neither cache takes a directory.
 
-- :class:`LocalStore` -- the original filesystem layout
-  (``root/<key[:2]>/<key>.ast``, ``root/summaries/...``), unchanged on
-  disk, with manifest writes promoted to ETag compare-and-swap held
-  under the existing per-signature file lock.
+- :class:`LocalStore` -- the filesystem layout under one ``--cache-dir``
+  root (``root/<key[:2]>/<key>.ast``, ``root/summaries/...``,
+  ``root/runs/...``), with manifest writes promoted to ETag
+  compare-and-swap held under the per-signature file lock.
 - :class:`RemoteStore` -- a client for the ``POST /store`` route of a
   standalone :mod:`repro.driver.report_server`: batched
   ``get``/``put``/``head`` over a keep-alive HTTP connection (JSON
@@ -69,7 +70,7 @@ _TIER_SUFFIX = {"ast": ".ast", "sum": ".sum", "run": ".run"}
 
 class StoreError(Exception):
     """A backend operation that could not be served (unreachable store,
-    protocol violation, missing tier directory).  TieredStore catches
+    protocol violation).  TieredStore catches
     these and degrades to local-only; bare backends let them surface."""
 
 
@@ -123,6 +124,14 @@ def decode_message(data):
     return header, blobs
 
 
+def _write_text(path, text):
+    """Replace ``path`` with ``text`` atomically (tmp + rename)."""
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    with open(tmp, "w") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
+
+
 def _manifest_files(summaries_dir):
     """Sorted manifest paths currently present under a summaries dir."""
     try:
@@ -137,37 +146,21 @@ def _manifest_files(summaries_dir):
 
 
 class LocalStore:
-    """The filesystem backend: PR 1/PR 3's on-disk layout, verbatim.
+    """The filesystem backend: the cache's on-disk layout.
 
-    ``root`` places the tiers the way the driver always has (tier 1
-    under ``root``, tier 2 and manifests under ``root/summaries``, run
-    history under ``root/runs``);
-    ``ast_dir`` / ``sum_dir`` place one tier directly (the path the
-    ``AstCache(dir)`` / ``SummaryCache(dir)`` compatibility constructors
-    take).  A tier with no directory raises :class:`StoreError` when
-    touched -- never silently reads from the wrong place.
+    Tier 1 lives under ``root``, tier 2 and the manifests under
+    ``root/summaries``, run history under ``root/runs``.
     """
 
     #: Batched prefetch buys nothing on a local filesystem.
     prefers_batch = False
 
-    def __init__(self, root=None, ast_dir=None, sum_dir=None, stats=None,
-                 run_dir=None):
+    def __init__(self, root, stats=None):
         self.root = root
-        self.ast_dir = ast_dir if ast_dir is not None else root
-        if sum_dir is not None:
-            self.sum_dir = sum_dir
-        else:
-            self.sum_dir = (
-                os.path.join(root, "summaries") if root is not None else None
-            )
-        if run_dir is not None:
-            self.run_dir = run_dir
-        else:
-            self.run_dir = (
-                os.path.join(root, "runs") if root is not None else None
-            )
+        self.sum_dir = os.path.join(root, "summaries")
         self.stats = stats
+        self._tier_dirs = {"ast": root, "sum": self.sum_dir,
+                           "run": os.path.join(root, "runs")}
 
     def bind_stats(self, stats):
         if self.stats is None:
@@ -178,31 +171,15 @@ class LocalStore:
 
     # -- frames ------------------------------------------------------------
 
-    def _tier_base(self, tier):
-        if tier == "ast":
-            return self.ast_dir
-        if tier == "run":
-            return self.run_dir
-        return self.sum_dir
-
-    def _tier_dir(self, tier):
-        directory = self._tier_base(tier)
-        if directory is None:
-            raise StoreError("local store has no %r tier directory" % tier)
-        return directory
-
     def local_path(self, tier, key):
         """Where this key lives on disk (whether or not it exists)."""
-        directory = self._tier_base(tier)
-        if directory is None:
-            return None
-        return os.path.join(directory, key[:2], key + _TIER_SUFFIX[tier])
+        return os.path.join(self._tier_dirs[tier], key[:2],
+                            key + _TIER_SUFFIX[tier])
 
     def get_many(self, tier, keys):
         """``{key: frame_bytes}`` for every present key.  A read counts
         as use: each hit's mtime is refreshed so GC's ``mtime >= cutoff``
         keep rule sees warm frames as live."""
-        self._tier_dir(tier)
         out = {}
         for key in keys:
             path = self.local_path(tier, key)
@@ -220,7 +197,6 @@ class LocalStore:
     def put_many(self, tier, items):
         """Atomically write frames (tmp + rename, concurrent-writer
         safe)."""
-        self._tier_dir(tier)
         made = set()  # shard directories created by this call
         for key in sorted(items):
             path = self.local_path(tier, key)
@@ -236,13 +212,11 @@ class LocalStore:
 
     def head_many(self, tier, keys):
         """The subset of ``keys`` present, as a set (no bytes moved)."""
-        self._tier_dir(tier)
         return {
             key for key in keys if os.path.exists(self.local_path(tier, key))
         }
 
     def delete_many(self, tier, keys):
-        self._tier_dir(tier)
         deleted = 0
         for key in keys:
             try:
@@ -255,7 +229,6 @@ class LocalStore:
     def touch_many(self, tier, keys, ts=None):
         """Refresh mtimes (GC liveness) -- or, with ``ts``, set them
         (tests age entries through this instead of reaching for paths)."""
-        self._tier_dir(tier)
         times = None if ts is None else (ts, ts)
         for key in keys:
             try:
@@ -272,7 +245,7 @@ class LocalStore:
 
     def list_tier(self, tier):
         """``{key: mtime}`` of every frame in a tier."""
-        directory = self._tier_dir(tier)
+        directory = self._tier_dirs[tier]
         suffix = _TIER_SUFFIX[tier]
         out = {}
         if not os.path.isdir(directory):
@@ -297,14 +270,7 @@ class LocalStore:
 
     # -- manifests ---------------------------------------------------------
 
-    def _manifest_dir(self):
-        if self.sum_dir is None:
-            raise StoreError("local store has no manifest directory")
-        return self.sum_dir
-
     def manifest_local_path(self, signature):
-        if self.sum_dir is None:
-            return None
         return os.path.join(
             self.sum_dir, "manifest-%s.json" % signature[:32]
         )
@@ -319,7 +285,6 @@ class LocalStore:
 
     def manifest_get(self, signature):
         """``(document_text, etag)``; ``(None, None)`` when absent."""
-        self._manifest_dir()
         return self._read_manifest(self.manifest_local_path(signature))
 
     def manifest_head(self, signature):
@@ -329,11 +294,8 @@ class LocalStore:
     def manifest_version(self, signature):
         """A cheap change token for warm-state pinning: the manifest
         file's stat identity (any rival merge moves it)."""
-        path = self.manifest_local_path(signature)
-        if path is None:
-            return None
         try:
-            st = os.stat(path)
+            st = os.stat(self.manifest_local_path(signature))
         except OSError:
             return None
         return (st.st_mtime_ns, st.st_size, st.st_ino)
@@ -350,17 +312,12 @@ class LocalStore:
         from repro.driver.cache import _file_lock
 
         path = self.manifest_local_path(signature)
-        if path is None:
-            raise StoreError("local store has no manifest directory")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.makedirs(self.sum_dir, exist_ok=True)
         with _file_lock(path + ".lock", stats=stats or self.stats):
             cur_text, cur_etag = self._read_manifest(path)
             if expect_etag != cur_etag:
                 return False, cur_etag, cur_text
-            tmp = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            _write_text(path, text)
         return True, etag_of(text), text
 
     def manifest_put(self, signature, text, stats=None):
@@ -369,21 +326,16 @@ class LocalStore:
         from repro.driver.cache import _file_lock
 
         path = self.manifest_local_path(signature)
-        if path is None:
-            raise StoreError("local store has no manifest directory")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.makedirs(self.sum_dir, exist_ok=True)
         with _file_lock(path + ".lock", stats=stats or self.stats):
-            tmp = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            _write_text(path, text)
         return etag_of(text)
 
     def manifest_list(self):
         """``{manifest_token: mtime}`` for every stored manifest (the
         token is the filename's truncated-signature part)."""
         out = {}
-        for path in _manifest_files(self._manifest_dir()):
+        for path in _manifest_files(self.sum_dir):
             name = os.path.basename(path)
             try:
                 out[name[len("manifest-"):-len(".json")]] = (
@@ -396,9 +348,7 @@ class LocalStore:
     def manifest_delete(self, token, stats=None):
         from repro.driver.cache import _file_lock
 
-        path = os.path.join(
-            self._manifest_dir(), "manifest-%s.json" % token
-        )
+        path = os.path.join(self.sum_dir, "manifest-%s.json" % token)
         with _file_lock(path + ".lock", stats=stats or self.stats):
             try:
                 os.remove(path)
@@ -449,52 +399,32 @@ class LocalStore:
             "gc_frames_kept": 0,
         }
         stats = stats or self.stats
-        summaries_dir = self.sum_dir
-        if summaries_dir is not None:
-            for path in _manifest_files(summaries_dir):
-                try:
-                    mtime = os.path.getmtime(path)
-                except OSError:
-                    continue
-                if mtime < cutoff:
-                    with _file_lock(path + ".lock", stats=stats):
-                        try:
-                            os.remove(path)
-                            counters["gc_manifests_dropped"] += 1
-                        except OSError:
-                            pass
+        for path in _manifest_files(self.sum_dir):
+            try:
+                mtime = os.path.getmtime(path)
+            except OSError:
+                continue
+            if mtime < cutoff:
+                with _file_lock(path + ".lock", stats=stats):
+                    try:
+                        os.remove(path)
+                        counters["gc_manifests_dropped"] += 1
+                    except OSError:
+                        pass
 
         if _after_scan is not None:
             _after_scan()
 
-        def sweep(root, suffix, live, counter):
-            if root is None or not os.path.isdir(root):
-                return
-            for sub in sorted(os.listdir(root)):
-                subdir = os.path.join(root, sub)
-                if len(sub) != 2 or not os.path.isdir(subdir):
+        def sweep(tier, live, counter):
+            for key, mtime in self.list_tier(tier).items():
+                if key in live or mtime >= cutoff:
+                    counters["gc_frames_kept"] += 1
                     continue
                 try:
-                    fnames = sorted(os.listdir(subdir))
+                    os.remove(self.local_path(tier, key))
+                    counters[counter] += 1
                 except OSError:
-                    continue
-                for fname in fnames:
-                    if not fname.endswith(suffix):
-                        continue
-                    key = fname[: -len(suffix)]
-                    path = os.path.join(subdir, fname)
-                    try:
-                        mtime = os.path.getmtime(path)
-                    except OSError:
-                        continue  # vanished mid-sweep: not our problem
-                    if key in live or mtime >= cutoff:
-                        counters["gc_frames_kept"] += 1
-                        continue
-                    try:
-                        os.remove(path)
-                        counters[counter] += 1
-                    except OSError:
-                        pass
+                    pass
 
         live_sum, live_ast = set(extra_live_sum), set(extra_live_ast)
         with contextlib.ExitStack() as held:
@@ -503,22 +433,18 @@ class LocalStore:
             # it: a merge that landed since the stale scan is seen, and
             # one that lands after can only pin freshly-touched
             # (mtime-safe) frames.
-            if summaries_dir is not None:
-                for path in _manifest_files(summaries_dir):
-                    held.enter_context(
-                        _file_lock(path + ".lock", stats=stats)
-                    )
-                    try:
-                        with open(path) as handle:
-                            obj = json.load(handle)
-                    except (OSError, ValueError):
-                        continue
-                    pinned_sum, pinned_ast = SummaryCache.manifest_pins(obj)
-                    live_sum |= pinned_sum
-                    live_ast |= pinned_ast
-            sweep(summaries_dir, ".sum", live_sum,
-                  "gc_summary_frames_dropped")
-            sweep(self.ast_dir, ".ast", live_ast, "gc_ast_frames_dropped")
+            for path in _manifest_files(self.sum_dir):
+                held.enter_context(_file_lock(path + ".lock", stats=stats))
+                try:
+                    with open(path) as handle:
+                        obj = json.load(handle)
+                except (OSError, ValueError):
+                    continue
+                pinned_sum, pinned_ast = SummaryCache.manifest_pins(obj)
+                live_sum |= pinned_sum
+                live_ast |= pinned_ast
+            sweep("sum", live_sum, "gc_summary_frames_dropped")
+            sweep("ast", live_ast, "gc_ast_frames_dropped")
         return counters
 
 

@@ -301,11 +301,6 @@ class Analysis:
         self._compiled = None
         #: DegradedRoot entries for roots abandoned mid-run.
         self.degraded = []
-        #: ``(extension_index, root, first_report, end_report)`` spans over
-        #: ``self.log.reports``: which root produced which reports.  The
-        #: parallel driver merges worker logs back into the serial report
-        #: order with these.
-        self.root_spans = []
         #: :class:`repro.engine.summaries.RootArtifact` records, one per
         #: (extension, root), when options.capture_root_artifacts is set.
         self.root_artifacts = []
@@ -405,7 +400,6 @@ class Analysis:
                 # No start rule can fire under this root: traversing it
                 # would only fill summaries no live root reads.
                 self.stats["roots_skipped"] += 1
-            self.root_spans.append((self._ext_index, root, start, len(self.log)))
             if capture:
                 self._capture_artifact(ext, root, start, degraded_before)
             if self._truncated:

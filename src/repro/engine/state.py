@@ -195,10 +195,6 @@ def state_tuples(sm):
     return {inst.tuple_key(sm.gstate) for inst in live}
 
 
-def tuple_is_placeholder(tup):
-    return tup[1] == PLACEHOLDER
-
-
 def describe_tuple(tup):
     """Human-readable form of a state tuple, in the paper's notation."""
     gstate, rest = tup

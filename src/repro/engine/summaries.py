@@ -96,9 +96,6 @@ class EdgeSet:
     def with_end(self, end):
         return self._by_end.get(end, ())
 
-    def has_start(self, start):
-        return start in self._by_start
-
     def __iter__(self):
         return iter(self._edges.values())
 

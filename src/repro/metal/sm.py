@@ -168,13 +168,6 @@ class Extension:
         return dict(getattr(self, "_specific_vars", {}))
 
     @property
-    def specific_var_name(self):
-        return self.specific_var[0] if self.specific_var else None
-
-    def var_metatype(self, name):
-        return getattr(self, "_specific_vars", {}).get(name)
-
-    @property
     def hole_types(self):
         """Hole typing environment for pattern compilation."""
         holes = dict(getattr(self, "_specific_vars", {}))

@@ -3,8 +3,12 @@
 For one local :class:`repro.reports.model.Report` the pipeline is:
 
 1. **Anchor** -- the report's why-trace (§3.2) plus its error location
-   become an ordered list of source lines the candidate path must pass
-   through, in order.
+   become an ordered list of source positions (line:column) the
+   candidate path must execute, in order.  A position is reached only
+   when the walk executes the program point there -- a declaration, a
+   return, or an expression node in ``ast.execution_order`` order --
+   so a guard that shares the error's line cannot stand in for the
+   error itself.
 2. **Slice** -- :func:`repro.refine.slicing.relevant_variables` bounds
    the variables the evaluator tracks.
 3. **Enumerate** -- a deterministic bounded DFS over the function's
@@ -53,8 +57,9 @@ from repro.refine.domain import RefineState
 from repro.refine.slicing import relevant_variables
 
 #: Bump to invalidate every cached verdict (domain or enumeration change,
-#: or a change to what the cache key binds).
-REFINE_VERSION = 2
+#: or a change to what the cache key binds).  3: anchors are the
+#: line:column of the program points a path executes, not source lines.
+REFINE_VERSION = 3
 
 #: Verdicts ride in the store's summary tier next to function summaries.
 CACHE_TIER = "sum"
@@ -124,47 +129,52 @@ class _Budget:
         return self.blown is None
 
 
-def _anchor_lines(report):
-    """The ordered source lines the candidate path must pass through:
-    the report's same-file trace steps plus its error location,
-    consecutive duplicates collapsed."""
-    lines = []
-    filename = report.location.filename
-    for __, location in report.trace:
-        if location is not None and location.filename == filename:
-            lines.append(location.line)
-    lines.append(report.location.line)
+def _anchor_positions(report):
+    """The ordered ``(line, column)`` positions the candidate path must
+    execute: the report's same-file trace steps plus its error
+    location, consecutive duplicates collapsed."""
+    locations = [
+        location for __, location in report.trace
+        if location is not None
+        and location.filename == report.location.filename
+    ]
+    locations.append(report.location)
     collapsed = []
-    for line in lines:
-        if not collapsed or collapsed[-1] != line:
-            collapsed.append(line)
+    for location in locations:
+        position = (location.line, location.column)
+        if not collapsed or collapsed[-1] != position:
+            collapsed.append(position)
     return collapsed
 
 
-def _consume_anchors(anchors, index, line):
-    while index < len(anchors) and anchors[index] == line:
-        index += 1
+def _consume_anchors(anchors, index, location):
+    """``index`` advanced past every anchor at ``location``."""
+    if location is not None:
+        position = (location.line, location.column)
+        while index < len(anchors) and anchors[index] == position:
+            index += 1
     return index
 
 
 def _apply_items(block, state, anchors, anchor_index, contradicted,
                  local_names):
-    """Run one block's statements through ``state``; returns the
-    advanced anchor index.  A contradicted path keeps consuming anchors
-    (the walk stays syntactic) but stops updating constraints."""
+    """Run one block's program points through ``state``; returns the
+    advanced anchor index.  The points are the engine's: each
+    declaration, each return, and each expression node in execution
+    order.  A contradicted path keeps consuming anchors (the walk stays
+    syntactic) but stops updating constraints."""
     for item in block.items:
-        location = getattr(item, "location", None)
-        if location is not None:
+        if isinstance(item, (ast.VarDecl, ReturnMarker)):
             anchor_index = _consume_anchors(anchors, anchor_index,
-                                            location.line)
-        if contradicted:
-            continue
-        if isinstance(item, ast.VarDecl):
-            state.declare(item.name)
-            continue
-        if isinstance(item, ReturnMarker):
+                                            item.location)
+            if isinstance(item, ast.VarDecl) and not contradicted:
+                state.declare(item.name)
             continue
         for node in ast.execution_order(item):
+            anchor_index = _consume_anchors(
+                anchors, anchor_index, getattr(node, "location", None))
+            if contradicted:
+                continue
             if isinstance(node, ast.Call):
                 state.call_effects(node, local_names)
             else:
@@ -276,8 +286,9 @@ def classify_report(report, callgraph, options=None):
             raise RuntimeError("injected refine fault")
         cfg = build_cfg(decl)
         try:
-            anchors = _anchor_lines(report)
-            relevant = relevant_variables(cfg, anchors, report.variable)
+            anchors = _anchor_positions(report)
+            relevant = relevant_variables(
+                cfg, [line for line, __ in anchors], report.variable)
             budget = _Budget(options)
             enum = _Enumeration(cfg, anchors, relevant, options, budget)
             enum.run()

@@ -21,12 +21,11 @@ _LOAD_ERRORS = (OSError, ValueError, TypeError, TriageError)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The stages' settings: ``--rank``, ``--refine``, ``--history``,
-    ``--triage`` and ``--prune-runs``."""
+    """The stages' settings: ``--rank``, ``--refine``, ``--triage``
+    (a triage document or a §8 history file) and ``--prune-runs``."""
 
     rank: str = "severity"
     refine: Optional[str] = None
-    history: Optional[str] = None
     triage: Optional[str] = None
     prune_keep: Optional[int] = None
 
@@ -87,11 +86,6 @@ def run_pipeline(reports, config, stats, backend=None, callgraph=None,
     # wraps them in place.
     from repro import ranking
 
-    with stats.phase("history"):
-        if config.history:
-            # A §8 history file is a triage document of history keys.
-            history = load_triage(path=config.history, stats=stats, say=say)
-            reports = history.filter(reports)
     with stats.phase("triage"):
         triage = load_triage(backend, config.triage, stats, say)
         if len(triage):

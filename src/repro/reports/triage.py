@@ -13,7 +13,8 @@ wired ``--history`` its own way.  Triage consolidates them:
   **history** key -- plus *why*: a verdict (``false_positive``,
   ``intentional``, ``confirmed``), an optional severity override, and
   provenance (author, reason, creation time);
-- :meth:`TriageStore.match` is the one predicate every consumer calls;
+- :meth:`TriageStore.match` is the one predicate every consumer calls,
+  and a §8 history file is a triage file (``xgcc --triage``);
 - one JSON file format (``save``/``load``) and one backend document
   (``save_backend``/``load_backend``: the reserved ``triage`` key in
   the store's ``run`` tier), so offline ``--diff``, the daemon, and the

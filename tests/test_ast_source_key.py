@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.codegen.project_gen import apply_function_edits, generate_project
 from repro.driver import cache as astcache
-from repro.driver.cache import collect_cache_garbage
 from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.report_server import ReportServer
@@ -222,7 +221,7 @@ class TestRecordFaults:
     ):
         warm_up(capsys, tree, cache)
         key = tree.record_key("src/main.c")
-        ast_cache = astcache.AstCache(cache)
+        ast_cache = astcache.AstCache(LocalStore(cache))
         ast_cache.corrupt(key, mode)
         with pytest.raises(astcache.CacheCorruption):
             ast_cache.fetch_record(key)
@@ -240,7 +239,7 @@ class TestRecordFaults:
 
     def test_record_whose_ast_frame_was_collected(self, capsys, tree, cache):
         warm_up(capsys, tree, cache)
-        ast_cache = astcache.AstCache(cache)
+        ast_cache = astcache.AstCache(LocalStore(cache))
         token_key, __ = ast_cache.fetch_record(tree.record_key("src/main.c"))
         assert ast_cache.evict(token_key)
         result = cached(capsys, tree, cache)
@@ -271,7 +270,7 @@ class TestRecordFaults:
         entries = backend.list_tier("ast")
         backend.touch_many("ast", list(entries),
                            ts=time.time() - 3 * 86400.0)
-        counters = collect_cache_garbage(cache, cutoff_days=1.0)
+        counters = backend.gc(cutoff_days=1.0)
         assert counters["gc_ast_frames_dropped"] == len(entries) == 4
         result = cached(capsys, tree, cache)
         assert fast(result[2]) == (0, 2, 2)

@@ -36,6 +36,7 @@ from repro.driver.daemon import (
 )
 from repro.driver.session import IncrementalSession, session_signature
 from repro.driver.stats import DriverStats
+from repro.driver.store import LocalStore
 from repro.driver.watch import TreeWatcher, WatcherError, fingerprint_file
 from repro.engine.analysis import AnalysisOptions
 from repro.engine.history import HistoryDatabase
@@ -182,7 +183,7 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 17
+                assert stats["stats"]["schema_version"] == 18
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
                 # The daemon keeps CPython's cyclic collector on and
@@ -346,8 +347,9 @@ class TestDaemonDifferential:
 
 class TestDaemonPipeline:
     """``xgcc --watch`` runs the one report pipeline with the CLI's own
-    config: a triage file and a history file suppress in the daemon's
-    text exactly as in a one-shot run with the same flags."""
+    config: a §8 history file passed as ``--triage`` suppresses its
+    history and hash entries in the daemon's text exactly as in a
+    one-shot run with the same flags."""
 
     def test_watch_honours_triage_and_history_files(
         self, tmp_path, sock_dir, capsys
@@ -365,15 +367,12 @@ class TestDaemonPipeline:
             docs = json.load(handle)
         assert len(docs) >= 3
 
-        triage = str(tmp_path / "triage.json")
-        store = TriageStore()
-        store.suppress_hash(docs[0]["hash"], reason="known")
-        store.save(triage)
-        history = str(tmp_path / "history.json")
+        triage = str(tmp_path / "history.json")
         database = HistoryDatabase()
         database.suppress(Report.from_dict(docs[1]))
-        database.save(history)
-        flags += ["--triage", triage, "--history", history]
+        database.store.suppress_hash(docs[0]["hash"], reason="known")
+        database.save(triage)
+        flags += ["--triage", triage]
 
         main(flags + c_paths(src))
         one_shot = capsys.readouterr().out
@@ -517,20 +516,19 @@ class TestDaemonGC:
             with DaemonClient(sock) as client:
                 base = client.request("analyze")
                 assert base["ok"]
-                store = astcache.SummaryCache(str(cache / "summaries"))
+                backend = LocalStore(str(cache))
                 # Plant a stale orphan; age a pinned frame the same way.
                 orphan = "0d" * 32
-                store.store(orphan, ["junk"])
+                astcache.SummaryCache(backend).store_many({orphan: ["junk"]})
                 pinned = daemon.session.pinned_frame_keys()
                 assert pinned
                 stamp = time.time() - 2 * 86400.0
-                store.set_entry_mtime(orphan, stamp)
-                store.set_entry_mtime(pinned[0], stamp)
+                backend.touch_many("sum", [orphan, pinned[0]], ts=stamp)
                 reply = client.request("gc", days=1.0)
                 assert reply["ok"]
                 assert reply["gc"]["gc_summary_frames_dropped"] == 1
-                assert store.lookup(orphan) is None
-                assert store.lookup(pinned[0]) is not None
+                assert backend.head_many("sum", [orphan, pinned[0]]) == {
+                    pinned[0]}
                 # The warm state still replays to cold-identical bytes.
                 resp = client.request("analyze", force=True)
                 assert resp["reports"] == cold_output(src, capsys)
@@ -555,16 +553,15 @@ class TestDaemonGC:
                 # One pin per pack: the edit swapped exactly one.
                 assert len(pinned) == len(first) <= len(c_paths(src))
                 assert len(first - pinned) == 1
-                summaries = astcache.SummaryCache(str(cache / "summaries"))
+                backend = LocalStore(str(cache))
+                summaries = astcache.SummaryCache(backend)
                 doc = summaries.load_manifest(daemon.session.signature)
                 assert set(doc["packs"].values()) == pinned
                 stamp = time.time() - 2 * 86400.0
-                for key in first | pinned:
-                    summaries.set_entry_mtime(key, stamp)
+                backend.touch_many("sum", first | pinned, ts=stamp)
                 reply = client.request("gc", days=1.0)
                 assert reply["gc"]["gc_summary_frames_dropped"] == 1
-                assert summaries.lookup((first - pinned).pop()) is None
-                assert all(summaries.lookup(key) for key in pinned)
+                assert backend.head_many("sum", first | pinned) == pinned
                 resp = client.request("analyze", force=True)
                 assert resp["reports"] == cold_output(src, capsys)
 
@@ -581,7 +578,7 @@ class TestDaemonGC:
         with running_daemon(src, cache, sock) as daemon:
             with DaemonClient(sock) as client:
                 assert client.request("analyze")["ok"]
-                summaries = astcache.SummaryCache(str(cache / "summaries"))
+                summaries = astcache.SummaryCache(LocalStore(str(cache)))
                 doc = summaries.load_manifest(daemon.session.signature)
                 old_pack = doc["packs"][doomed]
                 assert old_pack in daemon.session.pinned_frame_keys()
@@ -607,33 +604,33 @@ class TestDaemonGC:
         with running_daemon(src, cache, sock) as daemon:
             with DaemonClient(sock) as client:
                 assert client.request("analyze")["ok"]
-                store = astcache.SummaryCache(str(cache / "summaries"))
+                backend = LocalStore(str(cache))
                 keys = daemon.session.pinned_frame_keys()
                 stamp = time.time() - 10 * 86400.0
-                for key in keys:
-                    store.set_entry_mtime(key, stamp)
+                backend.touch_many("sum", keys, ts=stamp)
                 # A warm replay (memory hits) refreshes every frame it
                 # used, so a subsequent GC keeps them even without the
                 # daemon's pin list.
                 assert client.request("analyze", force=True)["ok"]
                 for key in keys:
-                    assert time.time() - store.entry_mtime(key) < 3600.0
+                    assert (time.time() - backend.entry_mtime("sum", key)
+                            < 3600.0)
 
 
 class TestCacheGCRace:
-    """Satellite: ``collect_cache_garbage`` used to read pinned keys
-    outside any lock, then sweep -- a rival session's read-merge-write
-    landing in between had its freshly pinned frames swept."""
+    """Satellite: the store's GC used to read pinned keys outside any
+    lock, then sweep -- a rival session's read-merge-write landing in
+    between had its freshly pinned frames swept."""
 
     def _backdated_frame(self, store, key, days=2.0):
-        store.store(key, ["artifact"])
-        store.set_entry_mtime(key, time.time() - days * 86400.0)
+        store.store_many({key: ["artifact"]})
+        store.backend.touch_many("sum", [key],
+                                 ts=time.time() - days * 86400.0)
 
     def test_rival_merge_between_scan_and_sweep_is_honoured(self,
                                                             tmp_path):
-        cache_dir = str(tmp_path)
-        store = astcache.SummaryCache(os.path.join(cache_dir,
-                                                   "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         first, second = "aa" * 32, "bb" * 32
         self._backdated_frame(store, first)
         self._backdated_frame(store, second)
@@ -646,42 +643,33 @@ class TestCacheGCRace:
             store.store_manifest("rival-two", {"g": ["m"]},
                                  packs={"g.c": second})
 
-        counters = astcache.collect_cache_garbage(
-            cache_dir, cutoff_days=1.0, _after_scan=rival_merges
-        )
+        counters = backend.gc(cutoff_days=1.0, _after_scan=rival_merges)
         assert counters["gc_summary_frames_dropped"] == 0
-        assert store.lookup(first) is not None
-        assert store.lookup(second) is not None
+        assert backend.head_many("sum", [first, second]) == {first, second}
 
     def test_frames_vanishing_mid_sweep_are_tolerated(self, tmp_path):
-        cache_dir = str(tmp_path)
-        store = astcache.SummaryCache(os.path.join(cache_dir,
-                                                   "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         doomed = "cc" * 32
         self._backdated_frame(store, doomed)
 
         def someone_else_evicts():
             store.evict(doomed)
 
-        counters = astcache.collect_cache_garbage(
-            cache_dir, cutoff_days=1.0, _after_scan=someone_else_evicts
-        )
+        counters = backend.gc(cutoff_days=1.0,
+                              _after_scan=someone_else_evicts)
         assert counters["gc_summary_frames_dropped"] == 0
-        assert store.lookup(doomed) is None
+        assert not backend.head_many("sum", [doomed])
 
     def test_extra_live_keys_pin_like_manifests(self, tmp_path):
-        cache_dir = str(tmp_path)
-        store = astcache.SummaryCache(os.path.join(cache_dir,
-                                                   "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         held, loose = "dd" * 32, "ee" * 32
         self._backdated_frame(store, held)
         self._backdated_frame(store, loose)
-        counters = astcache.collect_cache_garbage(
-            cache_dir, cutoff_days=1.0, extra_live_sum=[held]
-        )
+        counters = backend.gc(cutoff_days=1.0, extra_live_sum=[held])
         assert counters["gc_summary_frames_dropped"] == 1
-        assert store.lookup(held) is not None
-        assert store.lookup(loose) is None
+        assert backend.head_many("sum", [held, loose]) == {held}
 
 
 class TestLockFallback:
@@ -736,7 +724,7 @@ class TestLockFallback:
                                                       monkeypatch):
         monkeypatch.setattr(astcache, "fcntl", None)
         stats = DriverStats()
-        store = astcache.SummaryCache(str(tmp_path / "summaries"))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.store_manifest("sig", {"f": ["a"]}, packs={"f.c": "k1"},
                              stats=stats)
         store.store_manifest("sig", {"g": ["b"]}, packs={"g.c": "k2"},
@@ -752,24 +740,27 @@ class TestWarmLoadTouch:
     mtime, so GC's cutoff rule tracks real use, not store time."""
 
     def test_summary_load_refreshes_mtime(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path / "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         key = "ab" * 32
-        store.store(key, ["artifact"])
-        store.set_entry_mtime(key, time.time() - 10 * 86400.0)
-        assert store.load(key) is not None
-        assert time.time() - store.entry_mtime(key) < 3600
+        store.store_many({key: ["artifact"]})
+        backend.touch_many("sum", [key], ts=time.time() - 10 * 86400.0)
+        assert store.get(key) is not None
+        assert time.time() - backend.entry_mtime("sum", key) < 3600
 
     def test_ast_load_refreshes_mtime(self, tmp_path):
         from repro.driver.project import Project
 
-        cache = astcache.AstCache(str(tmp_path))
+        backend = LocalStore(str(tmp_path))
+        cache = astcache.AstCache(backend)
         compiled = Project().compile_text("int x;\n", "t.c")
         payload = astcache.pack_unit(compiled.unit, compiled.source_bytes)
         key = "cd" * 32
         cache.store(key, payload)
-        cache.set_entry_mtime(key, time.time() - 10 * 86400.0)
-        assert cache.load(key) is not None
-        assert time.time() - cache.entry_mtime(key) < 3600
+        backend.touch_many("ast", [key], ts=time.time() - 10 * 86400.0)
+        data, __ = cache.fetch(key)
+        assert data is None  # a local hit: the bytes stay on disk
+        assert time.time() - backend.entry_mtime("ast", key) < 3600
 
     def test_touch_entry_tolerates_missing_files(self, tmp_path):
         astcache.touch_entry(str(tmp_path / "never-existed.sum"))
@@ -814,4 +805,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 17
+            assert payload["stats"]["schema_version"] == 18

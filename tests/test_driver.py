@@ -209,7 +209,7 @@ class TestCLI:
         code = main(
             [
                 "--checker", "lock",
-                "--history", str(history),
+                "--triage", str(history),
                 "-I", str(source_tree),
                 str(source_tree / "b.c"),
             ]

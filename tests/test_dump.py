@@ -77,27 +77,46 @@ class TestDumpCLI:
     def test_dump_cfg_mode(self, tmp_path, capsys):
         src = tmp_path / "d.c"
         src.write_text(CODE)
-        assert main(["--dump-cfg", str(src)]) == 0
+        assert main(["--dump", "cfg", str(src)]) == 0
         out = capsys.readouterr().out
         assert "CFG helper" in out and "CFG root" in out
 
     def test_dump_dot_mode(self, tmp_path, capsys):
         src = tmp_path / "d.c"
         src.write_text(CODE)
-        assert main(["--dump-dot", str(src)]) == 0
+        assert main(["--dump", "dot", str(src)]) == 0
         assert 'digraph "root"' in capsys.readouterr().out
 
     def test_dump_callgraph_mode(self, tmp_path, capsys):
         src = tmp_path / "d.c"
         src.write_text(CODE)
-        assert main(["--dump-callgraph", str(src)]) == 0
+        assert main(["--dump", "callgraph", str(src)]) == 0
         assert "callgraph (2 functions" in capsys.readouterr().out
 
     def test_dump_summaries_mode(self, tmp_path, capsys):
         src = tmp_path / "d.c"
         src.write_text(CODE)
-        code = main(["--checker", "free", "--dump-summaries", str(src)])
+        code = main(["--checker", "free", "--dump", "summaries", str(src)])
         assert code == 1  # the use-after-free is still reported
         captured = capsys.readouterr()
         assert "summaries for free_checker" in captured.err
         assert "-->" in captured.err
+
+    def test_kinds_combine_callgraph_first(self, tmp_path, capsys):
+        src = tmp_path / "d.c"
+        src.write_text(CODE)
+        parts = []
+        for kind in ("callgraph", "cfg"):
+            assert main(["--dump", kind, str(src)]) == 0
+            parts.append(capsys.readouterr().out)
+        assert main(["--dump", "cfg", "--dump", "callgraph", str(src)]) == 0
+        assert capsys.readouterr().out == "".join(parts)
+
+    @pytest.mark.parametrize("flag", ["--dump-cfg", "--dump-dot",
+                                      "--dump-callgraph", "--dump-summaries"])
+    def test_old_dump_flags_are_usage_errors(self, tmp_path, flag):
+        src = tmp_path / "d.c"
+        src.write_text(CODE)
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, str(src)])
+        assert exit_info.value.code == 2

@@ -25,6 +25,7 @@ from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.session import IncrementalSession, session_signature
 from repro.driver.stats import DriverStats
+from repro.driver.store import LocalStore
 from repro.engine.analysis import Analysis, AnalysisOptions
 
 _ENV_JOBS = os.environ.get("XGCC_FAULT_JOBS")
@@ -309,7 +310,7 @@ class TestManifestRace:
     locked read-merge-write must keep the rival's warm state."""
 
     def test_rival_entries_survive_the_merge(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         stats = DriverStats()
         with faults.injected([{
             "site": "summary.manifest",
@@ -330,7 +331,7 @@ class TestManifestRace:
         assert stats.count("manifest_merges") == 1
 
     def test_ours_beat_the_rival_for_shared_functions(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         with faults.injected([{
             "site": "summary.manifest",
             "fingerprints": {"shared": ["stale", "stale"]},
@@ -361,9 +362,7 @@ class TestManifestRace:
         signature = session_signature(
             checker_names=["free"], options=AnalysisOptions()
         )
-        summaries = astcache.SummaryCache(
-            os.path.join(cache, "summaries")
-        )
+        summaries = astcache.SummaryCache(LocalStore(cache))
         manifest = summaries.load_manifest(signature)["fingerprints"]
         assert "__rival__" in manifest
 
@@ -381,12 +380,12 @@ class TestEngineDegradation:
         """Fault-free serial run: report identities attributed per root."""
         project = _fresh(workload)
         project.compile_files(workload["paths"])
-        analysis = project.analysis()
-        result = analysis.run(extensions)
+        result = project.analysis(
+            AnalysisOptions(capture_root_artifacts=True)).run(extensions)
         per_root = {}
-        for __, root, begin, end in analysis.root_spans:
-            per_root.setdefault(root, []).extend(
-                r.identity() for r in result.log.reports[begin:end]
+        for artifact in result.root_artifacts:
+            per_root.setdefault(artifact.root, []).extend(
+                r.identity() for r in artifact.reports
             )
         return per_root
 
@@ -542,18 +541,17 @@ class TestAcceptance:
         out_baseline = capsys.readouterr().out
 
         # Pick a root that reports nothing (so the faulted run's stdout
-        # must be byte-identical), attributed via serial spans.
+        # must be byte-identical), attributed via its root artifacts.
         project = _fresh(workload)
         project.compile_files(workload["paths"])
         from repro.checkers import ALL_CHECKERS
 
         extensions = [ALL_CHECKERS[n]() for n in ("free", "lock", "mallocfail")]
-        analysis = project.analysis()
-        analysis.run(extensions)
+        result = project.analysis(
+            AnalysisOptions(capture_root_artifacts=True)).run(extensions)
         reporting = {
-            root
-            for __, root, begin, end in analysis.root_spans
-            if end > begin
+            artifact.root for artifact in result.root_artifacts
+            if artifact.reports
         }
         quiet_roots = [
             r for r in project.callgraph.roots() if r not in reporting

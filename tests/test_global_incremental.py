@@ -26,10 +26,10 @@ from repro.codegen.project_gen import (
     generate_global_project,
 )
 from repro.driver import cache as astcache
-from repro.driver.cache import collect_cache_garbage
 from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.session import IncrementalSession, session_signature
+from repro.driver.store import LocalStore
 from repro.engine import deltas as deltamod
 from repro.engine.analysis import AnalysisOptions
 from repro.metal import ANY_ARGUMENTS, ANY_FN_CALL, ANY_POINTER, Extension
@@ -397,7 +397,7 @@ class _EmptyStore:
 
 class TestManifestMerge:
     def test_concurrent_sessions_merge_instead_of_clobber(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.store_manifest("sig", {"f": ["l1", "m1"]},
                              packs={"f.c": "k1"}, ast_keys={"f.c": ["a1"]})
         store.store_manifest("sig", {"g": ["l2", "m2"]},
@@ -409,14 +409,14 @@ class TestManifestMerge:
         assert doc["ast_keys"] == {"f.c": ["a1"], "g.c": ["a2"]}
 
     def test_latest_store_wins_for_shared_functions(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.store_manifest("sig", {"f": ["old", "old"]})
         store.store_manifest("sig", {"f": ["new", "new"]})
         assert store.load_manifest("sig")["fingerprints"] == {
             "f": ["new", "new"]}
 
     def test_dropped_files_leave_the_merge(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.store_manifest("sig", {"f": ["l1", "m1"]},
                              packs={"f.c": "k1", "g.c": "k2"},
                              ast_keys={"f.c": ["a1"], "g.c": ["a2"]})
@@ -428,7 +428,7 @@ class TestManifestMerge:
         assert set(doc["fingerprints"]) == {"f", "h"}
 
     def test_threaded_stores_all_survive(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         errors = []
 
         def one(i):
@@ -459,51 +459,52 @@ class TestCacheGC:
         stamp = time.time() - days * 86400.0
         os.utime(path, (stamp, stamp))
 
+    def _aged_frame(self, backend, key, days=2):
+        astcache.SummaryCache(backend).store_many({key: _artifact()})
+        backend.touch_many("sum", [key], ts=time.time() - days * 86400.0)
+
     def test_unpinned_old_frames_dropped_pinned_and_fresh_kept(
         self, tmp_path
     ):
-        cache_dir = str(tmp_path)
-        store = astcache.SummaryCache(os.path.join(cache_dir, "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         artifact_key = "aa" * 32
         pinned_key = "bb" * 32
         fresh_key = "cc" * 32
-        for key in (artifact_key, pinned_key, fresh_key):
-            store.store(key, _artifact())
+        self._aged_frame(backend, artifact_key)
+        self._aged_frame(backend, pinned_key)
+        store.store_many({fresh_key: _artifact()})
         store.store_manifest("sig", {"f": ["l", "m"]},
                              packs={"f.c": pinned_key})
-        ast_store = astcache.AstCache(cache_dir)
-        old_ast = ast_store.store("dd" * 32, b"payload")
-        self._age(store.path_for(artifact_key), 2)
-        self._age(store.path_for(pinned_key), 2)
+        old_ast = astcache.AstCache(backend).store("dd" * 32, b"payload")
         self._age(old_ast, 2)
 
-        counters = collect_cache_garbage(cache_dir, cutoff_days=1.0)
+        counters = backend.gc(cutoff_days=1.0)
         assert counters["gc_summary_frames_dropped"] == 1
         assert counters["gc_ast_frames_dropped"] == 1
         assert counters["gc_manifests_dropped"] == 0
-        assert store.lookup(artifact_key) is None  # old, unpinned
-        assert store.lookup(pinned_key) is not None  # old but pinned
-        assert store.lookup(fresh_key) is not None  # unpinned but fresh
+        # Old and unpinned goes; old but pinned, and fresh, stay.
+        assert backend.head_many(
+            "sum", [artifact_key, pinned_key, fresh_key]) == {
+                pinned_key, fresh_key}
 
     def test_stale_manifest_dropped_and_unpins_its_frames(self, tmp_path):
-        cache_dir = str(tmp_path)
-        store = astcache.SummaryCache(os.path.join(cache_dir, "summaries"))
+        backend = LocalStore(str(tmp_path))
+        store = astcache.SummaryCache(backend)
         key = "ee" * 32
-        store.store(key, _artifact())
+        self._aged_frame(backend, key)
         store.store_manifest("sig", {"f": ["l", "m"]}, packs={"f.c": key})
         self._age(store.manifest_path("sig"), 2)
-        self._age(store.path_for(key), 2)
-        counters = collect_cache_garbage(cache_dir, cutoff_days=1.0)
+        counters = backend.gc(cutoff_days=1.0)
         assert counters["gc_manifests_dropped"] == 1
         assert counters["gc_summary_frames_dropped"] == 1
         assert store.load_manifest("sig") is None
 
     def test_cli_standalone_gc(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        store = astcache.SummaryCache(str(cache_dir / "summaries"))
+        backend = LocalStore(str(cache_dir))
         key = "ff" * 32
-        store.store(key, _artifact())
-        self._age(store.path_for(key), 2)
+        self._aged_frame(backend, key)
         stats_path = tmp_path / "gc.json"
         rc = main([
             "--cache-gc", "--cache-gc-days", "1",
@@ -513,9 +514,9 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 17
+        assert stats["schema_version"] == 18
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
-        assert store.lookup(key) is None
+        assert not backend.head_many("sum", [key])
 
     def test_cli_gc_requires_cache_dir(self):
         with pytest.raises(SystemExit):
@@ -526,10 +527,7 @@ class TestCacheGC:
                                       functions_per_module=3)
         paths = write_tree(tmp_path, gen)
         cache_dir = tmp_path / "cache"
-        store = astcache.SummaryCache(str(cache_dir / "summaries"))
-        key = "ab" * 32
-        store.store(key, _artifact())
-        self._age(store.path_for(key), 2)
+        self._aged_frame(LocalStore(str(cache_dir)), "ab" * 32)
         stats_path = tmp_path / "stats.json"
         rc = main([
             "--checker", "free", "-I", str(tmp_path),

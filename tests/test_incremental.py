@@ -264,29 +264,29 @@ def _dummy_artifact(root="f"):
 
 class TestSummaryFrames:
     def test_roundtrip_and_evict(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         key = "ab" * 32
-        store.store(key, {(0, "f"): ("fp", _dummy_artifact())})
-        fingerprint, artifact = store.load(key)[(0, "f")]
+        store.store_many({key: {(0, "f"): ("fp", _dummy_artifact())}})
+        fingerprint, artifact = store.get(key)[(0, "f")]
         assert fingerprint == "fp" and artifact.root == "f"
         assert store.evict(key)
-        assert store.lookup(key) is None
+        assert store.get(key) is None
 
     @pytest.mark.parametrize("mode", ["truncate", "garbage", "version"])
     def test_corruption_raises(self, tmp_path, mode):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         key = "cd" * 32
-        path = store.store(key, {(0, "f"): ("fp", _dummy_artifact())})
-        astcache.corrupt_entry(path, mode)
+        store.store_many({key: {(0, "f"): ("fp", _dummy_artifact())}})
+        astcache.corrupt_entry(store.backend.local_path("sum", key), mode)
         with pytest.raises(astcache.CacheCorruption):
-            store.load(key)
+            store.get(key)
 
     def test_ast_frame_is_not_a_summary_frame(self, tmp_path):
         with pytest.raises(astcache.CacheCorruption):
             astcache.unpack_summary(b"XGCCAST\x02" + b"\x00" * 64)
 
     def test_manifest_roundtrip_and_signature_check(self, tmp_path):
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.store_manifest("sig", {"f": ["l1", "m1"]})
         assert store.load_manifest("sig")["fingerprints"] == {
             "f": ["l1", "m1"]}
@@ -295,7 +295,7 @@ class TestSummaryFrames:
     def test_garbled_manifest_degrades_to_none(self, tmp_path):
         # Written through the backend interface, so the same garbling
         # lands identically on a local dir or a remote store.
-        store = astcache.SummaryCache(str(tmp_path))
+        store = astcache.SummaryCache(LocalStore(str(tmp_path)))
         store.backend.manifest_put("sig", "{not json")
         assert store.load_manifest("sig") is None
 
@@ -532,9 +532,15 @@ class TestIncrementalDifferential:
 
 def load_pack_manifest(cache_dir):
     """The full manifest document :func:`make_session` runs leave."""
-    summaries = astcache.SummaryCache(os.path.join(str(cache_dir),
-                                                   "summaries"))
+    summaries = astcache.SummaryCache(LocalStore(str(cache_dir)))
     return summaries.load_manifest(make_session(cache_dir).signature)
+
+
+def age_every_frame(backend, days=2):
+    """Backdate every AST and summary frame ``days`` into the past."""
+    stamp = time.time() - days * 86400.0
+    for tier in ("sum", "ast"):
+        backend.touch_many(tier, list(backend.list_tier(tier)), ts=stamp)
 
 
 def root_files(graph):
@@ -631,11 +637,11 @@ class TestSummaryPacks:
         gen = generate_project(seed=5, n_modules=2, functions_per_module=5)
         cache = tmp_path / "cache"
         cold, __ = self._cold(tmp_path, gen, cache)
-        summaries = astcache.SummaryCache(str(cache / "summaries"))
+        summaries = astcache.SummaryCache(LocalStore(str(cache)))
         entries = 0
         for name, key in load_pack_manifest(cache)["packs"].items():
             for (ext_index, root), (fingerprint, artifact) in (
-                summaries.load(key).items()
+                summaries.get(key).items()
             ):
                 entries += 1
                 assert defining_file(cold.callgraph, root) == name
@@ -663,20 +669,13 @@ class TestSummaryPacks:
         assert len(pinned_ast) == 2 * len(paths)  # AST frame + record
 
         # Age every frame: GC keeps exactly the pinned ones.
-        summaries = astcache.SummaryCache(str(cache / "summaries"))
-        asts = astcache.AstCache(str(cache))
-        stamp = time.time() - 2 * 86400.0
-        for key in summaries.backend.list_tier("sum"):
-            summaries.set_entry_mtime(key, stamp)
-        for key in asts.backend.list_tier("ast"):
-            asts.set_entry_mtime(key, stamp)
-        counters = astcache.collect_cache_garbage(str(cache),
-                                                  cutoff_days=1.0)
+        backend = LocalStore(str(cache))
+        age_every_frame(backend)
+        counters = backend.gc(cutoff_days=1.0)
         assert counters["gc_summary_frames_dropped"] > 0
         assert counters["gc_ast_frames_dropped"] > 0
-        assert set(summaries.backend.list_tier("sum")) == set(
-            doc["packs"].values())
-        assert set(asts.backend.list_tier("ast")) == pinned_ast
+        assert set(backend.list_tier("sum")) == set(doc["packs"].values())
+        assert set(backend.list_tier("ast")) == pinned_ast
 
         warm = compiled_project(tmp_path, paths, cache)
         result = warm.run(incr_checkers(), incremental=make_session(cache))
@@ -705,17 +704,12 @@ class TestSummaryPacks:
 
         # Aged past the cutoff, the deleted file's pack and AST frames
         # are collected; everything else survives.
-        summaries = astcache.SummaryCache(str(cache / "summaries"))
-        asts = astcache.AstCache(str(cache))
-        stamp = time.time() - 2 * 86400.0
-        for key in summaries.backend.list_tier("sum"):
-            summaries.set_entry_mtime(key, stamp)
-        for key in asts.backend.list_tier("ast"):
-            asts.set_entry_mtime(key, stamp)
-        astcache.collect_cache_garbage(str(cache), cutoff_days=1.0)
-        assert old["packs"][doomed] not in summaries.backend.list_tier("sum")
+        backend = LocalStore(str(cache))
+        age_every_frame(backend)
+        backend.gc(cutoff_days=1.0)
+        assert old["packs"][doomed] not in backend.list_tier("sum")
         assert not set(old["ast_keys"][doomed]) & set(
-            asts.backend.list_tier("ast"))
+            backend.list_tier("ast"))
         reference = compiled_project(tmp_path, rest).run(incr_checkers())
         assert report_keys(result) == report_keys(reference)
 
@@ -732,7 +726,7 @@ class TestIncrementalCLI:
         with pytest.raises(SystemExit):
             main([
                 "--checker", "free", "--incremental", "--cache-dir",
-                str(tmp_path / "c"), "--dump-summaries", "x.c",
+                str(tmp_path / "c"), "--dump", "summaries", "x.c",
             ])
 
     def test_cold_and_warm_output_byte_identical(self, tmp_path, capsys):
@@ -771,7 +765,7 @@ class TestIncrementalCLI:
         main(args + paths)
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
-        assert cold["schema_version"] == 17
+        assert cold["schema_version"] == 18
         assert cold["counters"]["incremental_cold_runs"] == 1
         assert cold["counters"]["summary_stores"] > 0
         main(args + paths)

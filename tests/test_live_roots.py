@@ -149,12 +149,11 @@ class TestLiveFunctions:
         ext = Extension("quiet")
         ext.state_var("v", ANY_POINTER)
         ext.transition("v.freed", "{ *v }", to="v.stop")
-        analysis = Analysis([parse(SHARED, "shared.c")],
-                            AnalysisOptions(capture_root_artifacts=True))
-        result = analysis.run(ext)
+        result = Analysis([parse(SHARED, "shared.c")],
+                          AnalysisOptions(capture_root_artifacts=True)).run(ext)
         assert result.stats["roots_skipped"] == 3
         assert result.stats["points_visited"] == 0
-        assert [span[1] for span in analysis.root_spans] == [
+        assert [artifact.root for artifact in result.root_artifacts] == [
             "a_dead", "b_live", "c_alone"
         ]
         assert all(
@@ -179,8 +178,7 @@ class TestLiveFunctions:
 
 def _outcome(units, options, order):
     extensions = [ALL_CHECKERS[name]() for name in order]
-    analysis = Analysis(units, options)
-    result = analysis.run(extensions)
+    result = Analysis(units, options).run(extensions)
     artifacts = [
         (
             a.ext_index, a.root, [r.to_dict() for r in a.reports],
@@ -197,7 +195,6 @@ def _outcome(units, options, order):
         result.log.examples,
         result.log.counterexamples,
         [d.as_dict() for d in result.degraded],
-        analysis.root_spans,
         artifacts,
     ), result.stats["roots_skipped"]
 

@@ -420,6 +420,27 @@ class TestMalformedInputDiagnostics:
                  if entry["kind"] == "unit"]
         assert len(units) == 1 and "bad.c" in units[0]["detail"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_utf8_header_is_a_located_diagnostic(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        # A header that exists but does not decode is not a missing
+        # include, cold or behind a warm dependency record.
+        from repro.driver.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.h").write_text("int g;\n")
+        (tmp_path / "m.c").write_text('#include "bad.h"\nint x;\n')
+        argv = ["--checker", "free", "--jobs", jobs, "m.c"]
+        assert main(argv + ["--cache-dir", "cache"]) == 0
+        (tmp_path / "bad.h").write_bytes(b"int g;\n\xff\n")
+        for extra in ([], ["--cache-dir", "cache"]):
+            capsys.readouterr()
+            assert main(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert "xgcc: bad.h:2:1: invalid UTF-8 byte 0xff" in err
+            assert "cannot find include file" not in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "int x = %s1%s;" % ("(" * DEEP, ")" * DEEP),
         "int f(int a) { return %sa; }" % ("- " * DEEP),

@@ -9,9 +9,10 @@ import pytest
 from repro.driver.cli import main
 from repro.driver.project import Project
 from repro.driver.stats import WALL_TIMERS
+from repro.engine.history import HistoryDatabase
 from repro.reports.history import RunHistory
 
-STAGES = ("history", "triage", "refine", "rank", "record", "prune")
+STAGES = ("triage", "refine", "rank", "record", "prune")
 
 SOURCE = (
     "int f(int *p) { kfree(p); return *p; }\n"
@@ -101,9 +102,28 @@ class TestErrorPolicy:
         history = tmp_path / "history.json"
         history.write_text(json.dumps([["free_checker", source, "f", "p",
                                         "using p after free!"]]))
-        code, out, err = run(["--history", str(history), source], capsys)
+        code, out, err = run(["--triage", str(history), source], capsys)
         assert (code, out) == plain[:2]
         assert "not an object" in err
+
+    def test_history_file_passed_as_triage_suppresses(self, tmp_path,
+                                                      source, capsys):
+        code, out, err = run([source], capsys)
+        history = HistoryDatabase()
+        history.suppress_key("free_checker", source, "g", "q",
+                             "double free of q!")
+        path = str(tmp_path / "history.json")
+        history.save(path)
+        stats = str(tmp_path / "stats.json")
+        __, triaged, __ = run(["--triage", path, "--stats-json", stats,
+                               source], capsys)
+        assert "double free of q!" in out
+        assert triaged.splitlines() == [
+            line for line in out.splitlines() if "double free" not in line]
+        assert stats_of(stats)["counters"]["triage_suppressed"] == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--checker", "free", "--history", path, source])
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("method, counter, line", [
         ("record_run", "report_run_record_errors", "run not recorded"),

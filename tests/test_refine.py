@@ -141,6 +141,35 @@ class TestVerdicts:
             "looped": "confirmed",
         }
 
+    def test_a_guard_on_the_error_line_is_not_the_error(self, tmp_path,
+                                                        capsys):
+        # The error's anchor is the dereference's node, not its line:
+        # the false edge of ``y == 0`` on line 6 must not count as
+        # having executed ``*p``, which only the true edge reaches.
+        src = tmp_path / "src"
+        src.mkdir()
+        body = (
+            "    int x = 0;\n"
+            "    kfree(p);\n"
+            "    if (y == 0) return 0;\n"
+            "    if (y == %d) return *p;\n"
+            "    return 1;\n"
+            "}\n"
+        )
+        write_tree(src, {"mod.c": (
+            "void kfree(void *p);\n"
+            "int f(int *p, int y) {\n" + body % 0
+            + "int twin(int *p, int y) {\n" + body % 1
+        )})
+        docs = report_json(src, capsys, "--no-false-path-pruning",
+                           "--refine=annotate")
+        assert [(doc["function"], doc["location"]["line"],
+                 doc["location"]["column"]) for doc in docs] == [
+            ("f", 6, 24), ("twin", 13, 24)]
+        verdicts = verdicts_of(docs)
+        assert verdicts["f"] != "confirmed"
+        assert verdicts["twin"] == "confirmed"
+
     def test_default_run_never_refines(self, teeth_tree, capsys):
         docs = report_json(teeth_tree, capsys)
         assert verdicts_of(docs) == {

@@ -179,7 +179,7 @@ class TestCacheSelfHealConformance:
     def test_summary_frame_corruption(self, backend, mode):
         cache = astcache.SummaryCache(backend=backend())
         key = _key(4)
-        cache.store(key, ["artifact-payload"])
+        cache.store_many({key: ["artifact-payload"]})
         assert cache.get(key) == ["artifact-payload"]
         cache.corrupt(key, mode)
         with pytest.raises(astcache.CacheCorruption):
@@ -194,10 +194,14 @@ class TestCacheSelfHealConformance:
         payload = astcache.pack_unit(compiled.unit, compiled.source_bytes)
         key = _key(5)
         cache.store(key, payload)
-        assert cache.load(key)[1] == compiled.source_bytes
+
+        def load():
+            return astcache.unpack(cache.backend.get_many("ast", [key])[key])
+
+        assert load()[1] == compiled.source_bytes
         cache.corrupt(key, mode)
         with pytest.raises(astcache.CacheCorruption):
-            cache.load(key)
+            load()
         assert cache.evict(key)
         data, path = cache.fetch(key)
         assert data is None and path is None
@@ -206,7 +210,7 @@ class TestCacheSelfHealConformance:
         cache = astcache.SummaryCache(backend=backend())
         keys = [_key(i) for i in range(10, 14)]
         for i, key in enumerate(keys):
-            cache.store(key, ["artifact", i])
+            cache.store_many({key: ["artifact", i]})
         cache.prefetch(keys + [_key(99)])
         for i, key in enumerate(keys):
             assert cache.get(key) == ["artifact", i]
