@@ -7,9 +7,17 @@ allocation, interrupts, user-pointer security, format strings, tainted
 indices, path-kill composition, and statistical pair inference).
 
 Every checker is a factory returning a fresh
-:class:`repro.metal.sm.Extension`; the metal-text checkers also expose
-their source (``*_SOURCE``) so tests can assert the Figure 1/Figure 3
-texts compile.
+:class:`repro.metal.sm.Extension`.  Each state-machine checker is one
+metal text under ``checkers/metal/`` (free, lock, null, mallocfail, intr,
+user-pointer, format-string, range, leak, and the production free and
+counting-lock variants), compiled by :func:`repro.metal.compile_metal`;
+its module is a one-line factory, and ``FREE_CHECKER_SOURCE`` /
+``LOCK_CHECKER_SOURCE`` are the Figure 1 / Figure 3 files' texts.  Three
+registered checkers stay Python, each saying why in its module:
+``block`` (a path-local depth on a global machine), ``audit`` (a
+tag -> claimant table) and ``pathkill`` (the composition layer), as do
+the statistical inferers (``retcheck``, ``nullarg``, ``pairs_infer``),
+which are not state machines.
 """
 
 from repro.checkers.block import blocking_checker

@@ -8,7 +8,11 @@ calls to blocking functions inside it.
 
 This checker demonstrates the §3.2 escape hatch for *global* data: the
 nesting depth lives in the extension's path-local storage rather than in
-a finite state alphabet.
+a finite state alphabet.  That is why it stays Python while the other
+state-machine checkers are metal text: it keeps a path-local depth on a
+global machine, which has no instance to hold a data value, and metal
+actions reach only instance data (``get_data``/``set_data``) and user
+globals, which persist across paths.
 """
 
 from repro.cfront import astnodes as ast

@@ -1,4 +1,4 @@
-"""Format-string checker.
+"""Format-string checker (``format_string.metal``).
 
 Two rules in one extension:
 
@@ -6,98 +6,13 @@ Two rules in one extension:
   string (the "%n" attack surface) -- a pure pattern+callout rule;
 * *taint-flow*: a string obtained from the user reaching a format
   position, via a variable-specific state machine.
+
+Which argument is the format is the callout library's
+``mc_format_arg`` (:data:`repro.metal.callouts.PRINTF_FAMILY`).
 """
 
-from repro.cfront import astnodes as ast
-from repro.metal import ANY_ARGUMENTS, ANY_FN_CALL, ANY_POINTER, Extension
-from repro.metal.patterns import AndPattern, Callout
-
-PRINTF_FAMILY = {
-    "printf": 0,
-    "fprintf": 1,
-    "sprintf": 1,
-    "snprintf": 2,
-    "printk": 0,
-    "syslog": 1,
-}
+from repro.checkers.metal import load
 
 
-def format_string_checker(taint_sources=("get_user_str", "read_user_string")):
-    ext = Extension("format_string_checker")
-    ext.state_var("v", ANY_POINTER)
-    ext.decl("fn", ANY_FN_CALL)
-    ext.decl("args", ANY_ARGUMENTS)
-    ext.default_severity = "SECURITY"
-
-    for fn in taint_sources:
-        ext.transition("start", "{ v = %s(args) }" % fn, to="v.user_string")
-
-    # Stateless rule: non-literal format argument.
-    non_literal = AndPattern(
-        ext._compile_pattern_text("{ fn(args) }"),
-        Callout(_non_literal_format, "format argument is not a literal"),
-    )
-    ext.transition(
-        "start",
-        non_literal,
-        action=lambda ctx: ctx.err(
-            "non-literal format string in call to %s",
-            _callee(ctx),
-            severity="ERROR",
-            rule_id="format-literal",
-        ),
-    )
-
-    # Taint rule: the user string reaches a format position.
-    tainted_fmt = Callout(_make_tainted_format(), "user string used as format")
-    ext.transition(
-        "v.user_string",
-        tainted_fmt,
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "user-controlled string %s used as format string!",
-            ctx.identifier("v"),
-            severity="SECURITY",
-            rule_id="format-taint",
-        ),
-    )
-    return ext
-
-
-def _callee(ctx):
-    node = ctx.binding("fn")
-    if isinstance(node, ast.Ident):
-        return node.name
-    return "<indirect>"
-
-
-def _format_argument(call):
-    name = call.callee_name()
-    index = PRINTF_FAMILY.get(name)
-    if index is None or index >= len(call.args):
-        return None
-    return call.args[index]
-
-
-def _non_literal_format(context):
-    point = context.point
-    if not isinstance(point, ast.Call):
-        return False
-    fmt = _format_argument(point)
-    if fmt is None:
-        return False
-    return not isinstance(fmt, ast.StringLit)
-
-
-def _make_tainted_format():
-    def check(context):
-        point = context.point
-        obj = context.bindings.get("v")
-        if not isinstance(point, ast.Call) or obj is None:
-            return False
-        fmt = _format_argument(point)
-        if fmt is None:
-            return False
-        return ast.structurally_equal(fmt, obj)
-
-    return check
+def format_string_checker():
+    return load("format_string.metal")

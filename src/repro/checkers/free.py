@@ -1,102 +1,39 @@
 """The free checker (Figure 1): use-after-free and double-free.
 
-``FREE_CHECKER_SOURCE`` is the Figure 1 metal text, verbatim modulo the
-DSL's underscored spelling of ``any pointer``.  :func:`free_checker`
-compiles it; :func:`free_checker_ranked` is the production variant whose
-reports carry a ``rule_id`` (the freeing function) so statistical ranking
-can group and score them (§9), and which also counts "pointer passed to
-kfree and never touched again" as rule examples.
+``free.metal`` is the Figure 1 text, verbatim modulo the DSL's
+underscored spelling of ``any pointer``.  ``free_ranked.metal`` is the
+production variant: every dereference form, the freeing function as each
+report's ``rule_id`` for statistical ranking (§9), and "pointer freed and
+never touched again" counted as an example of that rule.
 """
 
-from repro.metal import ANY_POINTER, Extension, compile_metal
+from repro.checkers.metal import load, read
 
-FREE_CHECKER_SOURCE = """
-sm free_checker {
- state decl any_pointer v;
-
- start: { kfree(v) } ==> v.freed ;
-
- v.freed: { *v } ==> v.stop,
-    { err("using %s after free!", mc_identifier(v)); }
-  | { kfree(v) } ==> v.stop,
-    { err("double free of %s!", mc_identifier(v)); }
-  ;
-}
-"""
+FREE_CHECKER_SOURCE = read("free.metal")
 
 
 def free_checker(free_functions=None):
     """The Figure 1 checker.
 
-    Called with no arguments this compiles the figure's metal text
-    verbatim; passing deallocator names (``("kfree", "vfree")``) builds the
-    production variant: one start rule per deallocator, all dereference
-    forms, rule_id tagging and example counting for statistical ranking.
+    Called with no arguments this compiles the figure's metal text;
+    passing deallocator names (``("kfree", "vfree")``) compiles the
+    production variant with one start and one double-free pattern per
+    deallocator.
     """
     if free_functions is None:
-        return compile_metal(FREE_CHECKER_SOURCE)
-    ext = Extension("free_checker")
-    ext.state_var("v", ANY_POINTER)
-    for fn in free_functions:
-        ext.transition("start", "{ %s(v) }" % fn, to="v.freed",
-                       action=_remember_freer(fn))
-    # The production variant widens Figure 1's "{*v}" to every dereference
-    # form: *v, v->field, v[i].
-    from repro.metal.patterns import Callout
-
-    def derefs_v(context):
-        from repro.metal.callouts import mc_is_deref_of
-
-        return mc_is_deref_of(context.point, context.bindings.get("v"))
-
-    ext.transition(
-        "v.freed",
-        Callout(derefs_v, "mc_is_deref_of(mc_stmt, v)"),
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "using %s after free!", ctx.identifier("v"),
-            rule_id=ctx.get_data("freer"), severity="ERROR",
-        ),
-    )
-    for fn in free_functions:
-        ext.transition(
-            "v.freed",
-            "{ %s(v) }" % fn,
-            to="v.stop",
-            action=lambda ctx: ctx.err(
-                "double free of %s!", ctx.identifier("v"),
-                rule_id=ctx.get_data("freer"), severity="ERROR",
-            ),
-        )
-    # A freed pointer that is never touched again is an example of the
-    # freeing function's rule being followed (statistical ranking, §9).
-    ext.transition(
-        "v.freed",
-        "$end_of_path$",
-        to="v.stop",
-        action=lambda ctx: ctx.count_example(
-            ctx.get_data("freer"), ctx.instance.origin_location
-        ),
-    )
-    return ext
+        return load("free.metal")
+    return load("free_ranked.metal", kfree=tuple(free_functions))
 
 
-def _remember_freer(fn):
-    def action(ctx):
-        ctx.set_data("freer", fn)
-
-    return action
-
-
-def suppressed_free_checker(free_functions=("kfree",),
-                            debug_functions=("printk", "dprintf")):
+def suppressed_free_checker():
     """The §8 "targeted suppression" variant.
 
     The conservative checker's false positives came from (1) passing freed
     pointers to debugging print functions and (2) passing their addresses
     to reinitializers.  The paper fixed both with eight added lines; here
-    the suppression is two transitions built from the shared helpers in
-    :mod:`repro.reports.triage`.
+    the suppression is three transitions built from the shared helpers in
+    :mod:`repro.reports.triage`, added to a copy of the production
+    checker.
     """
     from repro.reports.triage import (
         address_of_suppression,
@@ -104,28 +41,14 @@ def suppressed_free_checker(free_functions=("kfree",),
         pattern_suppression,
     )
 
-    ext = free_checker(free_functions)
+    ext = free_checker(("kfree",))
     # Passing a freed pointer to a debug printer is fine: stay freed.
     insert_suppressions(ext, [
         pattern_suppression(ext, "v.freed", "{ %s(v) }" % fn)
-        for fn in debug_functions
+        for fn in ("printk", "dprintf")
     ])
     # Passing &v to any function redefines v (the BSD idiom): drop state.
-    ext.decl("fn", _any_fn_call())
-    ext.decl("rest", _any_arguments())
     insert_suppressions(ext, [
         address_of_suppression(ext, "v.freed", "v", to="v.stop"),
     ])
     return ext
-
-
-def _any_fn_call():
-    from repro.metal import ANY_FN_CALL
-
-    return ANY_FN_CALL
-
-
-def _any_arguments():
-    from repro.metal import ANY_ARGUMENTS
-
-    return ANY_ARGUMENTS

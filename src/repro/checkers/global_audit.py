@@ -13,6 +13,10 @@ historically refused to cache (it both reads and writes user globals on
 every audited root, and its reports depend on serial root order), which
 is what the annotation-delta machinery exists for — this checker is the
 differential workload for it.
+
+It stays Python while the state-machine checkers are metal text: it
+keeps a tag -> first-claimant table (a dict in ``ctx.globals``), and
+metal's user globals hold plain values, not tables.
 """
 
 from repro.cfront import astnodes as ast

@@ -1,43 +1,12 @@
-"""Interrupt-state checker: a *global-state* machine.
+"""Interrupt-state checker (``intr.metal``): a *global-state* machine.
 
 Global state values "capture a program-wide property (e.g., 'interrupts
-are disabled')" (§2.1).  This checker tracks cli()/sti() (or the
-save/restore flavours) and warns on double disables, stray enables, and
-paths that end with interrupts off.
+are disabled')" (§2.1).  This checker tracks cli()/sti() and warns on
+double disables, stray enables, and paths that end with interrupts off.
 """
 
-from repro.metal import Extension
+from repro.checkers.metal import load
 
 
-def interrupt_checker(disable_fn="cli", enable_fn="sti"):
-    ext = Extension("interrupt_checker")
-    ext.default_severity = "ERROR"
-
-    ext.transition("enabled", "{ %s() }" % disable_fn, to="disabled")
-    ext.transition(
-        "enabled",
-        "{ %s() }" % enable_fn,
-        action=lambda ctx: ctx.err(
-            "enabling interrupts that are already enabled (stray %s)" % enable_fn,
-            rule_id="intr-pairing",
-        ),
-    )
-    ext.transition("disabled", "{ %s() }" % enable_fn, to="enabled",
-                   action=lambda ctx: ctx.count_example("intr-pairing"))
-    ext.transition(
-        "disabled",
-        "{ %s() }" % disable_fn,
-        action=lambda ctx: ctx.err(
-            "disabling interrupts twice (nested %s)" % disable_fn,
-            rule_id="intr-pairing",
-        ),
-    )
-    ext.transition(
-        "disabled",
-        "$end_of_path$",
-        to="enabled",
-        action=lambda ctx: ctx.err(
-            "path ends with interrupts disabled!", rule_id="intr-pairing",
-        ),
-    )
-    return ext
+def interrupt_checker():
+    return load("intr.metal")

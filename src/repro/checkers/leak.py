@@ -1,4 +1,4 @@
-"""Memory-leak (ownership) checker.
+"""Memory-leak (ownership) checker (``leak.metal``).
 
 The rule: memory obtained from an allocator must, on every path, be
 released, returned to the caller, or published through a pointer store
@@ -6,84 +6,8 @@ before the path ends.  A classic of the MC checker family -- and a good
 showcase for ``$end_of_path$`` plus callout-based ownership transfer.
 """
 
-from repro.cfront import astnodes as ast
-from repro.metal import ANY_ARGUMENTS, ANY_POINTER, Extension
-from repro.metal.patterns import Callout
+from repro.checkers.metal import load
 
 
-def leak_checker(
-    allocators=("kmalloc", "malloc"),
-    releasers=("kfree", "free"),
-    publishers=("register_buf", "list_add"),
-):
-    ext = Extension("leak_checker")
-    ext.state_var("v", ANY_POINTER)
-    ext.decl("args", ANY_ARGUMENTS)
-    ext.default_severity = "ERROR"
-
-    for fn in allocators:
-        ext.transition("start", "{ v = %s(args) }" % fn, to="v.owned",
-                       action=_remember(fn))
-
-    for fn in releasers:
-        ext.transition("v.owned", "{ %s(v) }" % fn, to="v.stop",
-                       action=lambda ctx: ctx.count_example(
-                           ctx.get_data("alloc"), ctx.instance.origin_location))
-
-    # Returning the pointer transfers ownership to the caller.
-    ext.transition("v.owned", "{ return v; }", to="v.stop",
-                   action=lambda ctx: ctx.count_example(
-                       ctx.get_data("alloc"), ctx.instance.origin_location))
-
-    # Publishing it (storing into a non-local structure or passing it to a
-    # registration function) also transfers ownership.
-    ext.transition("v.owned", Callout(_published(publishers), "ownership transfer"),
-                   to="v.stop",
-                   action=lambda ctx: ctx.count_example(
-                       ctx.get_data("alloc"), ctx.instance.origin_location))
-
-    ext.transition(
-        "v.owned",
-        "$end_of_path$",
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "%s allocated with %s is leaked on this path",
-            ctx.identifier("v"),
-            ctx.get_data("alloc", "an allocator"),
-            rule_id=ctx.get_data("alloc"),
-        ),
-    )
-    return ext
-
-
-def _remember(fn):
-    def action(ctx):
-        ctx.set_data("alloc", fn)
-
-    return action
-
-
-def _published(publishers):
-    publisher_set = frozenset(publishers)
-
-    def check(context):
-        point = context.point
-        obj = context.bindings.get("v")
-        if obj is None:
-            return False
-        key = ast.structural_key(obj)
-        # passed to a publisher function
-        if isinstance(point, ast.Call) and point.callee_name() in publisher_set:
-            return any(ast.structural_key(a) == key for a in point.args)
-        # stored through a pointer or into a structure: x->f = v, *x = v,
-        # a[i] = v (the engine's synonym machinery watches plain x = v)
-        if isinstance(point, ast.Assign) and point.op == "=":
-            if ast.structural_key(point.value) != key:
-                return False
-            target = point.target
-            return isinstance(target, (ast.Member, ast.Index)) or (
-                isinstance(target, ast.Unary) and target.op == "*"
-            )
-        return False
-
-    return check
+def leak_checker():
+    return load("leak.metal")

@@ -4,90 +4,25 @@
 Warns when locks are (1) released without being acquired, (2) double
 acquired, or (3) not released at all.  ``trylock`` (non-blocking
 acquisition, returns 1 on success) drives the path-specific transition:
-locked on the true path, dropped on the false path.
+locked on the true path, dropped on the false path.  ``lock.metal`` is
+the Figure 3 text; ``counting_lock.metal`` is §3.2's recursive-lock
+variant.
 """
 
-from repro.metal import compile_metal
+from repro.checkers.metal import load, read
 
-LOCK_CHECKER_SOURCE = """
-sm lock_checker {
- state decl any_pointer l;
-
- start:
-    { trylock(l) } ==> true=l.locked, false=l.stop
-  | { lock(l) } ==> l.locked
-  | { unlock(l) } ==> l.stop,
-    { err("releasing lock %s without acquiring it!", mc_identifier(l)); }
-  ;
-
- l.locked:
-    { unlock(l) } ==> l.stop
-  | { lock(l) } ==> l.locked,
-    { err("double acquire of lock %s!", mc_identifier(l)); }
-  | { trylock(l) } ==> l.locked,
-    { err("double acquire of lock %s!", mc_identifier(l)); }
-  | $end_of_path$ ==> l.stop,
-    { err("lock %s never released!", mc_identifier(l)); }
-  ;
-}
-"""
+LOCK_CHECKER_SOURCE = read("lock.metal")
 
 
 def lock_checker(lock_fn="lock", unlock_fn="unlock", trylock_fn="trylock"):
     """The Figure 3 checker; the function names are parameters so the same
     machine checks spin_lock/spin_unlock, mutex_lock/mutex_unlock, etc."""
-    source = LOCK_CHECKER_SOURCE
-    if (lock_fn, unlock_fn, trylock_fn) != ("lock", "unlock", "trylock"):
-        source = (
-            source.replace("trylock", trylock_fn)
-            .replace("unlock", unlock_fn)
-            .replace(" lock(", " %s(" % lock_fn)
-            .replace("{ lock(", "{ %s(" % lock_fn)
-        )
-    return compile_metal(source)
+    return load("lock.metal", lock=lock_fn, unlock=unlock_fn,
+                trylock=trylock_fn)
 
 
-def counting_lock_checker(lock_fn="lock", unlock_fn="unlock", max_depth=4):
+def counting_lock_checker():
     """The §3.2 recursive-lock variant: C code actions track the lock
-    depth in the instance's data value; depth below zero or above a small
-    constant is an incorrect pairing."""
-    from repro.metal import ANY_POINTER, Extension
-
-    ext = Extension("counting_lock_checker")
-    ext.state_var("l", ANY_POINTER)
-
-    def acquire(ctx):
-        depth = ctx.get_data("depth", 0) + 1
-        ctx.set_data("depth", depth)
-        if depth > max_depth:
-            ctx.err("lock %s acquired %d times (max %d)!",
-                    ctx.identifier("l"), depth, max_depth)
-            ctx.set_instance_state("stop")
-
-    def release(ctx):
-        depth = ctx.get_data("depth", 0) - 1
-        ctx.set_data("depth", depth)
-        if depth < 0:
-            ctx.err("releasing lock %s more times than acquired!",
-                    ctx.identifier("l"))
-            ctx.set_instance_state("stop")
-
-    def leaked(ctx):
-        depth = ctx.get_data("depth", 0)
-        if depth > 0:
-            ctx.err("lock %s still held %d deep at path end!",
-                    ctx.identifier("l"), depth)
-
-    ext.transition("start", "{ %s(l) }" % lock_fn, to="l.held", action=_seed_depth)
-    ext.transition("start", "{ %s(l) }" % unlock_fn, to="l.stop",
-                   action=lambda ctx: ctx.err(
-                       "releasing lock %s without acquiring it!",
-                       ctx.identifier("l")))
-    ext.transition("l.held", "{ %s(l) }" % lock_fn, action=acquire)
-    ext.transition("l.held", "{ %s(l) }" % unlock_fn, action=release)
-    ext.transition("l.held", "$end_of_path$", to="l.stop", action=leaked)
-    return ext
-
-
-def _seed_depth(ctx):
-    ctx.set_data("depth", 1)
+    depth in the instance's data value; depth below zero or above four
+    is an incorrect pairing."""
+    return load("counting_lock.metal")

@@ -1,4 +1,4 @@
-"""Unchecked-allocation checker.
+"""Unchecked-allocation checker (``mallocfail.metal``).
 
 Flags a dereference of a freshly allocated pointer that happens before
 *any* test of the pointer -- the classic "kernel code must check kmalloc"
@@ -11,64 +11,8 @@ testing, such as memory allocation failures", §9), so its default
 severity is MINOR.
 """
 
-from repro.metal import ANY_ARGUMENTS, ANY_POINTER, Extension
-from repro.metal.patterns import Callout
+from repro.checkers.metal import load
 
 
-def malloc_fail_checker(alloc_functions=("kmalloc", "malloc")):
-    ext = Extension("malloc_fail_checker")
-    ext.state_var("v", ANY_POINTER)
-    ext.decl("args", ANY_ARGUMENTS)
-    ext.default_severity = "MINOR"
-
-    for fn in alloc_functions:
-        ext.transition("start", "{ v = %s(args) }" % fn, to="v.unchecked",
-                       action=_remember(fn))
-
-    # Any mention of v in a branch condition counts as a check.
-    checked = Callout(_is_checked, "v compared in a branch condition")
-    ext.transition("v.unchecked", checked, to="v.stop",
-                   action=lambda ctx: ctx.count_example(
-                       ctx.get_data("alloc"), ctx.instance.origin_location))
-
-    deref = Callout(_derefs_v, "mc_is_deref_of(mc_stmt, v)")
-    ext.transition(
-        "v.unchecked",
-        deref,
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "%s from %s used without a NULL check",
-            ctx.identifier("v"),
-            ctx.get_data("alloc", "allocator"),
-            rule_id=ctx.get_data("alloc"),
-        ),
-    )
-    return ext
-
-
-def _remember(fn):
-    def action(ctx):
-        ctx.set_data("alloc", fn)
-
-    return action
-
-
-def _is_checked(context):
-    from repro.cfront import astnodes as ast
-
-    engine = context.engine
-    if engine is None:
-        return False
-    if not engine.point_is_branch_condition(context.point):
-        return False
-    obj = context.bindings.get("v")
-    if obj is None:
-        return False
-    key = ast.structural_key(obj)
-    return any(ast.structural_key(node) == key for node in context.point.walk())
-
-
-def _derefs_v(context):
-    from repro.metal.callouts import mc_is_deref_of
-
-    return mc_is_deref_of(context.point, context.bindings.get("v"))
+def malloc_fail_checker():
+    return load("mallocfail.metal")

@@ -1,5 +1,5 @@
-"""Null-pointer checker: dereferencing a pointer on a path where it is
-known (or not yet known) to be NULL.
+"""Null-pointer checker (``null.metal``): dereferencing a pointer on a
+path where it is known (or not yet known) to be NULL.
 
 Demonstrates path-specific transitions on *checks* rather than on calls:
 ``if (p)`` / ``if (p == 0)`` / ``if (!p)`` all branch the instance into a
@@ -12,84 +12,8 @@ null state and a non-null state.  Synonyms make the classic
 sequence check out (§8).
 """
 
-from repro.metal import ANY_POINTER, Extension
-from repro.metal.patterns import AndPattern, Callout
+from repro.checkers.metal import load
 
 
-def null_checker(alloc_functions=("kmalloc", "malloc", "kmalloc_node")):
-    ext = Extension("null_checker")
-    ext.state_var("v", ANY_POINTER)
-    ext.default_severity = "ERROR"
-
-    for fn in alloc_functions:
-        ext.transition(
-            "start", "{ v = %s }" % _args_pattern(ext, fn), to="v.unknown",
-            action=_remember(fn),
-        )
-
-    # A branch on the pointer splits the state: true path = non-null.
-    branch_on_v = AndPattern(
-        ext._compile_pattern_text("{ v }"),
-        Callout(_is_branch, "mc_is_branch(mc_stmt)"),
-    )
-    ext.transition("v.unknown", branch_on_v, true_to="v.notnull", false_to="v.null")
-    ext.transition("v.unknown", "{ v == 0 }", true_to="v.null", false_to="v.notnull")
-    ext.transition("v.unknown", "{ v != 0 }", true_to="v.notnull", false_to="v.null")
-
-    deref = Callout(_derefs_v, "mc_is_deref_of(mc_stmt, v)")
-    ext.transition(
-        "v.unknown",
-        deref,
-        to="v.notnull",
-        action=lambda ctx: ctx.err(
-            "dereferencing %s which may be NULL (unchecked %s)",
-            ctx.identifier("v"),
-            ctx.get_data("alloc", "allocation"),
-            rule_id=ctx.get_data("alloc"),
-        ),
-    )
-    ext.transition(
-        "v.null",
-        deref,
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "dereferencing %s which IS NULL on this path", ctx.identifier("v"),
-            rule_id=ctx.get_data("alloc"),
-        ),
-    )
-    # Successful outcomes count as rule examples for statistical ranking.
-    ext.transition(
-        "v.notnull",
-        "$end_of_path$",
-        to="v.stop",
-        action=lambda ctx: ctx.count_example(
-            ctx.get_data("alloc"), ctx.instance.origin_location
-        ),
-    )
-    return ext
-
-
-def _args_pattern(ext, fn):
-    from repro.metal import ANY_ARGUMENTS
-
-    if "args" not in ext.extra_holes():
-        ext.decl("args", ANY_ARGUMENTS)
-    return "%s(args)" % fn
-
-
-def _remember(fn):
-    def action(ctx):
-        ctx.set_data("alloc", fn)
-
-    return action
-
-
-def _is_branch(context):
-    engine = context.engine
-    return engine is not None and engine.point_is_branch_condition(context.point)
-
-
-def _derefs_v(context):
-    from repro.metal.callouts import mc_is_deref_of
-
-    return mc_is_deref_of(context.point, context.bindings.get("v"))
+def null_checker():
+    return load("null.metal")

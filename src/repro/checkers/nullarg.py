@@ -97,8 +97,8 @@ def infer_nonnull_rules(callgraph, min_non_null=3):
 
 
 def report_null_argument_sites(callgraph, min_non_null=3, min_z=1.0):
-    """ErrorReport-shaped findings for NULL passed where it never is."""
-    from repro.engine.errors import ErrorReport
+    """:class:`Report` findings for NULL passed where it never is."""
+    from repro.reports.model import Report
 
     reports = []
     for rule in infer_nonnull_rules(callgraph, min_non_null):
@@ -106,7 +106,7 @@ def report_null_argument_sites(callgraph, min_non_null=3, min_z=1.0):
             continue
         for location, caller in rule.null_sites:
             reports.append(
-                ErrorReport(
+                Report(
                     checker="nullarg",
                     message=(
                         "NULL passed as argument %d of %s() (non-null at %d "

@@ -9,6 +9,11 @@ Run this extension first; it annotates every call to a terminating
 function with ``pathkill`` and kills its own path there too.  The engine
 honours the annotation for every later extension run in the same
 :class:`repro.engine.Analysis`.
+
+It stays Python: it reports nothing and has no states; it is the
+composition layer (an AST annotation the engine itself reads, plus
+``stop_path``) that other checkers' traversal depends on, and its
+terminator list is a parameter callers vary.
 """
 
 from repro.cfront import astnodes as ast

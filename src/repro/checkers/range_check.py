@@ -1,60 +1,13 @@
-"""Tainted-index checker: user-supplied integers must be bounds-checked
-before indexing an array (the second Oakland'02 rule family).
+"""Tainted-index checker (``range.metal``): user-supplied integers must
+be bounds-checked before indexing an array (the second Oakland'02 rule
+family).
 
 Path-specific transitions on the bounds comparison move the index from
 ``tainted`` to ``checked`` on the guarded side only.
 """
 
-from repro.cfront import astnodes as ast
-from repro.metal import ANY_ARGUMENTS, ANY_EXPR, ANY_SCALAR, Extension
-from repro.metal.patterns import Callout
+from repro.checkers.metal import load
 
 
-def range_check_checker(taint_sources=("get_user_int", "ioctl_int")):
-    ext = Extension("range_check_checker")
-    ext.state_var("v", ANY_SCALAR)
-    ext.decl("args", ANY_ARGUMENTS)
-    ext.decl("bound", ANY_EXPR)
-    ext.decl("arr", ANY_EXPR)
-    ext.default_severity = "SECURITY"
-
-    for fn in taint_sources:
-        ext.transition("start", "{ v = %s(args) }" % fn, to="v.tainted")
-
-    # An upper-bound comparison sanitizes the true side.
-    ext.transition("v.tainted", "{ v < bound }",
-                   true_to="v.checked", false_to="v.tainted")
-    ext.transition("v.tainted", "{ v <= bound }",
-                   true_to="v.checked", false_to="v.tainted")
-    ext.transition("v.tainted", "{ v >= bound }",
-                   true_to="v.tainted", false_to="v.checked")
-    ext.transition("v.tainted", "{ v > bound }",
-                   true_to="v.tainted", false_to="v.checked")
-
-    indexed = Callout(_used_as_index, "tainted value used as array index")
-    ext.transition(
-        "v.tainted",
-        indexed,
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "user-controlled index %s used without a bounds check!",
-            ctx.identifier("v"),
-            severity="SECURITY",
-            rule_id="tainted-index",
-        ),
-    )
-    ext.transition(
-        "v.checked",
-        indexed,
-        to="v.stop",
-        action=lambda ctx: ctx.count_example("tainted-index"),
-    )
-    return ext
-
-
-def _used_as_index(context):
-    point = context.point
-    obj = context.bindings.get("v")
-    if not isinstance(point, ast.Index) or obj is None:
-        return False
-    return ast.structurally_equal(point.index, obj)
+def range_check_checker():
+    return load("range.metal")

@@ -118,9 +118,9 @@ def infer_must_check_rules(callgraph, min_checked=3):
 
 
 def report_deviant_sites(callgraph, min_checked=3, min_z=1.0):
-    """The user-facing pass: ErrorReport-shaped findings for ignored
+    """The user-facing pass: :class:`Report` findings for ignored
     results of must-check functions."""
-    from repro.engine.errors import ErrorReport
+    from repro.reports.model import Report
 
     reports = []
     for rule in infer_must_check_rules(callgraph, min_checked):
@@ -128,7 +128,7 @@ def report_deviant_sites(callgraph, min_checked=3, min_z=1.0):
             continue
         for site in rule.ignored_sites:
             reports.append(
-                ErrorReport(
+                Report(
                     checker="retcheck",
                     message=(
                         "result of %s() ignored (checked at %d other sites, z=%.2f)"

@@ -1,66 +1,13 @@
-"""User-pointer (taint) checker, after the Oakland'02 companion paper.
+"""User-pointer (taint) checker (``user_pointer.metal``), after the
+Oakland'02 companion paper.
 
 Kernel code must never dereference a pointer that came from user space;
 it must go through copy_from_user/copy_to_user.  Errors are annotated
 SECURITY, the highest ranking class (§9).
 """
 
-from repro.cfront import astnodes as ast
-from repro.metal import ANY_ARGUMENTS, ANY_POINTER, Extension
-from repro.metal.patterns import Callout
+from repro.checkers.metal import load
 
 
-def user_pointer_checker(
-    taint_sources=("get_user_ptr", "ioctl_arg"),
-    sanitizers=("copy_from_user", "copy_to_user"),
-):
-    ext = Extension("user_pointer_checker")
-    ext.state_var("v", ANY_POINTER)
-    ext.decl("args", ANY_ARGUMENTS)
-    ext.default_severity = "SECURITY"
-
-    for fn in taint_sources:
-        ext.transition("start", "{ v = %s(args) }" % fn, to="v.tainted")
-
-    deref = Callout(_derefs_v, "mc_is_deref_of(mc_stmt, v)")
-    ext.transition(
-        "v.tainted",
-        deref,
-        to="v.stop",
-        action=lambda ctx: ctx.err(
-            "dereferencing user pointer %s in kernel space!",
-            ctx.identifier("v"),
-            severity="SECURITY",
-            rule_id="user-pointer",
-        ),
-    )
-    # Passing the tainted pointer through a sanitizer is the correct idiom:
-    # count it as a rule example and drop the taint.
-    sanitized = Callout(_make_sanitized(sanitizers), "passed to copy_*_user")
-    ext.transition(
-        "v.tainted",
-        sanitized,
-        to="v.stop",
-        action=lambda ctx: ctx.count_example("user-pointer"),
-    )
-    return ext
-
-
-def _derefs_v(context):
-    from repro.metal.callouts import mc_is_deref_of
-
-    return mc_is_deref_of(context.point, context.bindings.get("v"))
-
-
-def _make_sanitized(sanitizers):
-    def check(context):
-        point = context.point
-        obj = context.bindings.get("v")
-        if not isinstance(point, ast.Call) or obj is None:
-            return False
-        if point.callee_name() not in sanitizers:
-            return False
-        key = ast.structural_key(obj)
-        return any(ast.structural_key(arg) == key for arg in point.args)
-
-    return check
+def user_pointer_checker():
+    return load("user_pointer.metal")

@@ -409,14 +409,17 @@ def pass1_worker(task):
     )
 
 
-def compile_files_into(project, paths, jobs=1, worker_timeout=None):
-    """Run pass 1 for ``paths`` into ``project``; returns CompiledUnits."""
+def compile_files_into(project, paths, jobs=1, worker_timeout=None,
+                       file_reader=None):
+    """Run pass 1 for ``paths`` into ``project``; returns CompiledUnits.
+    ``file_reader`` overrides the project's reader for this batch."""
     paths = list(paths)
     batch = "%d.%d" % (os.getpid(), next(_BATCH_COUNTER))
     tasks = [
         Pass1Task(
             index, path, project.include_paths, project.defines,
-            project.cache_dir, project.emit_dir, project.file_reader,
+            project.cache_dir, project.emit_dir,
+            file_reader or project.file_reader,
             store_url=getattr(project, "store_url", None), batch=batch,
         )
         for index, path in enumerate(paths)

@@ -24,13 +24,10 @@ Both passes scale out (docs/DRIVER.md):
   (:mod:`repro.driver.parallel`).
 """
 
-import os
 import time
 
-from repro.cfront.parser import Parser
-from repro.cfront.preproc import Preprocessor
+from repro.cfront.source import read_source
 from repro.cfg.callgraph import CallGraph
-from repro.cfg.fingerprint import stamp_unit
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.driver.stats import DriverStats
@@ -176,31 +173,17 @@ class Project:
     # -- pass 1 -----------------------------------------------------------------
 
     def compile_text(self, text, filename="<string>"):
-        """Pass 1 for in-memory source text."""
-        with self.stats.phase("preprocess"):
-            pp = Preprocessor(self.include_paths, self.defines, self.file_reader)
-            tokens = pp.preprocess_text(text, filename)
-        self.stats.add_time("lex", pp.lex_s)
-        self.stats.add("tokens_lexed", pp.tokens_lexed)
-        with self.stats.phase("parse"):
-            parser = Parser(None, filename, tokens=tokens)
-            unit = parser.parse_translation_unit()
-            unit.filename = filename
-            stamp_unit(unit)
-        self.stats.add("parses")
-        source_bytes = len(text.encode())
-        with self.stats.phase("emit"):
-            emitted = astcache.pack_unit(unit, source_bytes)
-            if self.emit_dir is not None:
-                os.makedirs(self.emit_dir, exist_ok=True)
-                out = os.path.join(
-                    self.emit_dir, os.path.basename(filename) + ".ast"
-                )
-                with open(out, "wb") as handle:
-                    handle.write(emitted)
-        compiled = CompiledUnit(filename, unit, source_bytes, len(emitted))
-        self._register(compiled)
-        return compiled
+        """Pass 1 for in-memory source text: :meth:`compile_files` with
+        ``filename`` read as ``text`` (its headers still come from the
+        project's reader)."""
+        from repro.driver.parallel import compile_files_into
+
+        read = self.file_reader or read_source
+
+        def reader(path):
+            return text if path == filename else read(path)
+
+        return compile_files_into(self, [filename], file_reader=reader)[0]
 
     def compile_file(self, path):
         """Pass 1 for one on-disk file (cache-aware when cache_dir is set)."""

@@ -63,6 +63,7 @@ import hashlib
 import os
 
 from repro.cfg.fingerprint import fingerprint_tables
+from repro.checkers import ALL_CHECKERS
 from repro.driver import cache as astcache
 from repro.driver import store as storemod
 from repro.engine import deltas as deltamod
@@ -81,10 +82,10 @@ def session_signature(checker_names=(), metal_texts=(), options=None,
     """A stable identity for one analysis configuration.
 
     Everything that changes what a run reports must land here: the
-    built-in checker names (in order), the full text of every metal
-    extension, every semantic analysis option, and the parser / summary
-    format versions.  Two runs share cached summaries only when their
-    signatures match.
+    built-in checker names (in order) with the metal text each registered
+    one compiles, the full text of every ``--metal`` extension, every
+    semantic analysis option, and the parser / summary format versions.
+    Two runs share cached summaries only when their signatures match.
     """
     digest = hashlib.sha256()
     digest.update(astcache.PARSER_VERSION.encode())
@@ -94,6 +95,11 @@ def session_signature(checker_names=(), metal_texts=(), options=None,
     for name in checker_names:
         digest.update(str(name).encode())
         digest.update(b"\x1d")
+        factory = ALL_CHECKERS.get(name)
+        source = factory().source if factory is not None else None
+        if source is not None:
+            digest.update(source.encode())
+            digest.update(b"\x1d")
     digest.update(b"\x00")
     for text in metal_texts:
         digest.update(str(text).encode())

@@ -7,7 +7,7 @@ stop the current path (the path-kill idiom).
 """
 
 from repro.cfront.unparse import unparse
-from repro.engine.errors import ErrorReport
+from repro.reports.model import Report
 
 
 class StopPath(Exception):
@@ -73,7 +73,7 @@ class ActionContext:
         """
         message = fmt % args if args else fmt
         inst = self.instance
-        report = ErrorReport(
+        report = Report(
             checker=self.extension.name,
             message=message,
             location=self.location,

@@ -1,18 +1,11 @@
 """The engine-side report log.
 
 The report model itself lives in :mod:`repro.reports.model`; this module
-keeps its historical import surface (``ErrorReport``, ``SEVERITY_ORDER``)
-as re-exports and owns :class:`ErrorLog` -- the engine-side collector
-whose serial order is the canonical report order every driver path
-reproduces byte-identically (and which stable report hashes take their
-occurrence ordinals from, :mod:`repro.reports.hashing`).
+owns :class:`ErrorLog` -- the engine-side collector whose serial order
+is the canonical report order every driver path reproduces
+byte-identically (and which stable report hashes take their occurrence
+ordinals from, :mod:`repro.reports.hashing`).
 """
-
-from repro.reports.model import SEVERITY_ORDER, Report
-
-#: Checkers and the engine construct reports under the historical name;
-#: the class is the structured-report model.
-ErrorReport = Report
 
 
 class ErrorLog:

@@ -3,7 +3,8 @@
 "xgcc provides an extensive library of functions useful as callouts."
 These helpers are available both to Python-API checkers and, by name, to
 textual metal callouts (``${ mc_is_call_to(fn, "gets") }``) and C code
-actions (``err("using %s after free!", mc_identifier(v))``).
+actions (``err("using %s after free!", mc_identifier(v))``).  Every
+registered state-machine checker's callouts are compositions of these.
 
 Functions marked with :func:`context_function` receive the match/action
 context as an implicit first argument when invoked from textual metal.
@@ -150,6 +151,92 @@ def mc_is_deref_of(point, obj):
     return False
 
 
+def mc_equal(a, b):
+    """True if ``a`` and ``b`` are the same expression (structurally: any
+    location, any spacing); false when either is missing."""
+    if a is None or b is None:
+        return False
+    return ast.structural_key(a) == ast.structural_key(b)
+
+
+def mc_mentions(node, obj):
+    """True if ``obj`` occurs anywhere in ``node`` (``node`` included)."""
+    if not isinstance(node, ast.Node) or obj is None:
+        return False
+    key = ast.structural_key(obj)
+    return any(ast.structural_key(n) == key for n in node.walk())
+
+
+def mc_passes(point, obj):
+    """True if ``point`` is a call that passes ``obj`` as an argument."""
+    if not isinstance(point, ast.Call) or obj is None:
+        return False
+    key = ast.structural_key(obj)
+    return any(ast.structural_key(arg) == key for arg in point.args)
+
+
+def mc_is_indexed_by(point, obj):
+    """True if ``point`` is an array access ``a[obj]``."""
+    return isinstance(point, ast.Index) and mc_equal(point.index, obj)
+
+
+def mc_is_stored_through(point, obj):
+    """True if ``point`` stores ``obj`` through a pointer or into a
+    structure or array: ``x->f = obj``, ``*x = obj``, ``a[i] = obj``.
+    (A plain ``x = obj`` is the engine's synonym business, §8.)"""
+    if not isinstance(point, ast.Assign) or point.op != "=":
+        return False
+    if obj is None or not mc_equal(point.value, obj):
+        return False
+    target = point.target
+    return isinstance(target, (ast.Member, ast.Index)) or (
+        isinstance(target, ast.Unary) and target.op == "*"
+    )
+
+
+#: printf-family functions and the index of their format argument.
+PRINTF_FAMILY = {
+    "printf": 0,
+    "fprintf": 1,
+    "sprintf": 1,
+    "snprintf": 2,
+    "printk": 0,
+    "syslog": 1,
+}
+
+
+def mc_format_arg(node):
+    """The format-string argument of a printf-family call, or NULL."""
+    if not isinstance(node, ast.Call):
+        return None
+    index = PRINTF_FAMILY.get(node.callee_name())
+    if index is None or index >= len(node.args):
+        return None
+    return node.args[index]
+
+
+def mc_is_string(node):
+    """True for a string literal."""
+    return isinstance(node, ast.StringLit)
+
+
+@context_function
+def mc_origin(context):
+    """Where the triggering instance's checking began: the site that
+    ``count_example`` credits for a followed rule (§9)."""
+    instance = getattr(context, "instance", None)
+    return instance.origin_location if instance is not None else None
+
+
+@context_function
+def err_rule(context, rule_id, severity, fmt, *args):
+    """``err`` for statistical ranking (§9): the report carries
+    ``rule_id`` (counted as a violation of it) and ``severity``, one of
+    ``SECURITY``, ``ERROR`` or ``MINOR``; ``0`` keeps the checker's own
+    severity."""
+    return context.err(fmt, *args, rule_id=rule_id, severity=severity or None)
+
+
 @context_function
 def mc_annotation(context, node, key):
     """Read an AST annotation left by an earlier (composed) extension."""
@@ -178,4 +265,17 @@ LIBRARY = {
     "mc_stmt": mc_stmt,
     "mc_in_function": mc_in_function,
     "mc_annotation": mc_annotation,
+    "mc_equal": mc_equal,
+    "mc_mentions": mc_mentions,
+    "mc_passes": mc_passes,
+    "mc_is_indexed_by": mc_is_indexed_by,
+    "mc_is_stored_through": mc_is_stored_through,
+    "mc_format_arg": mc_format_arg,
+    "mc_is_string": mc_is_string,
+    "mc_origin": mc_origin,
+    "err_rule": err_rule,
 }
+#: The severities ``err_rule`` and a checker's ``severity`` declaration
+#: take, as constants (reports/model.py ranks them).
+SEVERITIES = ("SECURITY", "ERROR", "MINOR")
+LIBRARY.update((name, name) for name in SEVERITIES)

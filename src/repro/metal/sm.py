@@ -134,6 +134,9 @@ class Extension:
         #: Severity class used for grouping/ranking unless an error says
         #: otherwise ('SECURITY' | 'ERROR' | 'MINOR' | None).
         self.default_severity = None
+        #: The metal text this extension was compiled from (None for a
+        #: Python-API extension).
+        self.source = None
 
     # -- declaration API ------------------------------------------------------
 
@@ -337,6 +340,17 @@ class Extension:
             cache = (key, CompiledExtension(self))
             self._compiled_cache = cache
         return cache[1]
+
+    def copy(self):
+        """An extension with this one's declarations and transitions that
+        can be extended or reordered without touching this one (the rules
+        themselves are shared: nothing mutates a rule)."""
+        clone = Extension.__new__(Extension)
+        clone.__dict__ = self.__getstate__()
+        for attr, value in clone.__dict__.items():
+            if isinstance(value, (list, dict)):
+                clone.__dict__[attr] = type(value)(value)
+        return clone
 
     def __getstate__(self):
         """Derived caches are rebuilt on demand; never pickle them."""

@@ -12,7 +12,7 @@ the same freeing function are placed in the same class.  Such grouping
 makes it easy to suppress them all if the analysis is wrong."
 """
 
-from repro.engine.errors import SEVERITY_ORDER
+from repro.reports.model import SEVERITY_ORDER
 from repro.ranking.generic import generic_sort_key
 
 #: Error kinds implementers "almost always fix first": hard to diagnose

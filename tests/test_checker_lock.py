@@ -85,7 +85,7 @@ class TestCountingLockChecker:
     def test_depth_exceeds_limit(self):
         acquires = " ".join("lock(l);" for __ in range(6))
         code = "int f(int *l) { %s return 0; }" % acquires
-        result = run_checker(code, counting_lock_checker(max_depth=4))
+        result = run_checker(code, counting_lock_checker())
         assert any("acquired 5 times" in m for m in messages(result))
 
     def test_leak_reports_depth(self):

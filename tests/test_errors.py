@@ -1,11 +1,12 @@
-"""ErrorReport / ErrorLog unit tests."""
+"""Report / ErrorLog unit tests."""
 
 from repro.cfront.source import Location
-from repro.engine.errors import ErrorLog, ErrorReport
+from repro.engine.errors import ErrorLog
+from repro.reports.model import Report
 
 
 def report(line=5, column=2, message="m", checker="c", **kw):
-    return ErrorReport(checker, message, Location("f.c", line, column), **kw)
+    return Report(checker, message, Location("f.c", line, column), **kw)
 
 
 class TestErrorReport:

@@ -3,13 +3,13 @@
 import os
 
 from repro.cfront.source import Location
-from repro.engine.errors import ErrorReport
+from repro.reports.model import Report
 from repro.engine.history import HistoryDatabase
 
 
 def report(line=10, message="using p after free!", function="f",
            variable="p", checker="free_checker", filename="dev.c"):
-    return ErrorReport(
+    return Report(
         checker=checker,
         message=message,
         location=Location(filename, line, 1),

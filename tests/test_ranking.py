@@ -4,7 +4,8 @@ z-statistic, statistical rule ranking, and code ranking."""
 import math
 
 from repro.cfront.source import Location
-from repro.engine.errors import ErrorLog, ErrorReport
+from repro.engine.errors import ErrorLog
+from repro.reports.model import Report
 from repro.ranking import (
     generic_rank,
     rank_by_rule_reliability,
@@ -20,7 +21,7 @@ from repro.ranking.statistical import rule_reliability_table, rule_z_score
 def report(message="m", line=10, origin_line=None, conditionals=0,
            synonym_chain=0, call_chain=0, severity=None, rule_id=None,
            checker="c"):
-    return ErrorReport(
+    return Report(
         checker=checker,
         message=message,
         location=Location("f.c", line, 1),
