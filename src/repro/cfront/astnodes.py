@@ -33,21 +33,33 @@ class Node:
         self.location = location or UNKNOWN_LOCATION
 
     def children(self):
-        """Yield direct child nodes (flattening list-valued fields)."""
+        """The direct child nodes, in field order (list-valued fields
+        flattened)."""
+        found = []
         for name in self._fields:
             value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                found.append(value)
             elif isinstance(value, (list, tuple)):
                 for item in value:
                     if isinstance(item, Node):
-                        yield item
+                        found.append(item)
+        return found
 
     def walk(self):
-        """Yield this node and all descendants, preorder."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, preorder.
+
+        An explicit stack, not recursive generators: a node at depth d
+        would otherwise pass through d suspended generators."""
+        stack = [self]
+        pop = stack.pop
+        while stack:
+            node = pop()
+            yield node
+            children = node.children()
+            if children:
+                children.reverse()
+                stack.extend(children)
 
     def __repr__(self):
         parts = []

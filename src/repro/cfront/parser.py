@@ -40,6 +40,14 @@ _TYPE_SPECIFIER_KEYWORDS = frozenset(
 _STORAGE_KEYWORDS = frozenset("typedef extern static auto register".split())
 _QUALIFIER_KEYWORDS = frozenset("const volatile restrict inline".split())
 
+#: GCC spellings the parser drops; those in ``_GCC_GROUPED`` take a
+#: parenthesized operand, which is dropped with them.
+_GCC_NOISE = frozenset(
+    ["__attribute__", "__extension__", "__restrict", "__restrict__",
+     "__inline", "__inline__", "__volatile__", "__asm__", "__asm"]
+)
+_GCC_GROUPED = ("__attribute__", "__asm__", "__asm")
+
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>=")
 
 #: How deep brackets, blocks, prefix operators, casts, assignments and
@@ -47,6 +55,9 @@ _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "<<=", ">>="
 #: error: the recursive descent then stays far below Python's recursion
 #: limit.  Statement chains (``else if``, case labels) do not count.
 MAX_NESTING = 1000
+
+#: The farthest :meth:`Parser.peek` looks past the current token.
+LOOKAHEAD = 2
 
 #: Binary operator -> precedence level, loosest first (C's order).
 BINARY_LEVELS = {
@@ -79,7 +90,33 @@ class Scope:
         self.names[name] = ctype
 
 
-class Parser:
+class TokenCursor:
+    """A position in a token list that ends with its EOF token.
+
+    The cursor takes the list over and pads it with :data:`LOOKAHEAD`
+    more references to that EOF token, and ``pos`` never passes ``end``
+    (the EOF token's index), so ``peek(offset)`` for any ``offset <=
+    LOOKAHEAD`` is one index, with no clamp, and reads EOF at and past the
+    end of input.
+    """
+
+    def __init__(self, tokens):
+        self.end = len(tokens) - 1
+        tokens.extend([tokens[-1]] * LOOKAHEAD)
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self, offset=0):
+        return self.tokens[self.pos + offset]
+
+    def advance(self):
+        pos = self.pos
+        if pos < self.end:
+            self.pos = pos + 1
+        return self.tokens[pos]
+
+
+class Parser(TokenCursor):
     """Parses token streams into ASTs.
 
     Parameters
@@ -99,13 +136,13 @@ class Parser:
     def __init__(self, text, filename="<string>", typedefs=None, hole_types=None,
                  tokens=None):
         if tokens is not None:
-            self.tokens = list(tokens)
-            if not self.tokens or self.tokens[-1].kind is not EOF:
-                last = self.tokens[-1].location if self.tokens else None
-                self.tokens.append(Token(EOF, "", last or Location(filename)))
+            tokens = list(tokens)
+            if not tokens or tokens[-1].kind is not EOF:
+                last = tokens[-1].location if tokens else None
+                tokens.append(Token(EOF, "", last or Location(filename)))
         else:
-            self.tokens = Lexer(text, filename).tokens()
-        self.pos = 0
+            tokens = Lexer(text, filename).tokens()
+        super().__init__(tokens)
         self.filename = filename
         self.typedefs = dict(typedefs or {})
         self.hole_types = dict(hole_types or {})
@@ -116,16 +153,10 @@ class Parser:
         self.depth = 0
 
     # -- token stream helpers ------------------------------------------------
-
-    def peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
-        return token
+    #
+    # A token that matched a punctuator, keyword or identifier is not the
+    # EOF token, so the helpers (and the hot loops below) that consume one
+    # step ``pos`` without the ``end`` check.
 
     def at_eof(self):
         return self.peek().kind is EOF
@@ -145,39 +176,46 @@ class Parser:
         return result
 
     def expect_punct(self, value):
-        token = self.peek()
-        if not token.is_punct(value):
+        pos = self.pos
+        token = self.tokens[pos]
+        if token.kind is not PUNCT or token.value != value:
             self.error("expected %r" % value)
-        return self.advance()
+        self.pos = pos + 1
+        return token
 
     def expect_keyword(self, value):
-        token = self.peek()
-        if not token.is_keyword(value):
+        pos = self.pos
+        token = self.tokens[pos]
+        if token.kind is not KEYWORD or token.value != value:
             self.error("expected keyword %r" % value)
-        return self.advance()
+        self.pos = pos + 1
+        return token
 
     def expect_ident(self):
-        token = self.peek()
+        pos = self.pos
+        token = self.tokens[pos]
         if token.kind is not IDENT:
             self.error("expected identifier")
-        return self.advance()
+        self.pos = pos + 1
+        return token
 
     def accept_punct(self, *values):
-        if self.peek().is_punct(*values):
-            return self.advance()
+        pos = self.pos
+        token = self.tokens[pos]
+        if token.kind is PUNCT and token.value in values:
+            self.pos = pos + 1
+            return token
         return None
 
     def accept_keyword(self, *values):
-        if self.peek().is_keyword(*values):
-            return self.advance()
+        pos = self.pos
+        token = self.tokens[pos]
+        if token.kind is KEYWORD and token.value in values:
+            self.pos = pos + 1
+            return token
         return None
 
     # -- GCC extension tolerance ------------------------------------------------
-
-    _GCC_NOISE = frozenset(
-        ["__attribute__", "__extension__", "__restrict", "__restrict__",
-         "__inline", "__inline__", "__volatile__", "__asm__", "__asm"]
-    )
 
     def _skip_gcc_extensions(self):
         """Skip ``__attribute__((...))`` and friends wherever they appear.
@@ -185,26 +223,28 @@ class Parser:
         Kernel code is saturated with these; the analyses never consult
         them, so the parser tolerates and drops them.
         """
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind is IDENT and token.value in self._GCC_NOISE:
-                name = self.advance().value
-                if self.peek().is_punct("(") and name in (
-                    "__attribute__", "__asm__", "__asm",
-                ):
-                    depth = 0
-                    while True:
-                        inner = self.advance()
-                        if inner.is_punct("("):
+            token = tokens[self.pos]
+            if token.kind is not IDENT or token.value not in _GCC_NOISE:
+                return
+            name = token.value
+            self.pos += 1
+            token = tokens[self.pos]
+            if (token.kind is PUNCT and token.value == "("
+                    and name in _GCC_GROUPED):
+                depth = 0
+                while True:
+                    inner = self.advance()
+                    if inner.kind is PUNCT:
+                        if inner.value == "(":
                             depth += 1
-                        elif inner.is_punct(")"):
+                        elif inner.value == ")":
                             depth -= 1
                             if depth == 0:
                                 break
-                        elif inner.kind is EOF:
-                            self.error("unterminated %s" % name)
-            else:
-                return
+                    elif inner.kind is EOF:
+                        self.error("unterminated %s" % name)
 
     # -- type recognition ------------------------------------------------------
 
@@ -217,14 +257,14 @@ class Parser:
 
     def starts_type(self, offset=0):
         """Whether the token at ``offset`` begins a type (for decl/cast tests)."""
-        token = self.peek(offset)
+        token = self.tokens[self.pos + offset]
         if token.kind is KEYWORD:
             return (
                 token.value in _TYPE_SPECIFIER_KEYWORDS
                 or token.value in _STORAGE_KEYWORDS
                 or token.value in _QUALIFIER_KEYWORDS
             )
-        if token.kind is IDENT and token.value in self._GCC_NOISE:
+        if token.kind is IDENT and token.value in _GCC_NOISE:
             return True
         return self._is_typedef_name(token)
 
@@ -317,28 +357,29 @@ class Parser:
         record = None
         while True:
             self._skip_gcc_extensions()
-            token = self.peek()
-            if token.kind is KEYWORD and token.value in _STORAGE_KEYWORDS:
-                if token.value in ("typedef", "static", "extern"):
-                    storage = token.value
-                self.advance()
-            elif token.kind is KEYWORD and token.value in _QUALIFIER_KEYWORDS:
-                qualifiers.add(token.value)
-                self.advance()
-            elif token.is_keyword("struct", "union"):
-                record = self._nested(self.parse_record_specifier)
-            elif token.is_keyword("enum"):
-                record = self.parse_enum_specifier()
-            elif (
-                token.kind is KEYWORD
-                and token.value in _TYPE_SPECIFIER_KEYWORDS
-            ):
-                specifier_words.append(token.value)
-                self.advance()
+            token = self.tokens[self.pos]
+            value = token.value
+            if token.kind is KEYWORD:
+                if value in _STORAGE_KEYWORDS:
+                    if value in ("typedef", "static", "extern"):
+                        storage = value
+                    self.pos += 1
+                elif value in _QUALIFIER_KEYWORDS:
+                    qualifiers.add(value)
+                    self.pos += 1
+                elif value == "struct" or value == "union":
+                    record = self._nested(self.parse_record_specifier)
+                elif value == "enum":
+                    record = self.parse_enum_specifier()
+                elif value in _TYPE_SPECIFIER_KEYWORDS:
+                    specifier_words.append(value)
+                    self.pos += 1
+                else:
+                    break
             elif self._is_typedef_name(token) and not specifier_words and record is None:
-                record = self.typedefs[token.value]
-                record = ctypes.TypedefType(token.value, record)
-                self.advance()
+                record = self.typedefs[value]
+                record = ctypes.TypedefType(value, record)
+                self.pos += 1
             else:
                 break
         if record is not None:
@@ -546,8 +587,12 @@ class Parser:
         location = self.expect_punct("{").location
         self.scope = Scope(self.scope)
         items = []
-        while not self.peek().is_punct("}"):
-            if self.at_eof():
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind is PUNCT and token.value == "}":
+                break
+            if token.kind is EOF:
                 self.error("unterminated compound statement")
             items.extend(self.parse_block_item())
         self.expect_punct("}")
@@ -592,122 +637,143 @@ class Parser:
         return decls
 
     def parse_statement(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         location = token.location
-
-        if token.is_punct("{"):
-            return self._nested(self.parse_compound)
-        if token.is_punct(";"):
-            self.advance()
-            return ast.EmptyStmt(location)
-        if token.is_keyword("if"):
-            self.advance()
-            self.expect_punct("(")
-            cond = self.parse_expression()
-            self.expect_punct(")")
-            then = self.parse_statement()
-            otherwise = None
-            if self.accept_keyword("else"):
-                otherwise = self.parse_statement()
-            return ast.If(cond, then, otherwise, location)
-        if token.is_keyword("while"):
-            self.advance()
-            self.expect_punct("(")
-            cond = self.parse_expression()
-            self.expect_punct(")")
-            body = self.parse_statement()
-            return ast.While(cond, body, location)
-        if token.is_keyword("do"):
-            self.advance()
-            body = self.parse_statement()
-            self.expect_keyword("while")
-            self.expect_punct("(")
-            cond = self.parse_expression()
-            self.expect_punct(")")
-            self.expect_punct(";")
-            return ast.DoWhile(body, cond, location)
-        if token.is_keyword("for"):
-            self.advance()
-            self.expect_punct("(")
-            init = None
-            if self.starts_type():
-                init = ast.Compound(self.parse_local_declaration(), location)
-            elif not self.peek().is_punct(";"):
-                init = ast.ExprStmt(self.parse_expression(), location)
-                self.expect_punct(";")
-            else:
-                self.advance()
-            cond = None
-            if not self.peek().is_punct(";"):
-                cond = self.parse_expression()
-            self.expect_punct(";")
-            step = None
-            if not self.peek().is_punct(")"):
-                step = self.parse_expression()
-            self.expect_punct(")")
-            body = self.parse_statement()
-            return ast.For(init, cond, step, body, location)
-        if token.is_keyword("switch"):
-            self.advance()
-            self.expect_punct("(")
-            cond = self.parse_expression()
-            self.expect_punct(")")
-            body = self.parse_statement()
-            return ast.Switch(cond, body, location)
-        if token.is_keyword("case"):
-            self.advance()
-            expr = self.parse_conditional()
-            self.expect_punct(":")
-            return ast.Case(expr, self.parse_statement(), location)
-        if token.is_keyword("default"):
-            self.advance()
-            self.expect_punct(":")
-            return ast.Default(self.parse_statement(), location)
-        if token.is_keyword("break"):
-            self.advance()
-            self.expect_punct(";")
-            return ast.Break(location)
-        if token.is_keyword("continue"):
-            self.advance()
-            self.expect_punct(";")
-            return ast.Continue(location)
-        if token.is_keyword("return"):
-            self.advance()
-            expr = None
-            if not self.peek().is_punct(";"):
-                expr = self.parse_expression()
-            self.expect_punct(";")
-            return ast.Return(expr, location)
-        if token.is_keyword("goto"):
-            self.advance()
-            label = self.expect_ident().value
-            self.expect_punct(";")
-            return ast.Goto(label, location)
-        if token.kind is IDENT and self.peek(1).is_punct(":"):
-            name = self.advance().value
-            self.advance()  # ':'
-            return ast.Label(name, self.parse_statement(), location)
+        kind = token.kind
+        if kind is PUNCT:
+            if token.value == "{":
+                return self._nested(self.parse_compound)
+            if token.value == ";":
+                self.pos += 1
+                return ast.EmptyStmt(location)
+        elif kind is KEYWORD:
+            parse = self._KEYWORD_STATEMENTS.get(token.value)
+            if parse is not None:
+                self.pos += 1
+                return parse(self, location)
+        elif kind is IDENT:
+            following = self.tokens[self.pos + 1]
+            if following.kind is PUNCT and following.value == ":":
+                self.pos += 2
+                return ast.Label(token.value, self.parse_statement(), location)
 
         expr = self.parse_expression()
         self.expect_punct(";")
         return ast.ExprStmt(expr, location)
+
+    def _parse_if(self, location):
+        self.expect_punct("(")
+        cond = self.parse_expression()
+        self.expect_punct(")")
+        then = self.parse_statement()
+        otherwise = None
+        if self.accept_keyword("else"):
+            otherwise = self.parse_statement()
+        return ast.If(cond, then, otherwise, location)
+
+    def _parse_while(self, location):
+        self.expect_punct("(")
+        cond = self.parse_expression()
+        self.expect_punct(")")
+        body = self.parse_statement()
+        return ast.While(cond, body, location)
+
+    def _parse_do(self, location):
+        body = self.parse_statement()
+        self.expect_keyword("while")
+        self.expect_punct("(")
+        cond = self.parse_expression()
+        self.expect_punct(")")
+        self.expect_punct(";")
+        return ast.DoWhile(body, cond, location)
+
+    def _parse_for(self, location):
+        self.expect_punct("(")
+        init = None
+        if self.starts_type():
+            init = ast.Compound(self.parse_local_declaration(), location)
+        elif not self.peek().is_punct(";"):
+            init = ast.ExprStmt(self.parse_expression(), location)
+            self.expect_punct(";")
+        else:
+            self.advance()
+        cond = None
+        if not self.peek().is_punct(";"):
+            cond = self.parse_expression()
+        self.expect_punct(";")
+        step = None
+        if not self.peek().is_punct(")"):
+            step = self.parse_expression()
+        self.expect_punct(")")
+        body = self.parse_statement()
+        return ast.For(init, cond, step, body, location)
+
+    def _parse_switch(self, location):
+        self.expect_punct("(")
+        cond = self.parse_expression()
+        self.expect_punct(")")
+        body = self.parse_statement()
+        return ast.Switch(cond, body, location)
+
+    def _parse_case(self, location):
+        expr = self.parse_conditional()
+        self.expect_punct(":")
+        return ast.Case(expr, self.parse_statement(), location)
+
+    def _parse_default(self, location):
+        self.expect_punct(":")
+        return ast.Default(self.parse_statement(), location)
+
+    def _parse_break(self, location):
+        self.expect_punct(";")
+        return ast.Break(location)
+
+    def _parse_continue(self, location):
+        self.expect_punct(";")
+        return ast.Continue(location)
+
+    def _parse_return(self, location):
+        expr = None
+        if not self.peek().is_punct(";"):
+            expr = self.parse_expression()
+        self.expect_punct(";")
+        return ast.Return(expr, location)
+
+    def _parse_goto(self, location):
+        label = self.expect_ident().value
+        self.expect_punct(";")
+        return ast.Goto(label, location)
+
+    #: Statement keyword -> the method that parses the rest of the
+    #: statement once the keyword is consumed.
+    _KEYWORD_STATEMENTS = {
+        "if": _parse_if, "while": _parse_while, "do": _parse_do,
+        "for": _parse_for, "switch": _parse_switch, "case": _parse_case,
+        "default": _parse_default, "break": _parse_break,
+        "continue": _parse_continue, "return": _parse_return,
+        "goto": _parse_goto,
+    }
 
     # -- expressions ---------------------------------------------------------------
 
     def parse_expression(self):
         """Full expression including the comma operator."""
         expr = self.parse_assignment()
-        while self.peek().is_punct(","):
-            location = self.advance().location
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind is not PUNCT or token.value != ",":
+                return expr
+            self.pos += 1
             right = self.parse_assignment()
-            expr = ast.Comma(expr, right, location)
-        return expr
+            expr = ast.Comma(expr, right, token.location)
 
     def parse_assignment(self):
         left = self.parse_conditional()
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is PUNCT and token.value in _ASSIGN_OPS:
-            op = self.advance().value
+            self.pos += 1
+            op = token.value
             right = self._nested(self.parse_assignment)
             node = ast.Assign(op, left, right, token.location)
             node.ctype = left.ctype
@@ -716,8 +782,10 @@ class Parser:
 
     def parse_conditional(self):
         cond = self.parse_binary()
-        if self.peek().is_punct("?"):
-            location = self.advance().location
+        token = self.tokens[self.pos]
+        if token.kind is PUNCT and token.value == "?":
+            self.pos += 1
+            location = token.location
             then = self._nested(self.parse_expression)
             self.expect_punct(":")
             otherwise = self._nested(self.parse_conditional)
@@ -731,15 +799,16 @@ class Parser:
         operators of higher :data:`BINARY_LEVELS` only, so equal levels
         associate to the left."""
         left = self.parse_cast()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            level = (
-                BINARY_LEVELS.get(token.value)
-                if token.kind is PUNCT else None
-            )
+            token = tokens[self.pos]
+            if token.kind is not PUNCT:
+                return left
+            level = BINARY_LEVELS.get(token.value)
             if level is None or level < min_level:
                 return left
-            op = self.advance().value
+            self.pos += 1
+            op = token.value
             right = self.parse_binary(level + 1)
             node = ast.Binary(op, left, right, token.location)
             node.ctype = self._binary_type(op, left, right)
@@ -758,8 +827,11 @@ class Parser:
         return left.ctype or right.ctype
 
     def parse_cast(self):
-        if self.peek().is_punct("(") and self.starts_type(1):
-            location = self.advance().location
+        token = self.tokens[self.pos]
+        if (token.kind is PUNCT and token.value == "("
+                and self.starts_type(1)):
+            self.pos += 1
+            location = token.location
             to_type = self.parse_type_name()
             self.expect_punct(")")
             # "(int){...}" compound literals are not supported; a cast of a
@@ -776,42 +848,47 @@ class Parser:
         return full_type
 
     def parse_unary(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         location = token.location
-        if token.is_punct("++", "--"):
-            op = self.advance().value
-            operand = self._nested(self.parse_unary)
-            node = ast.Unary(op, operand, postfix=False, location=location)
-            node.ctype = operand.ctype
-            return node
-        if token.is_punct("+", "-", "~", "!"):
-            op = self.advance().value
-            operand = self._nested(self.parse_cast)
-            node = ast.Unary(op, operand, location=location)
-            node.ctype = ctypes.INT if op == "!" else operand.ctype
-            return node
-        if token.is_punct("*"):
-            self.advance()
-            operand = self._nested(self.parse_cast)
-            node = ast.Unary("*", operand, location=location)
-            if operand.ctype is not None:
-                resolved = operand.ctype.resolve()
-                if isinstance(resolved, (ctypes.PointerType,)):
-                    node.ctype = resolved.target
-                elif isinstance(resolved, ctypes.ArrayType):
-                    node.ctype = resolved.element
-            return node
-        if token.is_punct("&"):
-            self.advance()
-            operand = self._nested(self.parse_cast)
-            node = ast.Unary("&", operand, location=location)
-            if operand.ctype is not None:
-                node.ctype = ctypes.PointerType(operand.ctype)
-            return node
-        if token.is_keyword("sizeof"):
-            self.advance()
-            if self.peek().is_punct("(") and self.starts_type(1):
-                self.advance()
+        kind = token.kind
+        if kind is PUNCT:
+            op = token.value
+            if op == "++" or op == "--":
+                self.pos += 1
+                operand = self._nested(self.parse_unary)
+                node = ast.Unary(op, operand, postfix=False, location=location)
+                node.ctype = operand.ctype
+                return node
+            if op == "+" or op == "-" or op == "~" or op == "!":
+                self.pos += 1
+                operand = self._nested(self.parse_cast)
+                node = ast.Unary(op, operand, location=location)
+                node.ctype = ctypes.INT if op == "!" else operand.ctype
+                return node
+            if op == "*":
+                self.pos += 1
+                operand = self._nested(self.parse_cast)
+                node = ast.Unary("*", operand, location=location)
+                if operand.ctype is not None:
+                    resolved = operand.ctype.resolve()
+                    if isinstance(resolved, (ctypes.PointerType,)):
+                        node.ctype = resolved.target
+                    elif isinstance(resolved, ctypes.ArrayType):
+                        node.ctype = resolved.element
+                return node
+            if op == "&":
+                self.pos += 1
+                operand = self._nested(self.parse_cast)
+                node = ast.Unary("&", operand, location=location)
+                if operand.ctype is not None:
+                    node.ctype = ctypes.PointerType(operand.ctype)
+                return node
+        elif kind is KEYWORD and token.value == "sizeof":
+            self.pos += 1
+            token = self.tokens[self.pos]
+            if (token.kind is PUNCT and token.value == "("
+                    and self.starts_type(1)):
+                self.pos += 1
                 of_type = self.parse_type_name()
                 self.expect_punct(")")
                 node = ast.SizeofType(of_type, location)
@@ -823,25 +900,30 @@ class Parser:
 
     def parse_postfix(self):
         expr = self.parse_primary()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.is_punct("("):
-                location = self.advance().location
+            token = tokens[self.pos]
+            if token.kind is not PUNCT:
+                return expr
+            value = token.value
+            if value == "(":
+                self.pos += 1
                 args = []
-                if not self.peek().is_punct(")"):
+                following = tokens[self.pos]
+                if following.kind is not PUNCT or following.value != ")":
                     while True:
                         args.append(self._nested(self.parse_assignment))
                         if not self.accept_punct(","):
                             break
                 self.expect_punct(")")
-                node = ast.Call(expr, args, location)
+                node = ast.Call(expr, args, token.location)
                 node.ctype = self._call_type(expr)
                 expr = node
-            elif token.is_punct("["):
-                location = self.advance().location
+            elif value == "[":
+                self.pos += 1
                 index = self._nested(self.parse_expression)
                 self.expect_punct("]")
-                node = ast.Index(expr, index, location)
+                node = ast.Index(expr, index, token.location)
                 if expr.ctype is not None:
                     resolved = expr.ctype.resolve()
                     if isinstance(resolved, ctypes.PointerType):
@@ -849,15 +931,16 @@ class Parser:
                     elif isinstance(resolved, ctypes.ArrayType):
                         node.ctype = resolved.element
                 expr = node
-            elif token.is_punct(".", "->"):
-                arrow = self.advance().value == "->"
+            elif value == "." or value == "->":
+                self.pos += 1
+                arrow = value == "->"
                 name = self.expect_ident().value
                 node = ast.Member(expr, name, arrow, token.location)
                 node.ctype = self._member_type(expr, name, arrow)
                 expr = node
-            elif token.is_punct("++", "--"):
-                op = self.advance().value
-                node = ast.Unary(op, expr, postfix=True, location=token.location)
+            elif value == "++" or value == "--":
+                self.pos += 1
+                node = ast.Unary(value, expr, postfix=True, location=token.location)
                 node.ctype = expr.ctype
                 expr = node
             else:
@@ -887,46 +970,11 @@ class Parser:
         return None
 
     def parse_primary(self):
-        token = self.peek()
+        token = self.tokens[self.pos]
         location = token.location
-        if token.is_punct("("):
-            self.advance()
-            expr = self._nested(self.parse_expression)
-            self.expect_punct(")")
-            return expr
-        if token.kind is INT_CONST:
-            self.advance()
-            return self._typed_int(token, location)
-        if token.kind is FLOAT_CONST:
-            self.advance()
-            node = ast.FloatLit(
-                parse_float_constant(token.value, location), token.value,
-                location,
-            )
-            node.ctype = ctypes.DOUBLE
-            return node
-        if token.kind is CHAR_CONST:
-            self.advance()
-            node = ast.CharLit(
-                parse_char_constant(token.value, location), token.value,
-                location,
-            )
-            node.ctype = ctypes.CHAR
-            return node
-        if token.kind is STRING:
-            self.advance()
-            value = parse_string_literal(token.value, location)
-            spelling = token.value
-            # Adjacent string literal concatenation.
-            while self.peek().kind is STRING:
-                extra = self.advance()
-                value += parse_string_literal(extra.value, extra.location)
-                spelling += " " + extra.value
-            node = ast.StringLit(value, spelling, location)
-            node.ctype = ctypes.CHAR_PTR
-            return node
-        if token.kind is IDENT:
-            self.advance()
+        kind = token.kind
+        if kind is IDENT:
+            self.pos += 1
             name = token.value
             if name in self.hole_types:
                 return ast.Hole(name, self.hole_types[name], location)
@@ -936,10 +984,42 @@ class Parser:
                 return node
             node = ast.Ident(name, location)
             node.ctype = self.scope.lookup(name)
-            if node.ctype is not None and isinstance(
-                node.ctype.resolve(), ctypes.ArrayType
-            ):
-                pass  # arrays keep their type; decay happens contextually
+            return node
+        if kind is PUNCT and token.value == "(":
+            self.pos += 1
+            expr = self._nested(self.parse_expression)
+            self.expect_punct(")")
+            return expr
+        if kind is INT_CONST:
+            self.pos += 1
+            return self._typed_int(token, location)
+        if kind is FLOAT_CONST:
+            self.pos += 1
+            node = ast.FloatLit(
+                parse_float_constant(token.value, location), token.value,
+                location,
+            )
+            node.ctype = ctypes.DOUBLE
+            return node
+        if kind is CHAR_CONST:
+            self.pos += 1
+            node = ast.CharLit(
+                parse_char_constant(token.value, location), token.value,
+                location,
+            )
+            node.ctype = ctypes.CHAR
+            return node
+        if kind is STRING:
+            self.pos += 1
+            value = parse_string_literal(token.value, location)
+            spelling = token.value
+            # Adjacent string literal concatenation.
+            while self.tokens[self.pos].kind is STRING:
+                extra = self.advance()
+                value += parse_string_literal(extra.value, extra.location)
+                spelling += " " + extra.value
+            node = ast.StringLit(value, spelling, location)
+            node.ctype = ctypes.CHAR_PTR
             return node
         self.error("expected expression")
 

@@ -35,6 +35,16 @@ from repro.cfront.parser import BINARY_LEVELS, MAX_NESTING
 from repro.cfront.source import PreprocessorError, read_source
 
 
+#: path -> ``(text, lines)``: the logical lines of the header last read
+#: at ``path``, kept for the life of the process.  A header included by
+#: many files is lexed once while its text stays the same; the entry is
+#: replaced when the text read differs, so a long-lived process holds one
+#: entry per header path and an edited header is lexed again.  Threads
+#: need no lock: a read or a store of one entry is atomic, and a reader
+#: checks the entry's text, so a race costs at most a second lexing.
+_HEADER_LINES = {}
+
+
 class Macro:
     """A macro definition."""
 
@@ -61,7 +71,8 @@ class Preprocessor:
         #: probed, in probe order.
         self.dependencies = {}
         #: Seconds spent in the lexer, and the tokens it produced (NEWLINE
-        #: and EOF marks included), over this preprocessor's lifetime.
+        #: and EOF marks included), over this preprocessor's lifetime; a
+        #: header served from the process memo adds to neither.
         self.lex_s = 0.0
         self.tokens_lexed = 0
         for name, value in (defines or {}).items():
@@ -229,8 +240,17 @@ class Preprocessor:
         if path in self.included:
             return []  # simple include-once; sufficient for our workloads
         self.included.add(path)
+        return self._process_lines(self._header_lines(path, text), path)
+
+    def _header_lines(self, path, text):
+        """:meth:`_directive_lines` of the header ``text`` read at
+        ``path``, from the process memo when that text was seen last."""
+        entry = _HEADER_LINES.get(path)
+        if entry is not None and entry[0] == text:
+            return entry[1]
         lines = self._directive_lines(text, path)
-        return self._process_lines(lines, path)
+        _HEADER_LINES[path] = (text, lines)
+        return lines
 
     def _find_include(self, target):
         """``(path, text)`` of the first readable candidate, or None."""

@@ -167,17 +167,23 @@ def _config_digest(filename, include_paths, defines):
 def cache_key(filename, tokens, include_paths=(), defines=None):
     """The content-addressed key for one preprocessed file: token kinds,
     spellings, and positions (a new file is marked once per run of
-    tokens from it)."""
+    tokens from it).
+
+    Each token costs one f-string: its kind's name comes from the enum
+    member's ``_name_`` attribute, since ``TokenKind.name`` is a
+    property call and a dict keyed by the kind calls ``Enum.__hash__``.
+    """
     digest = _config_digest(filename, include_paths, defines)
     parts = []
+    append = parts.append
     current = None
     for token in tokens:
         location = token.location
         if location.filename != current:
             current = location.filename
-            parts.append("\x1c%s\x1e" % current)
-        parts.append("%s\x1f%s\x1f%d\x1f%d\x1e" % (
-            token.kind.name, token.value, location.line, location.column))
+            append("\x1c%s\x1e" % current)
+        append(f"{token.kind._name_}\x1f{token.value}\x1f{location.line}"
+               f"\x1f{location.column}\x1e")
     digest.update("".join(parts).encode())
     return digest.hexdigest()
 

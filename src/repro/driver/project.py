@@ -12,16 +12,15 @@ Pass 1 output is a pickle of the translation unit per file (our "emitted
 AST" format); the size ratio claim is measured by
 ``benchmarks/bench_ast_emission.py``.
 
-Both passes scale out (docs/DRIVER.md):
+Pass 1 scales out; pass 2 does not (docs/DRIVER.md):
 
 - :meth:`Project.compile_files` fans pass 1 over worker processes
   (``jobs=N``) and, when ``cache_dir`` is set, serves unchanged files
   from a persistent content-addressed AST cache
   (:mod:`repro.driver.cache`) instead of re-parsing them.
-- :meth:`Project.run` with ``jobs=N`` partitions the call graph into
-  connected components and analyzes them in worker processes, merging
-  the logs back into the exact serial report order
-  (:mod:`repro.driver.parallel`).
+- :meth:`Project.run` analyzes in this process, in one DFS over the
+  reassembled source base, as the paper's xgcc does: ``--jobs`` buys
+  pass-1 workers only ("Pass 2 is serial").
 """
 
 import time

@@ -41,7 +41,7 @@ from repro.cfront.lexer import (
     parse_int_constant,
     parse_string_literal,
 )
-from repro.cfront.parser import Parser
+from repro.cfront.parser import Parser, TokenCursor
 from repro.cfront.source import ParseError, SourceError
 from repro.metal.callouts import LIBRARY, SEVERITIES
 from repro.metal.metatypes import metatype_by_name
@@ -53,23 +53,12 @@ class MetalError(SourceError):
     """A malformed metal extension."""
 
 
-class MetalParser:
+class MetalParser(TokenCursor):
     """Parses metal text into an :class:`Extension`."""
 
     def __init__(self, text, filename="<metal>"):
-        self.tokens = Lexer(text, filename).tokens()
-        self.pos = 0
+        super().__init__(Lexer(text, filename).tokens())
         self.filename = filename
-
-    def peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
-        return token
 
     def error(self, message):
         raise MetalError(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cfront.preproc import Preprocessor
 from repro.codegen.project_gen import apply_function_edits, generate_project
 from repro.driver import cache as astcache
 from repro.driver.cli import main
@@ -397,3 +398,35 @@ def test_fast_path_units_pickle_like_fresh_parses(seed, edits):
             fast_hits += stats.count("ast_fast_hits")
         if any(kind != "header" for kind, __ in edits):
             assert fast_hits > 0
+
+
+PIN_FILES = {
+    "inc/pin.h": "#define SCALE(x) ((x) * N)\nstruct box { int v; };\n",
+    "pin.c": '#include "pin.h"\n'
+             "int scaled(struct box *b) { return SCALE(b->v) + N; }\n",
+}
+
+#: ``cache_key`` of ``pin.c`` under ``-I inc -D N=4`` with
+#: ``AST_KEY_VERSION`` 3.
+PINNED_KEY = "50f33245f8c1cfc191902c043369e7fcdef364af5f552f0eb25c3df5c49ff5a6"
+
+
+def _pin_reader(path):
+    try:
+        return PIN_FILES[path]
+    except KeyError:
+        raise OSError(path) from None
+
+
+def test_token_key_is_pinned():
+    """The token key of a fixed source (an include, a function-like macro
+    and a ``-D`` define) never drifts: a cache written by an older build
+    must keep hitting.  A change that moves it must bump
+    ``AST_KEY_VERSION`` (and this digest)."""
+    assert astcache.AST_KEY_VERSION == "3"
+    assert astcache.PARSER_VERSION == "2"
+    for __ in range(2):  # the second run reads pin.h from the header memo
+        pp = Preprocessor(["inc"], {"N": "4"}, file_reader=_pin_reader)
+        tokens = pp.preprocess_text(PIN_FILES["pin.c"], "pin.c")
+        key = astcache.cache_key("pin.c", tokens, ["inc"], {"N": "4"})
+        assert key == PINNED_KEY

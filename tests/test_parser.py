@@ -1,19 +1,27 @@
 """Unit tests for the C parser."""
 
 import json
+import os
 
 import pytest
 
 from repro.cfront import astnodes as ast
 from repro.cfront import types as ctypes
+from repro.cfront.lexer import EOF, KEYWORD, tokenize
 from repro.cfront.parser import (
+    LOOKAHEAD,
     MAX_NESTING,
     Parser,
     parse,
     parse_expression,
     parse_statement,
 )
-from repro.cfront.source import ParseError
+from repro.cfront.source import LexError, ParseError, SourceError
+from repro.checkers import metal as metal_checkers
+from repro.codegen.generator import generate_kernel_module
+from repro.metal.language import MetalParser
+
+METAL_DIR = os.path.dirname(metal_checkers.__file__)
 
 
 class TestExpressions:
@@ -472,3 +480,91 @@ class TestMalformedInputDiagnostics:
         parser = Parser("enum { A = 1 << -1, B, C = 1 << 64, D = 1 << 3 };\n")
         parser.parse_translation_unit()
         assert parser.enum_constants == {"A": 0, "B": 1, "C": 2, "D": 8}
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _cuts(text):
+    """Every prefix of ``text`` that ends at a token boundary: before each
+    token, and the whole text."""
+    lines = text.splitlines(True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    cuts = [starts[token.location.line - 1] + token.location.column - 1
+            for token in tokenize(text)]
+    return sorted(set(cuts))
+
+
+class TestEndOfInput:
+    """The parsers look past the current token through EOF sentinels
+    (:data:`LOOKAHEAD` of them): every prefix of real input either
+    parses or is a located diagnostic, never an ``IndexError``."""
+
+    SOURCES = sorted(
+        name for name in os.listdir(DATA)
+        if name.startswith("torture_") and name.endswith(".c")
+    )
+
+    @pytest.mark.parametrize("name", SOURCES + ["module"])
+    def test_every_token_boundary_prefix(self, name):
+        if name == "module":
+            text = generate_kernel_module(seed=1, n_functions=6).source
+        else:
+            with open(os.path.join(DATA, name)) as handle:
+                text = handle.read()
+        for cut in _cuts(text):
+            try:
+                parse(text[:cut], name)
+            except (ParseError, LexError) as err:
+                assert err.location.filename == name
+                assert err.location.line >= 1
+
+    @pytest.mark.parametrize("text", [
+        "int f(void) { x",
+        "int f(void) { x:",
+        "(int",
+        "int f(void) { return (int",
+        "int f(void) { return sizeof (int",
+        "a ? b",
+        "int f(void) { return a ? b",
+        "__attribute__((",
+        "int x __attribute__((",
+        "int (",
+        "int (f",
+        "int (*",
+        "int f(void",
+        "int f(",
+        "struct s {",
+        "int f(void) { goto",
+        "int f(void) { return f(a,",
+        "int f(void) { return p->",
+        'int f(void) { return "a" "b"',
+    ])
+    def test_prefixes_that_look_ahead_at_the_end(self, text):
+        with pytest.raises(ParseError) as info:
+            parse(text, "cut.c")
+        assert info.value.location.filename == "cut.c"
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(METAL_DIR) if name.endswith(".metal")))
+    def test_every_metal_token_boundary_prefix(self, name):
+        with open(os.path.join(METAL_DIR, name)) as handle:
+            text = handle.read()
+        for cut in _cuts(text):
+            try:
+                MetalParser(text[:cut], name).parse()
+            except SourceError as err:
+                assert err.location.filename == name
+                assert err.location.line >= 1
+
+    def test_padding_never_runs_out(self):
+        # Two tokens past the current one is as far as the parser looks
+        # (``_paren_is_declarator``); advancing stops at the EOF token.
+        assert LOOKAHEAD >= 2
+        parser = Parser("int")
+        assert [parser.advance().kind for __ in range(4)] == [
+            KEYWORD, EOF, EOF, EOF]
+        assert parser.pos == parser.end
+        assert [parser.peek(offset).kind for offset in range(3)] == [EOF] * 3
