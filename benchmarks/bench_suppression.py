@@ -6,10 +6,10 @@
 * History: reports judged false in version N stay suppressed in version
   N+1 despite edits that move every line number.
 
-Both run on the consolidated triage path (repro.reports.triage): the
-checker-local suppressions are built from the shared SM helpers, and
-history suppression is a TriageStore history-kind entry (HistoryDatabase
-is a façade over the same store).
+The checker-local suppressions are rules of their own metal text
+(checkers/metal/free_suppressed.metal); history suppression runs on the
+consolidated triage path (repro.reports.triage) as a TriageStore
+history-kind entry (HistoryDatabase is a façade over the same store).
 """
 
 from conftest import analyze

@@ -134,14 +134,14 @@ class CallGraph:
         """Entry points: functions with no callers, plus one arbitrary
         function per otherwise-unreachable recursive component."""
         roots = [name for name in self.index if not self.callers[name]]
-        reachable = self._reachable_from(roots)
+        reachable = self.reachable_from(roots)
         # Break recursion: repeatedly promote the lexicographically first
         # unreached function to a root ("broken arbitrarily", §6).
         remaining = sorted(set(self.index) - reachable)
         while remaining:
             root = remaining[0]
             roots.append(root)
-            reachable |= self._reachable_from([root])
+            reachable |= self.reachable_from([root])
             remaining = sorted(set(self.index) - reachable)
         return sorted(roots)
 
@@ -212,7 +212,9 @@ class CallGraph:
         self.label_memo = labels
         return labels
 
-    def _reachable_from(self, names):
+    def reachable_from(self, names):
+        """The defined functions ``names`` reach through call edges,
+        ``names`` themselves included."""
         seen = set()
         stack = list(names)
         while stack:

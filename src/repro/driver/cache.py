@@ -49,8 +49,8 @@ direct callees, plus the file-scope statics), which registers the file
 with the call graph, fingerprints and scheduling; the unit body after it
 is unpickled only when something asks for a decl (:func:`unpack`).  A
 summary pack frame keeps the empty artifacts in a blob of their own,
-decoded only when the pack is rewritten or a coupled run needs them
-(:class:`SummaryPack`).
+decoded only when the pack is rewritten or a cross-root change needs
+their read sets (:class:`SummaryPack`).
 
 Where the bytes live is a separate concern: both caches take only an
 artifact-store *backend* (:mod:`repro.driver.store` -- LocalStore /
@@ -443,7 +443,8 @@ class SummaryPack(Mapping):
     empty artifacts is decoded, once, by the first lookup that needs
     one.  A replay never needs one (empty artifacts add nothing to a
     merge), so a warm run decodes the blob only for a pack it rewrites
-    or on the coupled path.
+    or when a cross-root change makes it test an empty artifact's read
+    set.
     """
 
     __slots__ = ("entries", "_blob")

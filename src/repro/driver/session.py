@@ -25,32 +25,40 @@ the file.  A warm run reads each file's pack once, all in one backend
 batch, replays an entry only when its fingerprint is the root's current
 one, and rewrites only the packs of files that gained fresh artifacts.
 
-Coupled (global) extensions -- the paper's §7.1 cross-root checkers,
-which communicate through AST annotations and user globals -- are
-scheduled through *annotation deltas* instead of falling back: each
-artifact records the net cross-root state its (extension, root) pair
-wrote plus a coarse read set (:mod:`repro.engine.deltas`).  On a warm
-run the session replays clean roots' deltas at their serial positions
-(so dirty roots observe the environment a cold serial run would have
-built) and demotes any clean root whose read set intersects a changed
-delta into the dirty cone -- the soundness condition that replaced the
-blanket coupled fallback.  Annotation reads always target nodes inside
-functions the reader traverses, so their intersection test is
-call-graph reachability: a clean root re-enters the cone when a changed
-annotation write lives in a function it can reach.  User-global reads
-are recorded per (extension, variable), with a wildcard for iteration.
-After the run, freshly produced deltas are diffed against the previous
-run's; a replayed root whose inputs turn out stale is demoted and the
-run repeated (bounded, loudly counted) -- unknown previous deltas count
-as changed, so missing history degrades to re-analysis, never to a
-stale replay.
+Global extensions -- the paper's §7.1 cross-root checkers, which
+communicate through AST annotations and user globals -- need no schedule
+of their own: each artifact records the net cross-root state its
+(extension, root) pair wrote plus a coarse read set
+(:mod:`repro.engine.deltas`), and every warm run is one loop over
+those *annotation deltas*:
+
+1. *Pre-run demotion*: the dirty roots' previous writes, read from the
+   old packs, may change; a clean root whose read set intersects them
+   joins the dirty cone, to a fixpoint.  Annotation reads always target
+   nodes inside functions the reader traverses, so their intersection
+   test is call-graph reachability: a clean root re-enters the cone when
+   a changed annotation write lives in a function it can reach.
+   User-global reads are recorded per (extension, variable), with a
+   wildcard for iteration.
+2. *Resolve and run*: the deltas of clean roots that wrote something are
+   bound to the current tree's nodes (an unresolvable one demotes its
+   root) and applied at their serial positions while the dirty roots
+   analyze, so a dirty root observes the environment a cold serial run
+   would have built.
+3. *Post-run validation* (only when a cached artifact is replayed):
+   fresh deltas are diffed against the previous run's; a replayed root
+   whose inputs turn out stale is demoted and the round repeated
+   (bounded, loudly counted).  Unknown previous deltas count as
+   changed, so missing history degrades to re-analysis, never to a
+   stale replay.
+
+When no root wrote cross-root state the loop is one round that replays
+nothing and analyzes exactly the dirty roots.
 
 Safety valves (all recorded in the driver stats, never silent):
 
-- A partial fast-path run that unexpectedly turns out coupled is re-run
-  with delta replay, counted as ``annotation_delta_serial_reruns``.
 - Truncated runs (global step budget) skip roots order-dependently;
-  non-incremental fallback.
+  non-incremental fallback.  So does a loop that does not converge.
 - Degraded roots (per-root budget blown, recovered error) and roots
   whose cross-root state does not pickle (``delta.opaque``) are never
   persisted, so they are re-analyzed on every run until they pass.
@@ -336,164 +344,65 @@ class IncrementalSession:
         live = []
         reanalyze = set(root for root in all_roots if root in cone)
         cached = self._load_clean_artifacts(
-            extensions, [root for root in all_roots if root not in cone],
-            graph, fingerprints, manifest, reanalyze, stats, packs, live,
+            extensions, all_roots, graph, fingerprints, manifest,
+            reanalyze, stats, packs, live,
         )
-
-        run_options = copy.copy(options)
-        run_options.capture_root_artifacts = True
-
-        # Known-coupled configuration (some cached artifact wrote
-        # cross-root state): schedule with delta replay from the start.
-        # An artifact with writes is never empty, so ``live`` holds them.
-        if any(
-            cached[pair].delta is not None and cached[pair].delta.has_writes()
-            for pair in live
-        ):
-            return self._run_coupled(
-                project, extensions, options, run_options, stats, graph,
-                all_roots, fingerprints, local, manifest, cached, reanalyze,
-                packs, live,
-            )
-
-        analyze_roots = sorted(reanalyze)
-        fresh = project.analysis(run_options).run(
-            extensions, roots=analyze_roots)
-
-        if fresh.coupled:
-            # The run discovered cross-root state we had no record of.
-            # A full run already *is* the cold environment, so its
-            # deltas are valid as captured; a partial one must be redone
-            # with delta replay.
-            if cached or set(analyze_roots) != set(all_roots):
-                stats.add("annotation_delta_serial_reruns")
-                stats.record_degradation(
-                    "incremental",
-                    "extensions left cross-root state mid-session; re-ran "
-                    "serially with annotation-delta replay",
-                )
-                return self._run_coupled(
-                    project, extensions, options, run_options, stats, graph,
-                    all_roots, fingerprints, local, manifest, cached,
-                    reanalyze, packs, live,
-                )
-        if fresh.truncated:
-            return self._fallback(
-                project, extensions, options, stats,
-                "global step budget exhausted; root skipping is "
-                "order-dependent",
-            )
-
-        stats.add("incremental_roots_analyzed", len(analyze_roots))
-        stats.add(
-            "incremental_roots_replayed",
-            len(all_roots) - len(analyze_roots),
-        )
-        result = self._merge(all_roots, fresh, cached, live)
-        self._persist(fresh, cached, graph, fingerprints, local, manifest,
-                      stats, project, packs)
-        return result
-
-    # -- coupled (global-checker) scheduling -------------------------------
-
-    def _run_coupled(self, project, extensions, options, run_options, stats,
-                     graph, all_roots, fingerprints, local, manifest, cached,
-                     reanalyze, packs, live):
-        """Incremental scheduling for extensions with cross-root state.
-
-        Replayed deltas and analyzed roots interleave in the order a cold
-        run would produce them.  The sequence:
-
-        1. *Pre-run demotion*: every dirty root's previous delta names
-           the writes that may change; clean roots whose read set (or
-           annotation reachability cone) intersects them are demoted to
-           a fixpoint.
-        2. *Resolve + run*: clean roots' deltas are bound to the current
-           tree's nodes (unresolvable ones demote their root) and
-           applied at their serial positions while the dirty roots are
-           re-analyzed.
-        3. *Post-run validation*: fresh deltas are diffed against the
-           previous run's; a replayed root whose inputs actually changed
-           is demoted and the run repeated.  Unknown previous deltas
-           count as fully changed, so the loop converges (each round
-           strictly shrinks the replayed set) and missing history can
-           only cause extra analysis, never a stale replay.
-        """
-        stats.add("incremental_coupled_runs")
-        self._materialize(cached, packs, graph)
-
-        old_deltas = {}
+        count = len(extensions)
         old_packs = {name: pack for name, (__, pack) in packs.items()}
 
-        def old_pack(name):
-            """The previous run's pack of one file (None when unknown)."""
+        def old_delta(pair):
+            """The delta this (extension, root) pair wrote last run, or
+            None when it wrote nothing or is unknown (no manifest entry,
+            a missing or corrupt pack): validation then counts every
+            fresh write of the pair as changed."""
+            previous = manifest and manifest["fingerprints"].get(pair[1])
+            if not previous:
+                return None
+            name = defining_file(graph, pair[1])
             if name not in old_packs:
                 key = manifest["packs"].get(name)
                 try:
                     old_packs[name] = key and self._fetch_pack(key, stats)
                 except (OSError, astcache.CacheCorruption):
                     old_packs[name] = None
-            return old_packs[name]
+            pack = old_packs[name]
+            # ``entries``, not the mapping: an empty artifact left
+            # undecoded (None) wrote nothing.
+            entry = pack.entries.get(pair) if pack else None
+            if entry is None or entry[0] != previous[1] or entry[1] is None:
+                return None
+            return entry[1].delta
 
-        def old_delta(ext_index, root):
-            """The delta this (extension, root) produced last run, or
-            None when unknown (no manifest entry, missing/corrupt pack:
-            treated as fully changed)."""
-            pair = (ext_index, root)
-            if pair in old_deltas:
-                return old_deltas[pair]
-            delta = None
-            artifact = cached.get(pair)
-            if artifact is not None:
-                delta = artifact.delta
-            elif manifest and root in manifest["fingerprints"]:
-                old_fp = (manifest["fingerprints"][root] or (None, None))[1]
-                pack = old_pack(defining_file(graph, root))
-                entry = pack.get(pair) if pack else None
-                if old_fp and entry is not None and entry[0] == old_fp:
-                    delta = entry[1].delta
-            old_deltas[pair] = delta
-            return delta
+        def writes(artifact):
+            return (artifact is not None and artifact.delta is not None
+                    and artifact.delta.has_writes())
 
-        reach_memo = {}
-
-        def reach(root):
-            """Functions reachable from ``root`` through the call graph
-            (the functions whose nodes this root's traversal can read)."""
-            seen = reach_memo.get(root)
-            if seen is None:
-                seen = set()
-                stack = [root]
-                while stack:
-                    fn = stack.pop()
-                    if fn in seen or fn not in graph.index:
-                        continue
-                    seen.add(fn)
-                    stack.extend(graph.callees.get(fn, ()))
-                reach_memo[root] = seen
-            return seen
-
+        reach = {}
         changed_fns = set()   # functions containing changed annotation writes
         changed_glob = set()  # ("glob", ext, var) keys whose value changed
 
         def seed_changes(root):
             """Mark a root's previous writes as potentially changed."""
-            for ext_index in range(len(extensions)):
-                old = old_delta(ext_index, root)
-                if old is None:
-                    continue
-                changed_fns.update(old.write_functions())
-                changed_glob.update(old.glob_write_keys())
+            for ext_index in range(count):
+                old = old_delta((ext_index, root))
+                if old is not None:
+                    changed_fns.update(old.write_functions())
+                    changed_glob.update(old.glob_write_keys())
 
         def impacted(root):
             """Does this clean root read anything that changed?"""
-            if changed_fns and reach(root) & changed_fns:
-                return True
-            for ext_index in range(len(extensions)):
-                artifact = cached.get((ext_index, root))
-                if artifact is None:
-                    continue
-                delta = artifact.delta
+            if changed_fns:
+                if root not in reach:
+                    reach[root] = graph.reachable_from([root])
+                if reach[root] & changed_fns:
+                    return True
+            for ext_index in range(count):
+                pair = (ext_index, root)
+                if cached[pair] is None:
+                    # An empty artifact the pack has not decoded yet.
+                    pack = packs[defining_file(graph, root)][1]
+                    cached[pair] = pack[pair][1]
+                delta = cached[pair].delta
                 if delta is None:
                     return True  # unknown read set: never replay blind
                 for read in delta.reads:
@@ -510,94 +419,107 @@ class IncrementalSession:
         def demote(root, counter):
             stats.add(counter)
             seed_changes(root)  # its own writes will be re-derived
-            for ext_index in range(len(extensions)):
+            for ext_index in range(count):
                 cached.pop((ext_index, root), None)
             reanalyze.add(root)
 
+        def stale_roots():
+            """The clean roots that read something that changed."""
+            if not (changed_fns or changed_glob):
+                return []
+            return [root for root in sorted({r for (__, r) in cached})
+                    if impacted(root)]
+
         def settle(counter):
             """Demote impacted clean roots to a fixpoint."""
-            pending = True
-            while pending:
-                pending = False
-                for root in sorted({r for (_, r) in cached}):
-                    if root not in reanalyze and impacted(root):
-                        demote(root, counter)
-                        pending = True
+            stale = stale_roots()
+            while stale:
+                for root in stale:
+                    demote(root, counter)
+                stale = stale_roots()
 
-        for root in sorted(reanalyze):
-            seed_changes(root)
-        settle("annotation_delta_read_demotions")
+        # Pre-run demotion: the dirty roots' previous writes may change.
+        dirty = len(reanalyze)
+        if cached:
+            for root in sorted(reanalyze):
+                seed_changes(root)
+            settle("annotation_delta_read_demotions")
 
+        run_options = copy.copy(options)
+        run_options.capture_root_artifacts = True
         rounds = 0
-        max_rounds = len(all_roots) + 2
+        replayed = False
         while True:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > len(all_roots) + 2:
                 return self._fallback(
                     project, extensions, options, stats,
                     "annotation-delta scheduling did not converge",
                 )
+            # Resolve: bind every pair of each root with a cached writer
+            # to the current tree's nodes; unresolvable ones demote.
             analysis = project.analysis(run_options)
             resolver = deltamod.DeltaResolver(graph, analysis._cfg)
+            writers = sorted({pair[1] for pair in live
+                              if writes(cached.get(pair))})
             replay_map = {}
-            unresolved = set()
-            for (ext_index, root), artifact in sorted(cached.items()):
-                if root in unresolved:
-                    continue
+            unresolved = []
+            for root in writers:
                 try:
-                    replay_map[(ext_index, root)] = resolver.resolve(
-                        artifact.delta)
+                    for ext_index in range(count):
+                        artifact = cached[(ext_index, root)]
+                        replay_map[(ext_index, root)] = resolver.resolve(
+                            artifact.delta if artifact is not None
+                            else None)
                 except deltamod.UnresolvedDelta:
-                    unresolved.add(root)
+                    unresolved.append(root)
             if unresolved:
-                for root in sorted(unresolved):
+                for root in unresolved:
                     demote(root, "annotation_delta_unresolved")
                 settle("annotation_delta_read_demotions")
                 continue
+            replayed = replayed or bool(replay_map)
 
-            analyze_roots = sorted(reanalyze)
-            fresh = analysis.run(
-                extensions, roots=all_roots, replay=replay_map)
+            # Run: the dirty roots analyze, the writers replay, in the
+            # serial order a cold run walks them.
+            writer_set = set(writers)
+            fresh = analysis.run(extensions, roots=[
+                root for root in all_roots
+                if root in reanalyze or root in writer_set
+            ], replay=replay_map)
             if fresh.truncated:
                 return self._fallback(
                     project, extensions, options, stats,
                     "global step budget exhausted; root skipping is "
                     "order-dependent",
                 )
+            if not cached:
+                break
 
-            # Post-run validation: what actually changed?
-            new_deltas = {
-                (a.ext_index, a.root): a.delta for a in fresh.root_artifacts
-            }
-            for root in analyze_roots:
-                for ext_index in range(len(extensions)):
-                    fns, globs = deltamod.delta_changes(
-                        old_delta(ext_index, root),
-                        new_deltas.get((ext_index, root)),
-                    )
-                    changed_fns.update(fns)
-                    changed_glob.update(globs)
-            stale = [
-                root for root in sorted({r for (_, r) in cached})
-                if impacted(root)
-            ]
-            if stale:
-                for root in stale:
-                    demote(root, "annotation_delta_stale_demotions")
-                settle("annotation_delta_read_demotions")
-                continue
-            break
+            # Post-run validation: a replayed root whose inputs changed
+            # is demoted and the run repeated.
+            for artifact in fresh.root_artifacts:
+                fns, globs = deltamod.delta_changes(
+                    old_delta((artifact.ext_index, artifact.root)),
+                    artifact.delta,
+                )
+                changed_fns.update(fns)
+                changed_glob.update(globs)
+            stale = stale_roots()
+            if not stale:
+                break
+            for root in stale:
+                demote(root, "annotation_delta_stale_demotions")
+            settle("annotation_delta_read_demotions")
 
         stats.add("annotation_delta_rounds", rounds)
-        stats.add("annotation_delta_replays", sum(
-            1 for artifact in cached.values()
-            if artifact.delta is not None and artifact.delta.has_writes()
-        ))
-        stats.add("incremental_roots_analyzed", len(analyze_roots))
+        if replayed or len(reanalyze) > dirty:
+            stats.add("incremental_coupled_runs")
+            stats.add("annotation_delta_replays", sum(
+                1 for pair in live if writes(cached.get(pair))))
+        stats.add("incremental_roots_analyzed", len(reanalyze))
         stats.add(
-            "incremental_roots_replayed",
-            len(all_roots) - len(analyze_roots),
-        )
+            "incremental_roots_replayed", len(all_roots) - len(reanalyze))
         result = self._merge(all_roots, fresh, cached, live)
         self._persist(fresh, cached, graph, fingerprints, local, manifest,
                       stats, project, packs)
@@ -613,20 +535,22 @@ class IncrementalSession:
         )
         return project.analysis(options).run(extensions)
 
-    def _load_clean_artifacts(self, extensions, clean_roots, graph,
+    def _load_clean_artifacts(self, extensions, all_roots, graph,
                               fingerprints, manifest, reanalyze, stats,
                               packs, live):
         """``{(ext_index, root): RootArtifact}`` for every clean root
-        whose file's pack holds an entry with the root's current
-        fingerprint for every extension; other clean roots move into
-        ``reanalyze``.  The pairs of the artifacts that are not
+        (not in ``reanalyze``) whose file's pack holds an entry with the
+        root's current fingerprint for every extension; other clean
+        roots move into ``reanalyze``.  An empty artifact the pack has
+        not decoded stays None.  The pairs of the artifacts that are not
         ``empty`` (:class:`~repro.engine.summaries.RootArtifact`) are
         appended to ``live``.  Each file's pack is read at most once,
-        all in one backend batch, and recorded into ``packs`` as
-        ``{file: (key, pack)}``; a corrupt pack is evicted and only its
-        file's roots re-analyze."""
+        all in one backend batch -- the packs of files whose roots are
+        all dirty too, for their previous deltas -- and a clean root's
+        is recorded into ``packs`` as ``{file: (key, pack)}``; a corrupt
+        pack is evicted and only its file's roots re-analyze."""
         by_file = {}
-        for root in clean_roots:
+        for root in all_roots:
             by_file.setdefault(defining_file(graph, root), []).append(root)
         known = manifest["packs"] if manifest else {}
         keys = {name: known.get(name) for name in by_file}
@@ -639,6 +563,9 @@ class IncrementalSession:
         cached = {}
         touched = []
         for name in sorted(by_file):
+            roots = [root for root in by_file[name] if root not in reanalyze]
+            if not roots:
+                continue
             key = keys[name]
             pinned = key in self._pinned_packs
             try:
@@ -653,9 +580,8 @@ class IncrementalSession:
                 )
                 self.store.evict(key)
                 self._pinned_packs.pop(key, None)
-                reanalyze.update(by_file[name])
+                reanalyze.update(roots)
                 continue
-            roots = by_file[name]
             if pack is None:
                 stats.add("summary_misses", len(roots))
                 reanalyze.update(roots)
@@ -679,8 +605,6 @@ class IncrementalSession:
                 else:
                     hits += 1
                     for ext_index, artifact in enumerate(found):
-                        # An empty artifact the pack has not decoded
-                        # stays None (see _materialize).
                         cached[(ext_index, root)] = artifact
                         if artifact is not None and not artifact.empty:
                             live.append((ext_index, root))
@@ -695,15 +619,6 @@ class IncrementalSession:
         if touched:
             self.store.touch_many(touched)
         return cached
-
-    @staticmethod
-    def _materialize(cached, packs, graph):
-        """Decode the empty artifacts ``cached`` holds as None, from
-        their files' packs (the coupled path reads every artifact's
-        read set)."""
-        for pair in [pair for pair, artifact in cached.items()
-                     if artifact is None]:
-            cached[pair] = packs[defining_file(graph, pair[1])][1][pair][1]
 
     def _merge(self, all_roots, fresh, cached, live):
         """Replay fresh + cached artifacts in serial (extension, root)
@@ -723,7 +638,7 @@ class IncrementalSession:
         ]
         for pair in live:
             artifact = cached.get(pair)
-            # A demoted (coupled) root left ``cached``; a re-analyzed
+            # A demoted root left ``cached``; a re-analyzed
             # pair replays its fresh artifact instead.
             if artifact is not None and pair not in produced:
                 replay.append(((pair[0], position[pair[1]]), artifact))

@@ -89,8 +89,11 @@ from contextlib import contextmanager
 #: them, and ``summary_read`` times the summary-pack fetches and decodes
 #: inside ``pass2_wall``.  18: a §8 history file is passed as
 #: ``--triage``, so the ``history`` timer is removed and
-#: ``triage_suppressed`` counts history suppressions too.
-SCHEMA_VERSION = 18
+#: ``triage_suppressed`` counts history suppressions too.  19: an
+#: incremental run has one schedule, so the counter of partial runs
+#: redone with delta replay is removed and every incremental run counts
+#: ``annotation_delta_rounds``.
+SCHEMA_VERSION = 19
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other

@@ -166,7 +166,7 @@ class AnalysisResult:
     """The outcome of applying extensions to a source base."""
 
     def __init__(self, log, tables, stats, truncated=False, degraded=None,
-                 root_artifacts=None, coupled=False):
+                 root_artifacts=None):
         self.log = log
         self.tables = tables  # extension name -> SummaryTable
         self.stats = stats
@@ -177,10 +177,6 @@ class AnalysisResult:
         #: Per-(extension, root) :class:`RootArtifact` records, captured
         #: only under ``AnalysisOptions.capture_root_artifacts``.
         self.root_artifacts = list(root_artifacts or [])
-        #: Did the run leave cross-root state behind (AST annotations or
-        #: extension user globals)?  When True, per-root artifacts are
-        #: not independent and must not be reused incrementally.
-        self.coupled = coupled
         # Every driver path (serial, parallel, incremental replay, daemon)
         # finalizes its report set here, so stable hashes are assigned in
         # exactly one place -- over the canonical serial order the log
@@ -342,21 +338,7 @@ class Analysis:
             self.log, tables, dict(self.stats), self._truncated,
             degraded=list(self.degraded),
             root_artifacts=list(self.root_artifacts),
-            coupled=self.coupled_state(),
         )
-
-    def coupled_state(self):
-        """Did extensions leave cross-root state behind?
-
-        AST annotations (§3.2 composition) and extension user globals are
-        shared across roots: a root analyzed later can observe what an
-        earlier root's traversal wrote, so per-root outcomes are not
-        independent functions of the root's callee cone.  The incremental
-        driver refuses to persist or reuse artifacts from coupled runs.
-        """
-        if len(self.annotations):
-            return True
-        return any(bool(values) for values in self._user_globals.values())
 
     def run_one(self, ext, roots=None):
         """Apply a single extension; returns its SummaryTable."""

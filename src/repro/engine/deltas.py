@@ -328,7 +328,10 @@ class DeltaTracker:
 
     def end_root(self, store, user_globals):
         """Diff candidates against the baseline; returns the
-        :class:`RootDelta` and folds the root's writes into the baseline."""
+        :class:`RootDelta` and folds the root's writes into the baseline.
+        Written values are snapshots (unpickled from the baseline bytes),
+        not the live objects: a later root may mutate a value in place,
+        and the delta must hold what this root left."""
         self.in_root = False
         opaque = False
         ann_writes = []
@@ -356,7 +359,7 @@ class DeltaTracker:
                 opaque = True
                 ann_writes.append((None, ann_key, None))
             else:
-                ann_writes.append((node_key, ann_key, current))
+                ann_writes.append((node_key, ann_key, pickle.loads(raw)))
         glob_writes = {}
         glob_dels = set()
         for pair in self._glob_candidates:
@@ -373,7 +376,7 @@ class DeltaTracker:
                     glob_writes[pair] = None
                 elif before != raw:
                     self._glob_baseline[pair] = raw
-                    glob_writes[pair] = current
+                    glob_writes[pair] = pickle.loads(raw)
             elif pair in self._glob_baseline:
                 del self._glob_baseline[pair]
                 glob_dels.add(pair)

@@ -175,6 +175,12 @@ def mc_passes(point, obj):
     return any(ast.structural_key(arg) == key for arg in point.args)
 
 
+def mc_passes_address_of(point, obj):
+    """True if ``point`` is a call that passes ``&obj`` as an argument
+    (a reinitializer that may redefine ``obj``)."""
+    return obj is not None and mc_passes(point, ast.Unary("&", obj))
+
+
 def mc_is_indexed_by(point, obj):
     """True if ``point`` is an array access ``a[obj]``."""
     return isinstance(point, ast.Index) and mc_equal(point.index, obj)
@@ -268,6 +274,7 @@ LIBRARY = {
     "mc_equal": mc_equal,
     "mc_mentions": mc_mentions,
     "mc_passes": mc_passes,
+    "mc_passes_address_of": mc_passes_address_of,
     "mc_is_indexed_by": mc_is_indexed_by,
     "mc_is_stored_through": mc_is_stored_through,
     "mc_format_arg": mc_format_arg,

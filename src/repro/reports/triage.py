@@ -20,10 +20,8 @@ wired ``--history`` its own way.  Triage consolidates them:
   the store's ``run`` tier), so offline ``--diff``, the daemon, and the
   HTTP report server all read the same state through ``RemoteStore``.
 
-The checker-level SM suppression helpers the free checker used to
-hand-roll (``pattern_suppression``, ``address_of_suppression``,
-``first_specific_index``) live here too, so checker code stops
-string-matching its own way.
+The free checker's §8 state-machine suppressions are metal rules of
+their own (``checkers/metal/free_suppressed.metal``).
 """
 
 import getpass
@@ -320,60 +318,3 @@ class TriageStore:
         for entry in other:
             self.add(entry)
         return self
-
-
-# -- checker-level SM suppression helpers -----------------------------------
-#
-# The §8 "targeted suppression" idiom: a metal extension suppresses a
-# false-positive class by adding a transition that either keeps the
-# state (pattern matched, nothing wrong) or drops it (the variable was
-# redefined).  These used to be private helpers inside checkers/free.py.
-
-def first_specific_index(ext):
-    """Where suppressions go: before the first non-global transition, so
-    they win pattern-priority over the error transitions."""
-    for index, rule in enumerate(ext.transitions):
-        if not rule.source.is_global:
-            return index
-    return len(ext.transitions)
-
-
-def pattern_suppression(ext, state, pattern_text, to=None):
-    """A transition that matches ``pattern_text`` in ``state`` and goes
-    nowhere (``to=None`` keeps the state: the §8 debug-printer idiom) or
-    to an explicit target state."""
-    from repro.metal.sm import Transition
-
-    pattern = ext._compile_pattern_text(pattern_text)
-    target = ext.parse_state(to) if to else None
-    return Transition(ext.parse_state(state), pattern, target=target)
-
-
-def address_of_suppression(ext, state, var, to):
-    """A transition that drops tracking when ``&var`` escapes into any
-    call (the BSD reinitialization idiom)."""
-    from repro.cfront import astnodes as ast
-    from repro.metal.patterns import Callout
-    from repro.metal.sm import Transition
-
-    def is_addr_passed(context):
-        point = context.point
-        obj = context.bindings.get(var)
-        if not isinstance(point, ast.Call) or obj is None:
-            return False
-        key = ast.structural_key(ast.Unary("&", obj))
-        return any(ast.structural_key(arg) == key for arg in point.args)
-
-    pattern = Callout(is_addr_passed, "address-of freed var passed to fn")
-    return Transition(
-        ext.parse_state(state), pattern, target=ext.parse_state(to)
-    )
-
-
-def insert_suppressions(ext, transitions):
-    """Install suppression transitions at pattern-priority position."""
-    index = first_specific_index(ext)
-    for transition in transitions:
-        ext.transitions.insert(index, transition)
-        index += 1
-    return ext

@@ -144,7 +144,7 @@ class TestGlobalDifferential:
         cold.run(global_suite(), incremental=make_session(cache))
         # A cold full run that turns out coupled already is the cold
         # environment: its deltas are kept, nothing is re-run.
-        assert cold.stats.count("annotation_delta_serial_reruns") == 0
+        assert cold.stats.count("annotation_delta_rounds") == 1
         assert cold.stats.count("incremental_fallbacks") == 0
 
         edited, __ = apply_function_edits(gen, k=2, seed=5)
@@ -159,7 +159,10 @@ class TestGlobalDifferential:
         # Known-coupled from the cached deltas: delta replay from the
         # start, not discovered by a wasted run.
         assert counters["incremental_coupled_runs"] == 1
-        assert counters.get("annotation_delta_serial_reruns", 0) == 0
+        # The only extra round is the validation round that found stale
+        # replays.
+        assert counters["annotation_delta_rounds"] == 1 + bool(
+            counters.get("annotation_delta_stale_demotions"))
 
     def test_audit_tag_edit_reenters_readers_into_cone(self, tmp_path):
         """The soundness condition: retagging one claimant changes the
@@ -514,7 +517,7 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 18
+        assert stats["schema_version"] == 19
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
         assert not backend.head_many("sum", [key])
 

@@ -11,10 +11,18 @@ shared callee and compares the warm output with a cold run's, serial,
 at ``--jobs 2`` and through the daemon.  Before the cone was widened,
 about one in ten of its edits to a root other than the first gave a
 warm run that disagreed with the cold one.
+
+A global checker (``audit``) passes state between roots: a root that
+claims a tag another root claimed first reports a duplicate.  Editing
+the only root that wrote a claim must re-analyze the roots that read
+it; a warm run once replayed the stale duplicate report instead
+(``AUDIT``, and a differential over edits that add, drop or retag one
+claim).
 """
 
 import contextlib
 import functools
+import glob
 import io
 import json
 import os
@@ -30,50 +38,60 @@ from repro.engine.analysis import AnalysisOptions
 from test_engine_properties import _block, _program_body, _stmt
 from test_live_roots import SHARED, _call, shared_callee_program
 
-CHECKERS = ["--checker", "free"]
-
 #: ``b_live`` gains a statement on a line it already has, so no other
 #: function moves: only ``b_live``'s fingerprint changes.
 EDITED = SHARED.replace("    h2(p, s, 1);\n", "    h2(p, s, 1); sink = 2;\n")
 
 
 def write(src, text):
-    with open(os.path.join(src, "s.c"), "w") as handle:
-        handle.write(text)
+    """Write ``text`` to ``src/s.c``, or each file of a ``{name: text}``
+    dict."""
+    files = text if isinstance(text, dict) else {"s.c": text}
+    for name, body in files.items():
+        with open(os.path.join(src, name), "w") as handle:
+            handle.write(body)
 
 
-def run(src, capsys, *flags):
-    """``(exit code, stdout)`` of one CLI run over ``src/s.c``."""
-    code = main(CHECKERS + list(flags) + [os.path.join(src, "s.c")])
+def cli_argv(src, flags, checker):
+    """An ``xgcc`` command line over every ``.c`` file of ``src``."""
+    return (["--checker", checker] + list(flags)
+            + sorted(glob.glob(os.path.join(src, "*.c"))))
+
+
+def run(src, capsys, *flags, checker="free"):
+    """``(exit code, stdout)`` of one CLI run over ``src``."""
+    code = main(cli_argv(src, flags, checker))
     return code, capsys.readouterr().out
 
 
-def cold(src, capsys, text):
+def cold(src, capsys, text, checker="free"):
     write(src, text)
-    return run(src, capsys)
+    return run(src, capsys, checker=checker)
 
 
-def warm(src, capsys, before, after, *flags):
+def warm(src, capsys, before, after, *flags, checker="free"):
     """The warm incremental run over ``after`` on a cache primed with
     ``before``."""
     cache = os.path.join(src, "cache")
     write(src, before)
-    run(src, capsys, "--incremental", "--cache-dir", cache, *flags)
+    run(src, capsys, "--incremental", "--cache-dir", cache, *flags,
+        checker=checker)
     write(src, after)
-    return run(src, capsys, "--incremental", "--cache-dir", cache, *flags)
+    return run(src, capsys, "--incremental", "--cache-dir", cache, *flags,
+               checker=checker)
 
 
-def daemon_warm(src, before, after):
+def daemon_warm(src, before, after, checker="free"):
     """A pinned daemon's answer over ``after``, primed with ``before``."""
     cache = os.path.join(src, "dcache")
     options = AnalysisOptions()
     session = IncrementalSession(
-        cache, session_signature(checker_names=["free"], options=options),
+        cache, session_signature(checker_names=[checker], options=options),
         pin_warm_state=True,
     )
     daemon = XgccDaemon(
         watch_roots=[src],
-        extension_factory=functools.partial(_build_extensions, ("free",),
+        extension_factory=functools.partial(_build_extensions, (checker,),
                                             ()),
         session=session, socket_path=os.path.join(src, "unused.sock"),
         include_paths=[src], cache_dir=cache, options=options,
@@ -236,6 +254,8 @@ class TestWarmEqualsColdDifferential:
             expected = self.cold(src, after)
             assert daemon_warm(src, before, after) == expected
 
+    checker = "free"
+
     def cold(self, src, text):
         write(src, text)
         return self.quiet_run(src)
@@ -252,11 +272,121 @@ class TestWarmEqualsColdDifferential:
             assert self.quiet_run(src, "--incremental", "--cache-dir",
                                   cache, *flags) == expected
 
-    @staticmethod
-    def quiet_run(src, *flags):
+    def quiet_run(self, src, *flags):
         """``(exit code, stdout)`` without capsys (hypothesis reuses the
         test's fixtures across examples)."""
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(CHECKERS + list(flags) + [os.path.join(src, "s.c")])
+            code = main(cli_argv(src, flags, self.checker))
         return code, out.getvalue()
+
+
+#: ``a`` claims audit tag 1 first, so ``b``'s claim is a duplicate.
+#: ``AUDIT_DROPPED`` drops ``a``'s claim, the only write of the tag:
+#: ``b`` must re-analyze, and then claims the tag unopposed.
+AUDIT = {
+    "a.c": "void audit(int tag); int a(void) { audit(1); return 0; }\n",
+    "b.c": "void audit(int tag);\nint b(void) { audit(1); return 0; }\n",
+}
+AUDIT_DROPPED = dict(
+    AUDIT, **{"a.c": "void audit(int tag); int a(void) { return 0; }\n"})
+
+
+class TestOnlyWriterEdit:
+    """``xgcc --checker audit --incremental`` over ``AUDIT``, then
+    ``AUDIT_DROPPED``: the warm run once replayed ``b``'s stale
+    duplicate report, which a cold run over the edited tree does not
+    print."""
+
+    def test_cold_runs(self, tmp_path, capsys):
+        assert cold(str(tmp_path), capsys, AUDIT, checker="audit") == (
+            1, "%s:2:20: audit_tags: audit tag 1 already claimed by a() "
+               "in b\n" % (tmp_path / "b.c"))
+        assert cold(str(tmp_path), capsys, AUDIT_DROPPED,
+                    checker="audit") == (0, "")
+
+    def test_serial(self, tmp_path, capsys):
+        assert warm(str(tmp_path), capsys, AUDIT, AUDIT_DROPPED,
+                    checker="audit") == (0, "")
+
+    def test_jobs(self, tmp_path, capsys):
+        assert warm(str(tmp_path), capsys, AUDIT, AUDIT_DROPPED,
+                    "--jobs", "2", checker="audit") == (0, "")
+
+    def test_daemon(self, tmp_path):
+        assert daemon_warm(str(tmp_path), AUDIT, AUDIT_DROPPED,
+                           checker="audit") == (0, "")
+
+    def test_the_reader_is_demoted(self, tmp_path, capsys):
+        stats = str(tmp_path / "stats.json")
+        warm(str(tmp_path), capsys, AUDIT, AUDIT_DROPPED, "--stats-json",
+             stats, checker="audit")
+        with open(stats) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["incremental_dirty_cone"] == 1
+        assert counters["annotation_delta_read_demotions"] == 1
+        assert counters["incremental_roots_analyzed"] == 2
+        assert counters["incremental_coupled_runs"] == 1
+
+
+_tags = st.lists(st.integers(1, 3), max_size=3)
+
+
+def audit_program(roots):
+    """``{name: text}``: root ``r<i>`` claims each of its tags in order,
+    on one line of ``a.c`` or ``b.c`` (so editing one root moves no
+    other)."""
+    files = {"a.c": ["void audit(int tag);"], "b.c": ["void audit(int tag);"]}
+    for index, (name, tags) in enumerate(roots):
+        claims = "".join("audit(%d); " % tag for tag in tags)
+        files[name].append("int r%d(void) { %sreturn 0; }" % (index, claims))
+    return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
+
+
+@st.composite
+def audit_edits(draw):
+    """``(before, after)``: roots spread over two files claiming audit
+    tags, and the same program with one claim added, dropped or
+    retagged."""
+    roots = draw(st.lists(st.tuples(st.sampled_from(["a.c", "b.c"]), _tags),
+                          min_size=2, max_size=5))
+    target = draw(st.integers(0, len(roots) - 1))
+    name, tags = roots[target]
+    tags = list(tags)
+    kind = draw(st.sampled_from(["add", "drop", "retag"]) if tags
+                else st.just("add"))
+    if kind == "add":
+        tags.insert(draw(st.integers(0, len(tags))), draw(st.integers(1, 3)))
+    else:
+        index = draw(st.integers(0, len(tags) - 1))
+        old = tags.pop(index)
+        if kind == "retag":
+            tags.insert(index, draw(st.integers(1, 3).filter(
+                lambda tag: tag != old)))
+    edited = list(roots)
+    edited[target] = (name, tags)
+    return audit_program(roots), audit_program(edited)
+
+
+class TestAuditEditDifferential(TestWarmEqualsColdDifferential):
+    """The warm-equals-cold differential over ``audit_edits``."""
+
+    checker = "audit"
+
+    @given(audit_edits())
+    @settings(max_examples=100, deadline=None)
+    def test_serial(self, programs):
+        self.check(programs)
+
+    @given(audit_edits())
+    @settings(max_examples=10, deadline=None)
+    def test_jobs(self, programs):
+        self.check(programs, "--jobs", "2")
+
+    @given(audit_edits())
+    @settings(max_examples=40, deadline=None)
+    def test_daemon(self, programs):
+        before, after = programs
+        with tempfile.TemporaryDirectory() as src:
+            expected = self.cold(src, after)
+            assert daemon_warm(src, before, after, self.checker) == expected
