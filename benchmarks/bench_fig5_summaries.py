@@ -1,13 +1,19 @@
 """Figure 5: the supergraph with block and suffix summaries for Fig. 2.
 
-Regenerates the per-block summary rows the figure prints and asserts the
-specific edges the figure and its caption call out:
+Regenerates the summary rows and asserts the specific edges the figure
+and its caption call out:
 
 * block 2's add edge  (start, v:p->unknown) --> (start, v:p->freed);
 * block 7's kill edge (start, v:p->freed)  --> (start, v:p->stop);
 * contrived's function summary = {p identity-freed, w add-freed};
 * suffix summaries never mention q (a local) and never end in stop;
 * kfree calls are not callsites (the extension matches them).
+
+Unlike the figure, which prints one row per basic block, summaries are
+kept only at heads (the entry block and joins): each head holds one
+block summary per tail its runs left from, covering the extended basic
+block from the head to that tail.  The figure's per-block edges appear
+in the rows of the head whose extended block contains the block.
 """
 
 from conftest import fig2_code  # noqa: F401
@@ -28,24 +34,29 @@ def run_and_collect(fig2_code):
 def test_fig5_summaries(benchmark, fig2_code):
     analysis, table = benchmark(run_and_collect, fig2_code)
 
-    print("\nSupergraph summaries for Figure 2 (block summary / suffix "
-          "summary per block):")
+    print("\nSupergraph summaries for Figure 2 (block summary per run "
+          "tail / suffix summary, per head):")
     all_block_rows = []
     all_suffix_rows = []
     for name in ("contrived_caller", "contrived"):
         cfg = analysis._cfg(name)
         print("-- %s --" % name)
         for block in cfg.blocks:
-            summary = table.get(block)
-            block_rows = sorted(
-                e.describe() for e in summary.edges if not e.is_global_only
-            )
+            summary = table.find(block)
+            if summary is None:
+                continue  # not a head
+            print("  head B%d" % block.index)
+            for tail, edges in sorted(summary.runs.items()):
+                block_rows = sorted(
+                    e.describe() for e in edges if not e.is_global_only
+                )
+                print("    ->B%-2d %s" % (
+                    tail, "; ".join(block_rows) or "(global only)"))
+                all_block_rows.extend(block_rows)
             suffix_rows = sorted(
                 e.describe() for e in summary.suffix if not e.is_global_only
             )
-            print("  B%-2d %s" % (block.index, "; ".join(block_rows) or "(global only)"))
-            print("       sfx: %s" % ("; ".join(suffix_rows) or "(none)"))
-            all_block_rows.extend(block_rows)
+            print("    sfx:  %s" % ("; ".join(suffix_rows) or "(none)"))
             all_suffix_rows.extend(suffix_rows)
 
     # The figure's add edge in the caller's kfree block.

@@ -9,17 +9,17 @@ in the fingerprints of its direct callees, so a root's fingerprint
 covers its entire transitive callee cone and "did anything under this
 root change?" is a single hash comparison.
 
-Each function's *local* hash covers:
-
-- its canonically emitted token stream (the :func:`repro.cfront.unparse`
-  rendering of the whole declaration -- whitespace- and
-  comment-insensitive, but sensitive to every real token including the
-  name and parameter list);
-- its definition location (file + line + column).  Locations are part of
-  every report, so a function that merely *moved* must be re-analyzed to
-  keep incremental reports byte-identical to a cold run;
-- the sorted names of callees with no definition in the project (defined
-  callees contribute their full fingerprints instead).
+Each function's *local* hash covers its definition's tokens, from the
+first declaration specifier to the closing brace: each token's kind,
+spelling, file, line and column (:func:`repro.cfront.parser.
+definition_hash`).  It is insensitive to whitespace and comments that
+move nothing, but sensitive to every real token, including the name and
+parameter list, and to every token's position.  Positions are part of
+every report, so a function whose tokens merely *moved* -- the whole
+definition, or one token inside the body -- must be re-analyzed to keep
+incremental reports byte-identical to a cold run.  The fingerprint adds
+the sorted names of callees with no definition in the project (defined
+callees contribute their full fingerprints instead).
 
 Recursive call cycles are hashed per strongly-connected component: every
 member of an SCC folds in a group hash over all members' local hashes
@@ -28,46 +28,23 @@ construction terminates and any edit inside a cycle invalidates the
 whole cycle (and its callers) deterministically.
 
 The local hash and the direct-callee set depend on one definition only,
-so pass 1 computes them once, when the unit is parsed
-(:func:`stamp_unit`), and the AST frame carries them.  A warm run then
-unparses nothing it did not reparse, and the Merkle pass over the graph
-runs once per run (memoized on the :class:`CallGraph`).
+so they are computed once, when the unit is parsed (the parser hashes
+each definition's tokens; :func:`stamp_unit` adds the callee set), and
+the AST frame carries them as ``token_hash`` and ``direct_callees``.
+The Merkle pass over the graph runs once per run (memoized on the
+:class:`CallGraph`).
 """
 
 import hashlib
 
 from repro.cfg.callgraph import direct_callees
-from repro.cfront.unparse import unparse
 
 
 def stamp_unit(unit):
-    """Keep each function definition's local hash and direct-callee set
-    on its decl (pass 1, before the unit is packed)."""
+    """Keep each function definition's direct-callee set on its decl
+    (pass 1, before the unit is packed)."""
     for decl in unit.functions():
-        decl.token_hash = _local_hash(decl)
         decl.direct_callees = direct_callees(decl)
-
-
-def function_token_hash(decl):
-    """The local content hash of one function definition: the value
-    pass 1 carried on the decl (or its decl-index entry), or computed
-    now when it is absent."""
-    if decl.token_hash is not None:
-        return decl.token_hash
-    return _local_hash(decl)
-
-
-def _local_hash(decl):
-    digest = hashlib.sha256()
-    location = getattr(decl, "location", None)
-    if location is not None:
-        digest.update(
-            ("%s:%s:%s" % (location.filename, location.line,
-                           getattr(location, "column", 0))).encode()
-        )
-    digest.update(b"\x00")
-    digest.update(unparse(decl).encode())
-    return digest.hexdigest()
 
 
 def strongly_connected_components(graph, names=None):
@@ -162,8 +139,7 @@ def fingerprint_tables(graph, salt="", previous=None):
 
 
 def _fingerprint_tables(graph, salt, previous):
-    local = {name: function_token_hash(entry)
-             for name, entry in graph.index.items()}
+    local = {name: entry.token_hash for name, entry in graph.index.items()}
     if previous is None or previous[1].keys() != local.keys():
         fingerprints = {}
         components = strongly_connected_components(graph)

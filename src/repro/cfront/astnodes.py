@@ -511,11 +511,13 @@ class FunctionDecl(Decl):
 
     _fields = ("params", "body")
 
-    #: Derived per-definition values pass 1 computes once at parse time
-    #: (:func:`repro.cfg.fingerprint.stamp_unit`) and the AST frame then
-    #: carries: the local content hash and the sorted tuple of direct
-    #: callee names.  None on a decl that never went through pass 1; readers
-    #: compute the value instead.
+    #: Derived per-definition values computed once at parse time and then
+    #: carried by the AST frame: the local content hash of the
+    #: definition's tokens (:func:`repro.cfront.parser.definition_hash`)
+    #: and the sorted tuple of direct callee names
+    #: (:func:`repro.cfg.fingerprint.stamp_unit`).  ``token_hash`` is None
+    #: only on a decl built without the parser; ``direct_callees`` is None
+    #: on one that never went through pass 1, and readers compute it.
     token_hash = None
     direct_callees = None
 

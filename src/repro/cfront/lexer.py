@@ -281,6 +281,28 @@ def _scan_number(text, pos):
     return (FLOAT_CONST if is_float else INT_CONST), end
 
 
+def token_text(tokens):
+    """The text that content hashes of a token run digest: each token's
+    kind, spelling, line and column, with its file marked once per run
+    of tokens from it.
+
+    Each token costs one f-string: its kind's name comes from the enum
+    member's ``_name_`` attribute, since ``TokenKind.name`` is a
+    property call and a dict keyed by the kind calls ``Enum.__hash__``.
+    """
+    parts = []
+    append = parts.append
+    current = None
+    for token in tokens:
+        location = token.location
+        if location.filename != current:
+            current = location.filename
+            append("\x1c%s\x1e" % current)
+        append(f"{token.kind._name_}\x1f{token.value}\x1f{location.line}"
+               f"\x1f{location.column}\x1e")
+    return "".join(parts)
+
+
 def tokenize(text, filename="<string>"):
     """Tokenize ``text`` (without preprocessing); returns tokens incl. EOF."""
     return Lexer(text, filename).tokens()

@@ -14,6 +14,8 @@ can be computed from declarations in scope.  Pattern matching of typed holes
 (Table 1) relies on this.
 """
 
+import hashlib
+
 from repro.cfront import astnodes as ast
 from repro.cfront import types as ctypes
 from repro.cfront.lexer import (
@@ -31,6 +33,7 @@ from repro.cfront.lexer import (
     parse_float_constant,
     parse_int_constant,
     parse_string_literal,
+    token_text,
 )
 from repro.cfront.source import Location, ParseError
 
@@ -69,6 +72,14 @@ BINARY_LEVELS = {
     )
     for op in ops.split()
 }
+
+
+def definition_hash(tokens):
+    """The local content hash of a function definition: a SHA-256 over
+    the :func:`repro.cfront.lexer.token_text` of its tokens.  Positions
+    matter because every report carries one: moving a single token
+    inside the body must change the hash (:mod:`repro.cfg.fingerprint`)."""
+    return hashlib.sha256(token_text(tokens).encode()).hexdigest()
 
 
 class Scope:
@@ -280,6 +291,7 @@ class Parser(TokenCursor):
 
     def parse_external_declaration(self):
         """One external declaration; may expand to several Decl nodes."""
+        start = self.pos
         location = self.peek().location
         storage, base_type = self.parse_declaration_specifiers()
 
@@ -306,17 +318,19 @@ class Parser(TokenCursor):
                 self.scope.define(name, fn_type)
                 if self.peek().is_punct("{"):
                     body = self._parse_function_body(params)
-                    decls.append(
-                        ast.FunctionDecl(
-                            name,
-                            fn_type.return_type,
-                            params or [],
-                            body,
-                            fn_type.varargs,
-                            storage,
-                            location,
-                        )
+                    decl = ast.FunctionDecl(
+                        name,
+                        fn_type.return_type,
+                        params or [],
+                        body,
+                        fn_type.varargs,
+                        storage,
+                        location,
                     )
+                    decl.token_hash = definition_hash(
+                        self.tokens[start:self.pos]
+                    )
+                    decls.append(decl)
                     return decls
                 decls.append(
                     ast.FunctionDecl(

@@ -85,24 +85,26 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro import faults
 from repro.cfg.callgraph import direct_callees
-from repro.cfg.fingerprint import function_token_hash
 from repro.cfront import astnodes as ast
+from repro.cfront.lexer import token_text
 from repro.driver import store as storemod
 from repro.engine.summaries import SUMMARY_VERSION
 
 #: Bump when parser/astnodes change shape: old cache entries stop matching.
 #: 2: function definitions carry the values pass 1 derives at parse time
-#: (:func:`repro.cfg.fingerprint.stamp_unit`).  Any change to
-#: ``function_token_hash`` or to callee extraction (``direct_callees``)
-#: must bump it again, so a frame never carries a hash or callee set made
-#: by a different definition.
+#: (``token_hash`` and :func:`repro.cfg.fingerprint.stamp_unit`).  Any
+#: change to ``definition_hash`` or to callee extraction
+#: (``direct_callees``) must bump it or ``AST_KEY_VERSION``, so a frame
+#: never carries a hash or callee set made by a different definition.
 PARSER_VERSION = "2"
 
 #: Version of the tier-1 key scheme.  2: token positions are hashed and
 #: source-level dependency records front the token key.  3: AST frames
 #: lead with a decl index, so every key moves and a cache of the older
-#: layout reads as plain misses.
-AST_KEY_VERSION = "3"
+#: layout reads as plain misses.  4: a definition's ``token_hash`` covers
+#: its tokens' positions (:func:`repro.cfront.parser.definition_hash`),
+#: so frames carrying the older hash read as misses.
+AST_KEY_VERSION = "4"
 
 #: Key prefix of dependency records in the AST tier.
 RECORD_PREFIX = "src"
@@ -165,26 +167,10 @@ def _config_digest(filename, include_paths, defines):
 
 
 def cache_key(filename, tokens, include_paths=(), defines=None):
-    """The content-addressed key for one preprocessed file: token kinds,
-    spellings, and positions (a new file is marked once per run of
-    tokens from it).
-
-    Each token costs one f-string: its kind's name comes from the enum
-    member's ``_name_`` attribute, since ``TokenKind.name`` is a
-    property call and a dict keyed by the kind calls ``Enum.__hash__``.
-    """
+    """The content-addressed key for one preprocessed file: its
+    configuration and :func:`repro.cfront.lexer.token_text`."""
     digest = _config_digest(filename, include_paths, defines)
-    parts = []
-    append = parts.append
-    current = None
-    for token in tokens:
-        location = token.location
-        if location.filename != current:
-            current = location.filename
-            append("\x1c%s\x1e" % current)
-        append(f"{token.kind._name_}\x1f{token.value}\x1f{location.line}"
-               f"\x1f{location.column}\x1e")
-    digest.update("".join(parts).encode())
+    digest.update(token_text(tokens).encode())
     return digest.hexdigest()
 
 
@@ -308,7 +294,7 @@ def pack_unit(unit, source_bytes):
         "filename": unit.filename,
         "source_bytes": source_bytes,
         "functions": [
-            (decl.name, decl.location, function_token_hash(decl),
+            (decl.name, decl.location, decl.token_hash,
              decl.direct_callees if decl.direct_callees is not None
              else direct_callees(decl))
             for decl in unit.functions()

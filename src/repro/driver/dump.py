@@ -137,22 +137,28 @@ def dump_callgraph(callgraph):
 
 
 def dump_summaries(analysis, table, function_names=None):
-    """Figure-5-style per-block summary rows after an analysis run."""
+    """Figure-5-style summary rows after an analysis run: one block
+    summary per tail a head's runs left from, then the head's suffix
+    summary (only heads keep summaries; docs/ENGINE.md, "Summaries")."""
     lines = []
     names = function_names or sorted(analysis.callgraph.functions)
     for name in names:
         cfg = analysis._cfg(name)
         lines.append("== %s ==" % name)
         for block in cfg.blocks:
-            summary = table.get(block)
-            block_rows = sorted(
-                e.describe() for e in summary.edges if not e.is_global_only
-            )
-            suffix_rows = sorted(
-                e.describe() for e in summary.suffix if not e.is_global_only
-            )
-            lines.append(
-                "  B%-3d %s" % (block.index, "; ".join(block_rows) or "(none)")
-            )
-            lines.append("       sfx: %s" % ("; ".join(suffix_rows) or "(none)"))
+            summary = table.find(block)
+            if summary is None:
+                continue  # not a head, or never reached
+            label = "B%d" % block.index
+            for tail, edges in sorted(summary.runs.items()):
+                lines.append("  %-4s ->B%-3d %s" % (
+                    label, tail, _rows(edges) or "(none)"))
+                label = ""
+            lines.append("  %-4s sfx:   %s" % (
+                label, _rows(summary.suffix) or "(none)"))
     return "\n".join(lines)
+
+
+def _rows(edges):
+    return "; ".join(sorted(
+        edge.describe() for edge in edges if not edge.is_global_only))

@@ -387,7 +387,10 @@ def pass1_worker(task):
 
     start = time.perf_counter()
     source_bytes = len(text.encode())
-    payload = astcache.pack_unit(unit, source_bytes)
+    emitted_bytes = None  # no reader: CompiledUnit sizes it on demand
+    if store is not None or task.emit_dir:
+        payload = astcache.pack_unit(unit, source_bytes)
+        emitted_bytes = len(payload)
     if store is not None:
         store.store(key, payload)
         store.store_record(record_key, key, dependencies)
@@ -403,7 +406,7 @@ def pass1_worker(task):
     return Pass1Result(
         index=task.index, filename=task.path, status="parsed", key=key,
         cache_path=None, unit=unit, source_bytes=source_bytes,
-        emitted_bytes=len(payload), timings=timings, pid=os.getpid(),
+        emitted_bytes=emitted_bytes, timings=timings, pid=os.getpid(),
         deps=deps, record_key=record_key, record_error=record_error,
         tokens_lexed=pp.tokens_lexed,
     )

@@ -55,7 +55,7 @@ class CompiledUnit:
         self.filename = filename
         self._unit = unit
         self.source_bytes = source_bytes
-        self.emitted_bytes = emitted_bytes
+        self._emitted_bytes = emitted_bytes
         self.from_cache = from_cache
         self.deps = deps
         self.index = index
@@ -108,6 +108,16 @@ class CompiledUnit:
             return self.index.statics
         return [decl.name for decl in self.unit.decls
                 if isinstance(decl, ast.VarDecl) and decl.storage == "static"]
+
+    @property
+    def emitted_bytes(self):
+        """The size of the unit's AST frame payload.  Pass 1 packs a unit
+        only when a cache or an emit directory reads the bytes, so a
+        unit compiled without either is packed here, once, if asked."""
+        if self._emitted_bytes is None:
+            self._emitted_bytes = len(
+                astcache.pack_unit(self.unit, self.source_bytes))
+        return self._emitted_bytes
 
     @property
     def expansion_ratio(self):

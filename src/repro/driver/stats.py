@@ -92,8 +92,12 @@ from contextlib import contextmanager
 #: ``triage_suppressed`` counts history suppressions too.  19: an
 #: incremental run has one schedule, so the counter of partial runs
 #: redone with delta replay is removed and every incremental run counts
-#: ``annotation_delta_rounds``.
-SCHEMA_VERSION = 19
+#: ``annotation_delta_rounds``.  20: summaries live only at extended-
+#: block heads (docs/ENGINE.md, "Summaries"), and the engine stats count
+#: the bookkeeping: ``summary_block_records`` (runs recorded into a
+#: head's block summary) and ``relax_blocks`` (heads walked by
+#: ``relax``), both deterministic.
+SCHEMA_VERSION = 20
 
 #: The wall-clock timers of a one-shot CLI run that never overlap one
 #: another: ``unaccounted`` is ``run_wall`` less their sum.  Every other

@@ -206,6 +206,13 @@ class _FunctionContext:
         self.local_names = cfg.local_names()
         self.pure_locals = self.local_names - self.param_names
         self.file = cfg.decl.location.filename
+        # Summaries live only at heads; a run ends at a block with no or a
+        # head successor (docs/ENGINE.md, "Summaries").
+        self.heads = {id(cfg.entry)} | {
+            id(block) for block in cfg.blocks if len(block.preds) > 1}
+        self.run_ends = {
+            id(block) for block in cfg.blocks if not block.edges or any(
+                id(edge.target) in self.heads for edge in block.edges)}
 
     def local_edge_filter(self, edge):
         """Suffix-summary filter: drop edges on function-local objects
@@ -217,12 +224,14 @@ class _FunctionContext:
 
 
 class _BlockRun:
-    """Entry snapshot of one block traversal, for summary recording."""
+    """A run's entry snapshot at its head, and the heads before it."""
 
-    __slots__ = ("block", "entry_gstate", "entry", "entry_state_key")
+    __slots__ = ("summary", "backtrace", "entry_gstate", "entry",
+                 "entry_state_key")
 
-    def __init__(self, block, sm):
-        self.block = block
+    def __init__(self, summary, sm, backtrace):
+        self.summary = summary
+        self.backtrace = backtrace
         self.entry_gstate = sm.gstate
         self.entry = [
             (inst.tuple_key(sm.gstate), inst.uid, inst.copy())
@@ -280,6 +289,8 @@ class Analysis:
             "paths_completed": 0,
             "cache_hits": 0,
             "function_cache_hits": 0,
+            "summary_block_records": 0,
+            "relax_blocks": 0,
             "calls_followed": 0,
             "errors": 0,
             "degraded_roots": 0,
@@ -567,22 +578,25 @@ class Analysis:
 
     # -- the DFS (Fig. 4) --------------------------------------------------------------
 
-    def _traverse(self, fctx, sm, constraints, block, backtrace):
-        self._check_budget()
-        if self.options.caching:
+    def _traverse(self, fctx, sm, constraints, block, backtrace, run=None):
+        """Continue the path into ``block``: a non-head extends ``run``; at
+        a head, a cache hit ends the path and a miss starts a new run."""
+        if run is None or id(block) in fctx.heads:
+            self._check_budget()
             summary = self._table.get(block)
-            if all(summary.covers(t) for t in state_tuples(sm)) \
+            if self.options.caching \
+                    and all(summary.covers(t) for t in state_tuples(sm)) \
                     and self._creations_covered(summary, sm):
                 self.stats["cache_hits"] += 1
-                relax(backtrace + [block], self._table, fctx.local_edge_filter)
+                self.stats["relax_blocks"] += relax(
+                    backtrace + [(summary, None)], fctx.local_edge_filter)
                 return
+            run = _BlockRun(summary, sm, backtrace)
         self.stats["blocks_traversed"] += 1
-        backtrace = backtrace + [block]
-        run = _BlockRun(block, sm)
         if block.havoc_vars and self.options.false_path_pruning:
             constraints.havoc(block.havoc_vars)
         points = self._points_of(block)
-        self._run_points(fctx, sm, constraints, block, points, 0, run, backtrace)
+        self._run_points(fctx, sm, constraints, block, points, 0, run)
 
     def _creations_covered(self, summary, sm):
         """May a fully tuple-covered state abort (§5.3)?
@@ -624,7 +638,7 @@ class Analysis:
         block = self._current_block
         return block is not None and block.branch_cond is point
 
-    def _run_points(self, fctx, sm, constraints, block, points, idx, run, backtrace):
+    def _run_points(self, fctx, sm, constraints, block, points, idx, run):
         while idx < len(points):
             self._current_block = block
             kind, node, item_idx = points[idx]
@@ -656,13 +670,12 @@ class Analysis:
                                     points,
                                     idx + 1,
                                     run,
-                                    backtrace,
                                 )
                             except StopPath:
                                 pass
                         return
             idx += 1
-        self._finish_block(fctx, sm, constraints, block, run, backtrace)
+        self._finish_block(fctx, sm, constraints, block, run)
 
     def _process_expr_point(self, fctx, sm, constraints, block, point, item_idx):
         """Apply kills, synonyms, value tracking and the extension at one
@@ -849,23 +862,26 @@ class Analysis:
 
     # -- block completion: summaries + successors ------------------------------------------
 
-    def _finish_block(self, fctx, sm, constraints, block, run, backtrace):
+    def _finish_block(self, fctx, sm, constraints, block, run):
         if block.is_exit:
-            self._at_exit(fctx, sm, constraints, block, run, backtrace)
+            self._at_exit(fctx, sm, constraints, block, run)
             return
-        self._record_block_run(run, sm)
+        backtrace = None
+        if id(block) in fctx.run_ends:
+            backtrace = self._record_block_run(run, sm, block)
         outcomes = block.outcomes()
         if not outcomes:
             # A dead end that is not the exit block (e.g. an empty goto
             # target); treat as a path end.
             self.stats["paths_completed"] += 1
-            relax(backtrace, self._table, fctx.local_edge_filter)
+            self.stats["relax_blocks"] += relax(
+                backtrace, fctx.local_edge_filter)
             return
         cond = block.branch_cond
         if sm.pending_splits and cond is None and block.switch_cond is None:
             self._fork_pending_splits(
                 fctx, sm, constraints, [edge.target for edge in block.edges],
-                backtrace,
+                backtrace, run,
             )
             return
         pruning = self.options.false_path_pruning
@@ -887,11 +903,13 @@ class Analysis:
                 for inst in new_sm.active_vars:
                     inst.conditionals_crossed += 1
             try:
-                self._traverse(fctx, new_sm, new_constraints, edge.target, backtrace)
+                self._traverse(
+                    fctx, new_sm, new_constraints, edge.target, backtrace, run
+                )
             except StopPath:
                 pass
 
-    def _fork_pending_splits(self, fctx, sm, constraints, successors, backtrace):
+    def _fork_pending_splits(self, fctx, sm, constraints, successors, backtrace, run):
         """A path-specific transition fired outside a branch condition: the
         modelled function had two outcomes, so the path itself splits."""
         for outcome in (True, False):
@@ -900,7 +918,8 @@ class Analysis:
             for succ in successors:
                 try:
                     self._traverse(
-                        fctx, new_sm.copy(), constraints.copy(), succ, backtrace
+                        fctx, new_sm.copy(), constraints.copy(), succ,
+                        backtrace, run,
                     )
                 except StopPath:
                     pass
@@ -921,27 +940,28 @@ class Analysis:
                 self._set_instance_value(sm, inst, ref.value)
         sm.pending_splits = []
 
-    def _record_block_run(self, run, sm):
-        summary = self._table.get(run.block)
+    def _record_block_run(self, run, sm, tail):
+        """Record ``run`` leaving from ``tail``; returns the new backtrace."""
+        self.stats["summary_block_records"] += 1
+        summary = run.summary
         summary.entry_states.add(run.entry_state_key)
+        edges = summary.runs[tail.index]
         g0 = run.entry_gstate
         g1 = sm.gstate
         # The placeholder edge is a real cache entry only when the
-        # placeholder tuple actually was the state that reached the block
+        # placeholder tuple actually was the state that reached the head
         # (no live instances); otherwise it is recorded for relaxation
         # only (§5.3 / §6.2 -- see Edge.relax_only).
-        summary.edges.add(
-            Edge(
-                TRANSITION,
-                (g0, PLACEHOLDER),
-                (g1, PLACEHOLDER),
-                relax_only=bool(run.entry),
-            )
-        )
+        edges.add(Edge(
+            TRANSITION,
+            (g0, PLACEHOLDER),
+            (g1, PLACEHOLDER),
+            relax_only=bool(run.entry),
+        ))
         current = {inst.uid: inst for inst in sm.active_vars}
         entry_uids = {uid for __, uid, __ in run.entry}
         # An entry object that was stopped (or killed) and then re-created
-        # within the block continues as the new instance: the creation
+        # within the run continues as the new instance: the creation
         # happened because the object was known on entry and then dropped,
         # so it is that tuple's exit state, not an add edge (which would
         # claim the creation for paths that know nothing about it).
@@ -956,13 +976,14 @@ class Analysis:
                 exit_inst = created.pop(
                     (entry_copy.var_name, entry_copy.obj_key), None
                 )
-            summary.edges.add(make_transition_edge(g0, entry_copy, g1, exit_inst))
+            edges.add(make_transition_edge(g0, entry_copy, g1, exit_inst))
         for inst in created.values():
-            summary.edges.add(make_add_edge(g0, g1, inst))
+            edges.add(make_add_edge(g0, g1, inst))
+        return run.backtrace + [(summary, edges)]
 
     # -- path ends -------------------------------------------------------------------------
 
-    def _at_exit(self, fctx, sm, constraints, block, run, backtrace):
+    def _at_exit(self, fctx, sm, constraints, block, run):
         ext = sm.extension
         if ext.uses_end_of_path():
             is_root = self.call_depth() == 0
@@ -981,9 +1002,10 @@ class Analysis:
         for inst in list(sm.active_vars):
             if ast.identifiers_in(inst.obj) & fctx.pure_locals:
                 sm.remove(inst)
-        self._record_block_run(run, sm)
+        backtrace = self._record_block_run(run, sm, block)
         self.stats["paths_completed"] += 1
-        relax(backtrace, self._table, fctx.local_edge_filter)
+        self.stats["relax_blocks"] += relax(
+            backtrace, fctx.local_edge_filter, at_exit=True)
 
     def _apply_end_of_path(self, sm, inst, end_point):
         if inst not in sm.active_vars or inst.inactive:

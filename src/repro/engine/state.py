@@ -75,8 +75,13 @@ class VarInstance:
         self.call_depth_at_creation = 0
 
     def copy(self):
-        clone = VarInstance(self.var_name, self.obj, self.value, self.data)
+        # Not through __init__: the key and uid are the original's.
+        clone = VarInstance.__new__(VarInstance)
+        clone.var_name = self.var_name
+        clone.obj = self.obj
         clone.obj_key = self.obj_key
+        clone.value = self.value
+        clone.data = dict(self.data)
         clone.uid = self.uid
         clone.created_at = self.created_at
         clone.created_location = self.created_location

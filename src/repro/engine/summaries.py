@@ -1,7 +1,7 @@
 """Block, suffix, and function summaries (§5.2, §6.2, Figures 5 and 6).
 
 A block summary records, as directed edges between state tuples, how each
-SM that reaches the block is transitioned while traversing it:
+SM that reaches a block is transitioned while traversing it:
 
 * transition edges ``(s, v:t->vs) -> (s', v:t->vs')`` -- one per state
   tuple that reaches the block (possibly the identity);
@@ -11,11 +11,17 @@ SM that reaches the block is transitioned while traversing it:
 * global edges ``(s, <>) -> (s', <>)`` -- how the block updates the global
   instance; relaxation matches these against add-edge starts.
 
-A *suffix summary* for block ``b`` holds add/transition edges from ``b`` to
-the function's exit; the *function summary* is the entry block's suffix
-summary.  Suffix summaries are computed by :func:`relax`, a backwards walk
-over the path's backtrace (Figure 6).
+Unlike Figure 5's one row per block, summaries live only at *heads*,
+the entry block and the joins; each *run* of an extended basic block is
+filed under the block it left from (docs/ENGINE.md, "Summaries").
+
+A *suffix summary* for head ``h`` holds add/transition edges from ``h``
+to the function's exit; the *function summary* is the entry block's
+suffix summary.  Suffix summaries are computed by :func:`relax`, a
+backwards walk over the heads of the path's backtrace (Figure 6).
 """
+
+from collections import defaultdict
 
 from repro.metal.sm import PLACEHOLDER, STOP
 from repro.engine.state import UNKNOWN, describe_tuple
@@ -27,7 +33,7 @@ ADD = "add"
 #: engine's observable behaviour changes (report fields, traversal
 #: semantics, edge encoding): persisted frames from other versions stop
 #: matching and are re-derived.
-SUMMARY_VERSION = "4"
+SUMMARY_VERSION = "5"
 
 
 class Edge:
@@ -102,16 +108,14 @@ class EdgeSet:
     def __len__(self):
         return len(self._edges)
 
-    def __contains__(self, edge):
-        return edge.key() in self._edges
-
 
 class BlockSummary:
-    """The block summary plus the suffix summary for one basic block."""
+    """The summaries kept at one head: its runs and its suffix summary."""
 
-    def __init__(self, block):
-        self.block = block
-        self.edges = EdgeSet()  # block summary
+    def __init__(self):
+        # Tail block index -> the block summary of the runs that left
+        # this head's extended block from that tail.
+        self.runs = defaultdict(EdgeSet)
         self.suffix = EdgeSet()  # suffix summary
         # Entry states of completed runs, as (gstate, frozenset of
         # non-placeholder tuples).  A cache hit needs a prior run whose
@@ -135,21 +139,15 @@ class BlockSummary:
         """Does the cache contain this state tuple (as a transition edge
         start)?  Used by ``cache_misses`` (§5.3).  Relax-only global edges
         are not cache entries."""
-        for edge in self.edges.with_start(start_tuple):
-            if edge.kind == TRANSITION and not edge.relax_only:
-                return True
-        return False
-
-    def describe(self, suffix=False):
-        edges = self.suffix if suffix else self.edges
-        shown = [e for e in edges if not e.is_global_only]
-        if not shown:
-            shown = [e for e in edges if e.is_global_only][:1]
-        return ", ".join(sorted(e.describe() for e in shown))
+        return any(
+            edge.kind == TRANSITION and not edge.relax_only
+            for run in self.runs.values()
+            for edge in run.with_start(start_tuple)
+        )
 
 
 class SummaryTable:
-    """Summaries for every (block, extension) pair of one analysis run."""
+    """Summaries for every head of one analysis run (one extension)."""
 
     def __init__(self):
         self._by_block = {}
@@ -157,12 +155,13 @@ class SummaryTable:
     def get(self, block):
         summary = self._by_block.get(id(block))
         if summary is None:
-            summary = BlockSummary(block)
+            summary = BlockSummary()
             self._by_block[id(block)] = summary
         return summary
 
-    def __len__(self):
-        return len(self._by_block)
+    def find(self, block):
+        """``block``'s summary if it is a head that was traversed, else None."""
+        return self._by_block.get(id(block))
 
 
 def make_transition_edge(start_gstate, start_instance, end_gstate, end_instance):
@@ -192,64 +191,59 @@ def make_add_edge(start_gstate, end_gstate, end_instance):
     return Edge(ADD, start, end_instance.tuple_key(end_gstate), end_instance.copy())
 
 
-def unknown_start(gstate, edge):
-    """Rewrite an add edge's start for a new entry global value."""
-    rest = edge.start[1]
-    return (gstate, rest)
-
-
-def relax(backtrace, table, local_filter=None):
+def relax(backtrace, local_filter=None, at_exit=False):
     """Compute suffix summaries along a finished (or aborted) path (Fig. 6).
 
-    ``backtrace`` is the list of blocks on the current path, first to last;
-    the last entry is either the function's exit block or the block where a
-    cache hit aborted the path (whose suffix edges then seed the walk).
+    ``backtrace`` lists the path's heads, first to last, as ``(summary,
+    run)`` pairs: ``run`` is the EdgeSet of the head's runs that left its
+    extended block from the tail this path left it from.  The last pair
+    is the head where the path ended: with ``at_exit`` its run reached the
+    function's exit, and seeds its suffix summary; on a cache hit its run
+    is None and its suffix edges seed the walk.
 
-    ``local_filter(obj_key_tree_names)`` -- actually a predicate over an
-    edge -- drops edges that mention function-local objects: "the analysis
-    would never use these edges" (Fig. 5 caption).
+    ``local_filter`` -- a predicate over an edge -- drops edges that
+    mention function-local objects: "the analysis would never use these
+    edges" (Fig. 5 caption).
 
     Edges ending in a ``stop`` tuple are intentionally omitted (§6.2).  A
-    stopped object that a later block creates again is not lost, though:
+    stopped object that a later run creates again is not lost, though:
     the creation's add edge continues the stopped tuple as a transition.
+
+    Returns the number of heads walked.
     """
-    if not backtrace:
-        return
-    last = table.get(backtrace[-1])
-    if backtrace[-1].is_exit:
+    if at_exit:
         # "ep's suffix summary equals its block summary."
-        for edge in last.edges:
+        last, run = backtrace[-1]
+        for edge in run:
             _add_suffix(last, edge, local_filter)
 
     for index in range(len(backtrace) - 2, -1, -1):
-        prev = table.get(backtrace[index])
-        cur = table.get(backtrace[index + 1])
-        grew = False
+        prev, run = backtrace[index]
+        cur = backtrace[index + 1][0]
         for suffix_edge in list(cur.suffix):
             if suffix_edge.kind == ADD:
-                # Match the add start against prev's global edges: "these
-                # special transition edges will match the initial state of
-                # an add edge if the values of the global instance match."
-                for prev_edge in prev.edges:
-                    if not prev_edge.is_global_only:
-                        continue
-                    if prev_edge.end[0] != suffix_edge.start[0]:
+                # Match the add start against the run's global edges:
+                # "these special transition edges will match the initial
+                # state of an add edge if the values of the global
+                # instance match."
+                for prev_edge in run.with_end((suffix_edge.start[0], PLACEHOLDER)):
+                    if prev_edge.start[1] != PLACEHOLDER:
                         continue
                     new_edge = Edge(
                         ADD,
-                        unknown_start(prev_edge.start[0], suffix_edge),
+                        (prev_edge.start[0], suffix_edge.start[1]),
                         suffix_edge.end,
                         suffix_edge.end_snapshot,
                     )
-                    grew |= _add_suffix(prev, new_edge, local_filter)
-                # An object stopped in prev is unknown again at cur's
-                # entry, so a creation in the suffix continues prev's
+                    _add_suffix(prev, new_edge, local_filter)
+                # An object stopped in the run is unknown again at cur's
+                # entry, so a creation in the suffix continues the run's
                 # stopped tuple.  The add edge alone would lose the object
                 # whenever it was known on entry to prev ("the edge only
                 # applies when we know nothing about t").
                 rest = suffix_edge.start[1]
                 stopped = (suffix_edge.start[0], (rest[0], rest[1], STOP, None))
-                for prev_edge in prev.edges.with_end(stopped):
+                for prev_edge in run.with_end(stopped):
                     if prev_edge.kind != TRANSITION:
                         continue
                     new_edge = Edge(
@@ -259,12 +253,12 @@ def relax(backtrace, table, local_filter=None):
                         suffix_edge.end_snapshot,
                         relax_only=prev_edge.relax_only,
                     )
-                    grew |= _add_suffix(prev, new_edge, local_filter)
+                    _add_suffix(prev, new_edge, local_filter)
             else:
                 # "For a suffix transition edge, et, the algorithm looks for
                 # an add edge or transition edge in prev's block summary
                 # whose end tuple is equivalent to et's start tuple."
-                for prev_edge in prev.edges.with_end(suffix_edge.start):
+                for prev_edge in run.with_end(suffix_edge.start):
                     new_edge = Edge(
                         prev_edge.kind,
                         prev_edge.start,
@@ -272,23 +266,20 @@ def relax(backtrace, table, local_filter=None):
                         suffix_edge.end_snapshot,
                         relax_only=prev_edge.relax_only or suffix_edge.relax_only,
                     )
-                    grew |= _add_suffix(prev, new_edge, local_filter)
+                    _add_suffix(prev, new_edge, local_filter)
         # The paper stops early "when no new edges are propagated (i.e.,
         # the previous block's summary does not grow)".  That short-cut is
-        # only safe when every block on the backtrace was seeded by this
+        # only safe when every head on the backtrace was seeded by this
         # same walk; when two paths share a tail (the second path's walk
-        # finds the shared blocks already populated), breaking here would
+        # finds the shared heads already populated), breaking here would
         # leave the divergent prefix without its suffix edges.  We walk the
         # whole backtrace instead -- it is bounded by the path length.
-        del grew
+    return len(backtrace)
 
 
 def _add_suffix(summary, edge, local_filter):
-    if edge.ends_in_stop:
-        return False
-    if local_filter is not None and local_filter(edge):
-        return False
-    return summary.suffix.add(edge)
+    if not edge.ends_in_stop and not (local_filter and local_filter(edge)):
+        summary.suffix.add(edge)
 
 
 class RootArtifact:

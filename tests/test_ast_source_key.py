@@ -407,8 +407,8 @@ PIN_FILES = {
 }
 
 #: ``cache_key`` of ``pin.c`` under ``-I inc -D N=4`` with
-#: ``AST_KEY_VERSION`` 3.
-PINNED_KEY = "50f33245f8c1cfc191902c043369e7fcdef364af5f552f0eb25c3df5c49ff5a6"
+#: ``AST_KEY_VERSION`` 4.
+PINNED_KEY = "223bba2460e17a34a7c9222f5fc80e080dd178e39c0000ca88e259f26b0d9809"
 
 
 def _pin_reader(path):
@@ -423,7 +423,7 @@ def test_token_key_is_pinned():
     and a ``-D`` define) never drifts: a cache written by an older build
     must keep hitting.  A change that moves it must bump
     ``AST_KEY_VERSION`` (and this digest)."""
-    assert astcache.AST_KEY_VERSION == "3"
+    assert astcache.AST_KEY_VERSION == "4"
     assert astcache.PARSER_VERSION == "2"
     for __ in range(2):  # the second run reads pin.h from the header memo
         pp = Preprocessor(["inc"], {"N": "4"}, file_reader=_pin_reader)

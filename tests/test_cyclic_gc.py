@@ -77,7 +77,7 @@ def test_one_shot_run_makes_no_collector_pass(tmp_path, capsys):
     assert code == 1
     assert passes == []
     payload = json.loads(stats.read_text())
-    assert payload["schema_version"] == 19
+    assert payload["schema_version"] == 20
     assert payload["counters"]["cyclic_gc_passes"] == 0
     assert payload["timers_s"]["cyclic_gc"] == 0.0
     assert "double free" in capsys.readouterr().out

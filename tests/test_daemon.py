@@ -183,7 +183,7 @@ class TestDaemonProtocol:
                 assert ping["ok"] and ping["pid"] == os.getpid()
                 stats = client.request("stats")
                 assert stats["ok"]
-                assert stats["stats"]["schema_version"] == 19
+                assert stats["stats"]["schema_version"] == 20
                 assert stats["stats"]["pinned_units"] == 3
                 assert stats["stats"]["pinned_frames"] > 0
                 # The daemon keeps CPython's cyclic collector on and
@@ -805,4 +805,4 @@ class TestDaemonCLI:
                          "--daemon-request", "stats"])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
-            assert payload["stats"]["schema_version"] == 19
+            assert payload["stats"]["schema_version"] == 20

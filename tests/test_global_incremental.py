@@ -517,7 +517,7 @@ class TestCacheGC:
         capsys.readouterr()
         assert rc == 0
         stats = json.loads(stats_path.read_text())
-        assert stats["schema_version"] == 19
+        assert stats["schema_version"] == 20
         assert stats["counters"]["gc_summary_frames_dropped"] == 1
         assert not backend.head_many("sum", [key])
 

@@ -765,7 +765,7 @@ class TestIncrementalCLI:
         main(args + paths)
         capsys.readouterr()
         cold = json.loads(stats_path.read_text())
-        assert cold["schema_version"] == 19
+        assert cold["schema_version"] == 20
         assert cold["counters"]["incremental_cold_runs"] == 1
         assert cold["counters"]["summary_stores"] > 0
         main(args + paths)

@@ -486,7 +486,7 @@ class TestParallelCLI:
         capsys.readouterr()
         stats = json.load(open(stats_json))
         timers, counters = stats["timers_s"], stats["counters"]
-        assert stats["schema_version"] == 19
+        assert stats["schema_version"] == 20
         assert timers["pass2_wall"] > 0
         assert 0 < timers["lex"] <= timers["preprocess"]
         assert counters["tokens_lexed"] > counters["parses"]

@@ -1,20 +1,20 @@
 """Per-function facts computed once at parse time (docs/DRIVER.md,
 "Function fingerprints").
 
-Pass 1 keeps each function definition's local content hash and its
-direct-callee set on the decl; the AST frame and the daemon's pinned
-units carry them, so a warm run unparses nothing it did not reparse and
-the call graph links without re-walking unchanged bodies.  The Merkle
+The parser keeps each function definition's local content hash (over
+its tokens) on the decl, and pass 1 its direct-callee set; the AST frame
+and the daemon's pinned units carry them, so a warm run hashes no
+definition it did not reparse and the call graph links without
+re-walking unchanged bodies.  The Merkle
 fingerprint pass is memoized on the call graph: the session and the
 refine hook share one pass per run.
 
 Covers: carried values survive a frame round trip and match a fresh
-recomputation after a coupled, refining daemon burst (soundness), and
-the mechanism itself -- unparse and fingerprint-pass counts on warm CLI
-runs and warm daemon requests.
+parse after a coupled, refining daemon burst (soundness), and the
+mechanism itself -- definition-hash and fingerprint-pass counts on warm
+CLI runs and warm daemon requests.
 """
 
-import copy
 import functools
 import os
 import shutil
@@ -22,7 +22,7 @@ import shutil
 import pytest
 
 from repro.cfg import fingerprint as fpmod
-from repro.cfg.callgraph import direct_callees
+from repro.cfront import parser as parsermod
 from repro.checkers import audit_checker, free_checker, path_kill_extension
 from repro.codegen.project_gen import (
     apply_function_edits,
@@ -74,19 +74,25 @@ def make_daemon(src, cache, extension_factory, names, refine=None):
     )
 
 
-def assert_carried_facts_fresh(unit):
-    """Every definition carries a hash and callee set equal to a
-    recomputation on a memo-free deep copy."""
+def carried_facts(unit):
+    return {decl.name: (decl.token_hash, decl.direct_callees)
+            for decl in unit.functions()}
+
+
+def assert_carried_facts_fresh(unit, include_paths=(), text=None):
+    """Every definition carries a hash and callee set equal to those of a
+    fresh parse of its file (``text`` in place of the file's contents)."""
     functions = unit.functions()
     assert functions
-    for decl in functions:
-        assert decl.token_hash is not None, decl.name
-        assert decl.direct_callees is not None, decl.name
-        bare = copy.deepcopy(decl)
-        bare.token_hash = None
-        bare.direct_callees = None
-        assert fpmod.function_token_hash(bare) == decl.token_hash, decl.name
-        assert direct_callees(bare) == decl.direct_callees, decl.name
+    project = Project(include_paths=list(include_paths))
+    if text is None:
+        fresh = project.compile_file(unit.filename)
+    else:
+        fresh = project.compile_text(text, unit.filename)
+    facts = carried_facts(unit)
+    assert all(hash_ is not None and callees is not None
+               for hash_, callees in facts.values())
+    assert facts == carried_facts(fresh.unit)
 
 
 class CallCounter:
@@ -106,20 +112,14 @@ class CallCounter:
 
 class TestSoundness:
     def test_pack_unpack_round_trip_keeps_carried_facts(self):
-        project = Project()
-        compiled = project.compile_text(
-            "int leaf(int x) { return x + 1; }\n"
-            "int top(int x) { return leaf(x) + ext(x); }\n",
-            "t.c",
-        )
+        text = ("int leaf(int x) { return x + 1; }\n"
+                "int top(int x) { return leaf(x) + ext(x); }\n")
+        compiled = Project().compile_text(text, "t.c")
         unit, __ = astcache.unpack(astcache.pack_unit(compiled.unit, 0))
-        before = {d.name: (d.token_hash, d.direct_callees)
-                  for d in compiled.unit.functions()}
-        after = {d.name: (d.token_hash, d.direct_callees)
-                 for d in unit.functions()}
-        assert after == before
+        after = carried_facts(unit)
+        assert after == carried_facts(compiled.unit)
         assert after["top"][1] == ("ext", "leaf")
-        assert_carried_facts_fresh(unit)
+        assert_carried_facts_fresh(unit, text=text)
 
     def test_coupled_refining_daemon_burst_keeps_pins_fresh(self, tmp_path):
         gen = generate_global_project(seed=3)
@@ -141,7 +141,7 @@ class TestSoundness:
         assert daemon.analyze(force=True)["ok"]
         assert daemon._units
         for pin in daemon._units.values():
-            assert_carried_facts_fresh(pin.compiled.unit)
+            assert_carried_facts_fresh(pin.compiled.unit, [str(src)])
 
 
 class TestMechanism:
@@ -161,20 +161,20 @@ class TestMechanism:
         assert code in (0, 1)
         return capsys.readouterr().out
 
-    def test_warm_cli_run_unparses_nothing_and_fingerprints_once(
+    def test_warm_cli_run_hashes_no_definition_and_fingerprints_once(
             self, tmp_path, capsys, monkeypatch):
         work = self._toy_copy(tmp_path)
         cache = tmp_path / "cache"
         cold = self._cli(work, cache, capsys)
-        unparses = CallCounter(monkeypatch, fpmod, "unparse")
+        hashes = CallCounter(monkeypatch, parsermod, "definition_hash")
         passes = CallCounter(
             monkeypatch, fpmod, "strongly_connected_components")
         warm = self._cli(work, cache, capsys)
         assert warm == cold
-        assert unparses.calls == 0
+        assert hashes.calls == 0
         assert passes.calls == 1
 
-    def test_warm_daemon_request_unparses_only_the_reparsed_unit(
+    def test_warm_daemon_request_hashes_only_the_reparsed_unit(
             self, tmp_path, monkeypatch):
         src = tmp_path / "src"
         shutil.copytree(TOY, str(src))
@@ -188,14 +188,14 @@ class TestMechanism:
         assert "dev->flags = 0;" in text
         edited.write_text(text.replace("dev->flags = 0;",
                                        "dev->flags = 0 + 0;", 1))
-        unparses = CallCounter(monkeypatch, fpmod, "unparse")
+        hashes = CallCounter(monkeypatch, parsermod, "definition_hash")
         passes = CallCounter(
             monkeypatch, fpmod, "strongly_connected_components")
         response = daemon.analyze()
         assert response["ok"]
         assert response["files_reparsed"] == 1
         reparsed = daemon._units[str(edited)].compiled.unit
-        assert unparses.calls == len(reparsed.functions())
+        assert hashes.calls == len(reparsed.functions())
         assert passes.calls == 1
 
 

@@ -12,6 +12,10 @@ at ``--jobs 2`` and through the daemon.  Before the cone was widened,
 about one in ten of its edits to a root other than the first gave a
 warm run that disagreed with the cold one.
 
+An edit that only moves tokens inside a body (a blank line, spaces, a
+comment) moves the reports in it, so it must re-analyze the function
+(``TestPositionOnlyEdit``).
+
 A global checker (``audit``) passes state between roots: a root that
 claims a tag another root claimed first reports a duplicate.  Editing
 the only root that wrote a claim must re-analyze the roots that read
@@ -28,6 +32,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -279,6 +284,49 @@ class TestWarmEqualsColdDifferential:
         with contextlib.redirect_stdout(out):
             code = main(cli_argv(src, flags, self.checker))
         return code, out.getvalue()
+
+
+#: A use after free whose report position moves when tokens inside the
+#: body move, while the definition's start and its rendering stay put.
+MOVED = "int f(int *p) {\n    kfree(p);\n    return *p;\n}\n"
+
+#: ``MOVED`` after each position-only edit: a blank line, extra spaces
+#: before ``*p``, and a two-line comment.
+MOVES = {
+    "blank-line": MOVED.replace("    return", "\n    return"),
+    "spaces": MOVED.replace("return *p", "return   *p"),
+    "comment": MOVED.replace("    return", "    /* one\n       two */\n"
+                                           "    return"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MOVES))
+class TestPositionOnlyEdit:
+    """``xgcc --incremental`` over ``MOVED``, then an edit that moves
+    tokens inside ``f``'s body and nothing else: the warm run once
+    replayed the report at its old line or column, because the
+    definition's hash covered only its start and its rendering."""
+
+    def test_cold_run_reports_the_moved_position(self, tmp_path, capsys,
+                                                 edit):
+        code, out = cold(str(tmp_path), capsys, MOVES[edit])
+        assert code == 1
+        position = {"blank-line": "4:12", "spaces": "3:14",
+                    "comment": "5:12"}[edit]
+        assert "s.c:%s: free_checker: using p after free!" % position in out
+
+    def test_serial(self, tmp_path, capsys, edit):
+        expected = cold(str(tmp_path), capsys, MOVES[edit])
+        assert warm(str(tmp_path), capsys, MOVED, MOVES[edit]) == expected
+
+    def test_jobs(self, tmp_path, capsys, edit):
+        expected = cold(str(tmp_path), capsys, MOVES[edit])
+        assert warm(str(tmp_path), capsys, MOVED, MOVES[edit],
+                    "--jobs", "2") == expected
+
+    def test_daemon(self, tmp_path, capsys, edit):
+        expected = cold(str(tmp_path), capsys, MOVES[edit])
+        assert daemon_warm(str(tmp_path), MOVED, MOVES[edit]) == expected
 
 
 #: ``a`` claims audit tag 1 first, so ``b``'s claim is a duplicate.
